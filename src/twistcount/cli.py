@@ -21,6 +21,11 @@ class ParseError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_graph_data(data) -> graphs.DualGraph:
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
@@ -36,9 +41,9 @@ def parse_graph_data(data) -> graphs.DualGraph:
             raise ParseError(f"vertices[{i}]: expected an object")
         g = item.get("genus")
         legs = item.get("legs", [])
-        if not isinstance(g, int) or g < 0:
+        if not _is_int(g) or g < 0:
             raise ParseError(f"vertices[{i}].genus: expected a nonnegative integer")
-        if not isinstance(legs, list) or not all(isinstance(x, int) for x in legs):
+        if not isinstance(legs, list) or not all(_is_int(x) for x in legs):
             raise ParseError(f"vertices[{i}].legs: expected an array of integers")
         vs.append(graphs.Vertex(g, tuple(legs)))
     es = []
@@ -49,7 +54,7 @@ def parse_graph_data(data) -> graphs.DualGraph:
         head = item.get("head")
         stab = item.get("stabilizer", 1)
         for field, value in (("tail", tail), ("head", head), ("stabilizer", stab)):
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise ParseError(f"edges[{k}].{field}: expected an integer")
         es.append(graphs.Edge(tail, head, stab))
     return graphs.DualGraph(tuple(vs), tuple(es))
@@ -92,20 +97,29 @@ def parse_bundle_spec(spec: str, G: graphs.DualGraph) -> picard.LineBundleData:
         for piece in rest.split(","):
             key, _, value = piece.partition("=")
             if key == "k":
-                k = int(value)
+                k = _int_field(value, "bundle k")
             elif key == "h":
                 leg, _, val = value.partition(":")
-                weights[int(leg)] = int(val)
+                weights[_int_field(leg, "bundle leg")] = _int_field(val, "bundle weight")
             else:
                 raise ParseError(f"unknown bundle field {key!r}")
     return picard.omega_bundle(G, k, weights)
 
 
 def parse_bundle_file(path: str, G: graphs.DualGraph) -> picard.LineBundleData:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict) or "int_part" not in data or "mult" not in data:
         raise ParseError(f"{path}: expected an object with int_part and mult")
+    for field in ("int_part", "mult"):
+        value = data[field]
+        if not isinstance(value, list) or not all(_is_int(x) for x in value):
+            raise ParseError(f"{path}: {field}: expected an array of integers")
     return picard.line_bundle(G, data["int_part"], data["mult"])
 
 
@@ -117,7 +131,7 @@ def load_bundle(args, G: graphs.DualGraph) -> picard.LineBundleData:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, separators=(",", ":")))
+        print(json.dumps(payload, separators=(",", ":"), default=_json_default))
     else:
         keys = list(payload)
         print("\t".join(keys))
@@ -126,18 +140,15 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _tsv_cell(value) -> str:
     if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value)
+        return json.dumps(value, default=_json_default)
     return str(value)
 
 
-def _json_safe(value):
+def _json_default(value):
+    """Exact rationals are written as strings such as "3/2"."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _add_common(parser, suppress: bool) -> None:
@@ -249,10 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_field(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what}: expected an integer, got {text!r}") from None
+
+
 def _csv_ints(text: str) -> list[int]:
     if not text:
         return []
-    return [int(piece) for piece in text.split(",")]
+    return [_int_field(piece, "comma-separated list") for piece in text.split(",")]
 
 
 def run(args) -> dict:
@@ -281,7 +299,7 @@ def run(args) -> dict:
         return {
             "criterion": passed,
             "witnesses": [
-                {"edge": e, "condition": what, "value": _json_safe(v)}
+                {"edge": e, "condition": what, "value": v}
                 for e, what, v in witnesses
             ],
         }
@@ -317,6 +335,8 @@ def run(args) -> dict:
             out["graphs"] = [emit_graph(G) for G in found]
         return out
     if args.command == "verify-rootsnum":
+        if args.random_bundles < 0:
+            raise ParseError(f"--random-bundles: {args.random_bundles} < 0")
         family = graphs.enumerate_stable_graphs(
             args.g, 0, _csv_ints(args.stabilizers), max_vertices=args.max_vertices
         )
@@ -396,7 +416,7 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"tc: error: {exc}", file=sys.stderr)
         return 1
-    _emit(_json_safe(payload), args.format)
+    _emit(payload, args.format)
     return 0
 
 

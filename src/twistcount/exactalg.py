@@ -290,7 +290,8 @@ def kernel_size_by_smith(h: CyclicHom) -> int:
     ]
     _, D, _ = smith_normal_form(stacked)
     coker = prod(D[i][i] for i in range(rows))
-    assert coker != 0, "moduli block has full rank"
+    if coker == 0:
+        raise AlgebraError("infinite cokernel: the moduli block must have full rank")
     return h.domain_size * coker // prod(h.codomain_moduli)
 
 
@@ -340,9 +341,8 @@ def hom_image_contains(h: CyclicHom, t) -> tuple[bool, tuple[int, ...] | None]:
     w += [0] * (cols + rows - len(w))
     z = [sum(V[j][i] * w[i] for i in range(len(w))) for j in range(cols + rows)]
     witness = tuple(z[j] % h.domain_moduli[j] for j in range(cols))
-    assert h.apply(witness) == tuple(
-        v % m for v, m in zip(t, h.codomain_moduli)
-    )
+    if h.apply(witness) != tuple(v % m for v, m in zip(t, h.codomain_moduli)):
+        raise AlgebraError("image witness does not map to the target")
     return True, witness
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 __all__ = [
     "GraphError",
@@ -408,42 +409,18 @@ def spanning_tree(G: DualGraph) -> list[int]:
 
 
 def _vertex_keys(G: DualGraph) -> list[tuple[int, int, int, int]]:
+    """Per-vertex invariant (genus, legs, valence, loops)."""
+    valence = [0] * G.n_vertices
     loops = [0] * G.n_vertices
     for e in G.edges:
+        valence[e.tail] += 1
+        valence[e.head] += 1
         if e.tail == e.head:
             loops[e.tail] += 1
     return [
-        (v.genus, len(v.legs), G.valence(i), loops[i])
+        (v.genus, len(v.legs), valence[i], loops[i])
         for i, v in enumerate(G.vertices)
     ]
-
-
-def _class_permutations(keys):
-    """All vertex permutations preserving the given per-vertex keys.
-
-    Yields maps old index -> new index; the new index order sorts the
-    classes by key.
-    """
-    order = sorted(range(len(keys)), key=lambda v: (keys[v], v))
-    groups: list[list[int]] = []
-    for v in order:
-        if groups and keys[groups[-1][0]] == keys[v]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    slots = []
-    start = 0
-    for grp in groups:
-        slots.append(range(start, start + len(grp)))
-        start += len(grp)
-    for assignment in itertools.product(
-        *(itertools.permutations(slot) for slot in slots)
-    ):
-        perm = [0] * len(keys)
-        for grp, placed in zip(groups, assignment):
-            for v, target in zip(grp, placed):
-                perm[v] = target
-        yield perm
 
 
 def canonical_form(G: DualGraph, max_vertices: int = MAX_CANONICAL_VERTICES) -> str:
@@ -451,23 +428,27 @@ def canonical_form(G: DualGraph, max_vertices: int = MAX_CANONICAL_VERTICES) -> 
 
     Isomorphism preserves vertex genera, per-vertex leg counts, and edge
     stabilizers; edge orientations and marking identities are ignored.
-    Computed by minimising the edge list over all class-preserving vertex
-    permutations, so it is only meant for small graphs.
+    The vertices are split into classes by the invariant key (genus, legs,
+    valence, loops) and the classes take consecutive label ranges in key
+    order.  The label is the least sorted list of relabelled edge triples
+    (min end, max end, stabilizer) over all vertex permutations that keep
+    each vertex inside its class's range.  That minimum is found by a
+    branch-and-bound over the labels 0, 1, ... (see ``_least_edge_list``),
+    so it is exact but only meant for small graphs.
     """
     if G.n_vertices > max_vertices:
         raise SizeLimitExceeded(
             f"{G.n_vertices} vertices exceeds the canonical-form bound {max_vertices}"
         )
     keys = _vertex_keys(G)
-    raw_edges = [(e.tail, e.head, e.stabilizer) for e in G.edges]
-    best = None
-    for perm in _class_permutations(keys):
-        relabeled = sorted(
-            (min(perm[t], perm[h]), max(perm[t], perm[h]), l)
-            for t, h, l in raw_edges
-        )
-        if best is None or relabeled < best:
-            best = relabeled
+    order = sorted(range(G.n_vertices), key=lambda v: (keys[v], v))
+    # Label s may go to any vertex of the class whose range covers s.
+    slot_members = [
+        tuple(w for w in order if keys[w] == keys[v]) for v in order
+    ]
+    best = _least_edge_list(
+        G.n_vertices, [(e.tail, e.head, e.stabilizer) for e in G.edges], slot_members
+    )
     # Class layout sorts by the full invariant key; projecting to (genus,
     # legs) is still sorted, so the vertex part is permutation-independent.
     vert_part = sorted((k[0], k[1]) for k in keys)
@@ -475,6 +456,78 @@ def canonical_form(G: DualGraph, max_vertices: int = MAX_CANONICAL_VERTICES) -> 
         ",".join(f"{g}:{n}" for g, n in vert_part),
         ",".join(f"{u}-{v}:{l}" for u, v, l in best),
     )
+
+
+def _least_edge_list(n: int, raw_edges, slot_members) -> list[tuple[int, int, int]]:
+    """Least sorted triple list over labellings that give slot s a vertex
+    of ``slot_members[s]``.
+
+    Labels are handed out in slot order.  Once labels 0..s are placed, the
+    triples (u, v, l) with both ends labelled are fixed, and for each u they
+    precede every triple (u, v', l') whose far end is still unlabelled
+    (v' > s).  So the fixed rows u = 0, 1, ... up to and including the
+    first row with an unlabelled far end form a prefix of every completion,
+    and that row's next triple is at least (u, s + 1, 0).  A branch whose
+    prefix, with that bound appended, exceeds the best list so far cannot
+    win and is cut.
+    """
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for t, h, l in raw_edges:
+        nbrs[t].append((h, l))
+        if h != t:
+            nbrs[h].append((t, l))
+    for branches in nbrs:
+        # Triples landing in one row during one step then come in l order.
+        branches.sort(key=lambda wl: wl[1])
+    label = [-1] * n
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    open_ends = [0] * n
+    best: list[tuple[int, int, int]] | None = None
+
+    def place(s: int) -> None:
+        nonlocal best
+        for x in slot_members[s]:
+            if label[x] >= 0:
+                continue
+            label[x] = s
+            touched = []
+            for w, l in nbrs[x]:
+                u = label[w]
+                if w == x:
+                    rows[s].append((s, s, l))
+                    touched.append(s)
+                elif u >= 0:
+                    rows[u].append((u, s, l))
+                    open_ends[u] -= 1
+                    touched.append(u)
+                else:
+                    open_ends[s] += 1
+            prefix: list[tuple[int, int, int]] = []
+            bound = None
+            for u in range(s + 1):
+                prefix += rows[u]
+                if open_ends[u]:
+                    bound = (u, s + 1, 0)
+                    break
+            if s == n - 1:
+                if best is None or prefix < best:
+                    best = prefix
+            elif best is None:
+                place(s + 1)
+            else:
+                if bound is not None:
+                    prefix.append(bound)
+                if prefix <= best[: len(prefix)]:
+                    place(s + 1)
+            for u in touched:
+                rows[u].pop()
+                if u != s:
+                    open_ends[u] += 1
+            open_ends[s] = 0
+            label[x] = -1
+
+    place(0)
+    return best
 
 
 def _weak_compositions(total: int, parts: int):
@@ -540,22 +593,33 @@ def _realizations(degrees):
 
 
 def _enumerate_shapes(g: int, n_legs: int, max_vertices: int) -> list[DualGraph]:
-    """Connected stable shapes (stabilizer 1) of genus g with n unlabeled legs."""
+    """Connected stable shapes (stabilizer 1) of genus g with n unlabeled legs.
+
+    Labellings are visited with genera, then legs, then degrees in
+    lexicographic order, so the first labelling met for each class has its
+    vertex keys (genus, legs, degree) sorted; labellings with unsorted keys
+    are skipped without changing which shape represents a class.
+    """
     shapes: dict[str, DualGraph] = {}
     nv_cap = min(max_vertices, max(1, 2 * g - 2 + n_legs))
     for nv in range(1, nv_cap + 1):
-        for genera in itertools.product(range(g + 1), repeat=nv):
+        for genera in itertools.combinations_with_replacement(range(g + 1), nv):
             total_genus = sum(genera)
             if total_genus > g:
                 continue
             b1 = g - total_genus
             m = b1 + nv - 1
             for legs in _weak_compositions(n_legs, nv):
+                if not _sorted_within(legs, genera):
+                    continue
                 minima = [
                     max(3 - 2 * genera[i] - legs[i], 1 if nv > 1 else 0)
                     for i in range(nv)
                 ]
+                runs = list(zip(genera, legs))
                 for degrees in _degree_sequences(2 * m, minima):
+                    if not _sorted_within(degrees, runs):
+                        continue
                     for pairs in _realizations(degrees):
                         if not _is_connected(nv, pairs):
                             continue
@@ -571,11 +635,12 @@ def _enumerate_shapes(g: int, n_legs: int, max_vertices: int) -> list[DualGraph]
     return [shapes[k] for k in sorted(shapes)]
 
 
-def _edge_classes(G: DualGraph) -> dict[tuple[int, int], list[int]]:
-    classes: dict[tuple[int, int], list[int]] = {}
-    for k, e in enumerate(G.edges):
-        classes.setdefault((min(e.tail, e.head), max(e.tail, e.head)), []).append(k)
-    return classes
+def _sorted_within(values, runs) -> bool:
+    """True when values never decrease inside a run of equal ``runs`` entries."""
+    return all(
+        values[i - 1] <= values[i] or runs[i - 1] != runs[i]
+        for i in range(1, len(values))
+    )
 
 
 def _shape_automorphisms(G: DualGraph) -> list[list[int]]:
@@ -616,34 +681,44 @@ def _renumber(pair_counts, perm):
 def _stabilizer_assignments(shape: DualGraph, choices) -> list[tuple[int, ...]]:
     """Stabilizer tuples, one per orbit of the shape's automorphisms.
 
-    An automorphism may permute parallel edges arbitrarily, so the orbit
-    key sorts the values within each parallel class and minimises over the
-    vertex automorphisms.
+    Two tuples share an orbit when a vertex automorphism, together with any
+    reordering of the edges inside each parallel class, carries one to the
+    other.  Each orbit is represented by its lexicographically least tuple,
+    and the list is in lexicographic order.
+
+    Generated orderly: every parallel class takes a non-decreasing run of
+    choices, and the combination is kept only if it is lexicographically
+    at most its image under each automorphism, acting as a permutation of
+    the parallel classes.  Per-class runs in class order are the flat
+    tuple only because the shape's edges are grouped by vertex pair in
+    sorted pair order (the layout ``_realizations`` produces); other
+    layouts raise GraphError.
     """
-    classes = _edge_classes(shape)
-    class_keys = sorted(classes)
-    autos = _shape_automorphisms(shape)
-    m = shape.n_edges
+    pairs = [(min(e.tail, e.head), max(e.tail, e.head)) for e in shape.edges]
+    if pairs != sorted(pairs):
+        raise GraphError(
+            "stabilizer assignments need the edges grouped by vertex pair in sorted order"
+        )
+    class_keys = sorted(set(pairs))
+    position = {key: i for i, key in enumerate(class_keys)}
+    sources = set()
+    for perm in _shape_automorphisms(shape):
+        source = [0] * len(class_keys)
+        for i, (u, v) in enumerate(class_keys):
+            source[position[(min(perm[u], perm[v]), max(perm[u], perm[v]))]] = i
+        sources.add(tuple(source))
+    # The image of a combination puts class i's run at the class that i
+    # maps to; the identity never rejects anything.
+    sources.discard(tuple(range(len(class_keys))))
+    images = [itemgetter(*source) for source in sources]
     out = []
-    seen = set()
-    for assign in itertools.product(choices, repeat=m):
-        best = None
-        for perm in autos:
-            mapped: dict[tuple[int, int], list[int]] = {}
-            for key in class_keys:
-                u, v = key
-                target = (min(perm[u], perm[v]), max(perm[u], perm[v]))
-                mapped.setdefault(target, []).extend(
-                    assign[k] for k in classes[key]
-                )
-            candidate = tuple(
-                tuple(sorted(mapped[key])) for key in sorted(mapped)
-            )
-            if best is None or candidate < best:
-                best = candidate
-        if best not in seen:
-            seen.add(best)
-            out.append(assign)
+    runs = (
+        itertools.combinations_with_replacement(choices, pairs.count(key))
+        for key in class_keys
+    )
+    for combo in itertools.product(*runs):
+        if all(combo <= image(combo) for image in images):
+            out.append(tuple(itertools.chain.from_iterable(combo)))
     return out
 
 
@@ -658,7 +733,9 @@ def enumerate_stable_graphs(
     """All stable decorated graphs of genus g with n legs, one per iso class.
 
     Every edge stabilizer is drawn from ``stabilizer_choices``.  Output
-    order is deterministic (sorted canonical labels).
+    order is deterministic (sorted canonical labels).  Each shape class is
+    decorated once per orbit of stabilizer tuples, so no two outputs share
+    a label; ``canonical_form`` is computed once per output graph, to sort.
     """
     if g < 1 or (g == 1 and n_legs < 1):
         raise UnsupportedGenus(f"no stable graphs enumerated for (g, n) = ({g}, {n_legs})")
@@ -677,5 +754,8 @@ def enumerate_stable_graphs(
                     for e, l in zip(shape.edges, assign)
                 ),
             )
-            out.setdefault(canonical_form(G), G)
+            label = canonical_form(G)
+            if label in out:
+                raise GraphError(f"isomorphism class {label} generated twice")
+            out[label] = G
     return [out[k] for k in sorted(out)]

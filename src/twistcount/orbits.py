@@ -271,10 +271,14 @@ def orbit_count(
         n_elements += 1
         for c in classes:
             image = _apply_element(c, edges, powers, flip)
-            assert image in class_set, "the action must permute the classes"
+            if image not in class_set:
+                raise OrbitError("the group action leaves the set of root classes")
             if image == c:
                 fixed_total += 1
-    assert fixed_total % n_elements == 0
+    if fixed_total % n_elements:
+        raise OrbitError(
+            f"Burnside sum {fixed_total} is not a multiple of the group order {n_elements}"
+        )
     burnside = fixed_total // n_elements
     if burnside != len(orbits):
         raise OrbitError(
@@ -323,8 +327,11 @@ def elliptic_torsion_orbits(r: int, aut_order: int) -> int:
     fixed_total = 0
     for k in range(aut_order):
         fixed_total += sum(1 for p in points if _iterate(act, p, k) == p)
-    assert fixed_total % aut_order == 0
-    assert fixed_total // aut_order == orbits
+    if fixed_total != aut_order * orbits:
+        raise OrbitError(
+            f"Burnside sum {fixed_total} disagrees with {orbits} direct orbits"
+            f" of a group of order {aut_order}"
+        )
     return orbits
 
 
@@ -391,7 +398,8 @@ def nr_report(r: int) -> NrReport:
     nontrivial = [c for c in classes if any(c.mult) or any(c.gluing)]
     n_cusp, _ = orbit_count(fixture, F, r, with_involution=True, classes=nontrivial)
     euler = riemann_hurwitz_chi(degree, [n_j1728, n_j0, n_cusp])
-    assert euler % 2 == 0
+    if euler % 2:
+        raise OrbitError(f"odd Euler characteristic {euler} for r={r}")
     genus_nr = 1 - euler // 2
     expected = (r - 5) * (r - 7) // 24
     if genus_nr != expected:
@@ -459,6 +467,8 @@ def verify_cond(
     """
     if g < 2:
         raise picard.PicardError(f"profile sweeps need genus >= 2, got {g}")
+    if r < 1:
+        raise picard.PicardError(f"order {r} < 1")
     hypothesis_ok = ((2 * g - 2) * k) % r == 0
     condition = cond_check(g, r, l, k) if hypothesis_ok else False
     expected = r ** (2 * g)

@@ -570,7 +570,8 @@ def construct_root(
     )
     degrees = [Fraction(vertex_degree(F, v), r) for v in range(G.n_vertices)]
     R = _from_degrees(G, degrees, mult)
-    assert rth_power(R, r) == F
+    if rth_power(R, r) != F:
+        raise RootMismatch("constructed class is not an r-th root of the bundle")
     return R
 
 
@@ -589,6 +590,8 @@ def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
     """
     if F.graph != G:
         raise GraphMismatch("bundle lives on a different graph")
+    if r < 1:
+        raise PicardError(f"order {r} < 1")
     geo = _geometry(G)
     S = geo.scale
     scaled = _scaled_degrees(F, geo)
@@ -684,7 +687,8 @@ def delta_image_lift(G: DualGraph, r: int, t) -> tuple[int, ...] | None:
         h = gcd(e.stabilizer, r)
         w = r // h
         plus_sum = sum(local_t[v] for v in node.plus_vertices if v in vertex_ids) % r
-        assert plus_sum % w == 0, "membership guaranteed the side sum is hit"
+        if plus_sum % w:
+            raise PicardError(f"edge {k}: side sum {plus_sum} is not hit after membership")
         x[k] = (plus_sum // w) % h
         adjusted = dict(local_t)
         adjusted[e.head] = (adjusted[e.head] - w * x[k]) % r
@@ -713,7 +717,8 @@ def delta_image_lift(G: DualGraph, r: int, t) -> tuple[int, ...] | None:
         hom = CyclicHom.of(matrix, moduli, [r] * len(verts))
         target = tuple(local_t[v] % r for v in verts)
         ok, sol = hom_image_contains(hom, target)
-        assert ok, "augmentation-zero targets are always hit on a bridgeless piece"
+        if not ok:
+            raise PicardError("augmentation-zero target missed on a bridgeless piece")
         for col, k in enumerate(edge_list):
             x[k] = sol[col]
 
@@ -723,7 +728,8 @@ def delta_image_lift(G: DualGraph, r: int, t) -> tuple[int, ...] | None:
         {v: t[v] % r for v in range(G.n_vertices)},
     )
     result = tuple(x)
-    assert delta_embed(G, r).apply(result) == tuple(v % r for v in t)
+    if delta_embed(G, r).apply(result) != tuple(v % r for v in t):
+        raise PicardError("the lift does not map to the target")
     return result
 
 
@@ -765,7 +771,8 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
         old_r, rr = rr, old_r - q * rr
         old_s, s = s, old_s - q * s
         old_t, tt = tt, old_t - q * tt
-    assert old_r == 1
+    if old_r != 1:
+        raise NotCoprime(f"{a} and {b} are not coprime")
     return old_s, old_t
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,25 @@ class TestParsing:
     def test_position_in_error(self):
         with pytest.raises(ParseError, match=r"vertices\[0\]"):
             parse_graph_data({"vertices": [{"genus": -1, "legs": []}], "edges": []})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vertices": [{"genus": True}], "edges": []},
+            {"vertices": [{"genus": 0, "legs": [False]}], "edges": []},
+            {
+                "vertices": [{"genus": 0, "legs": [1]}],
+                "edges": [{"tail": 0, "head": 0, "stabilizer": True}],
+            },
+            {
+                "vertices": [{"genus": 0, "legs": [1]}],
+                "edges": [{"tail": False, "head": 0}],
+            },
+        ],
+    )
+    def test_bool_is_not_an_integer(self, data):
+        with pytest.raises(ParseError):
+            parse_graph_data(data)
 
     def test_disconnected(self):
         with pytest.raises(Exception):
@@ -114,6 +134,26 @@ class TestCommands:
         code, out = run_cli(capsys, "enumerate", "-g", "2")
         assert code == 0
         assert json.loads(out)["count"] == 7
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("enumerate", "-g", "2", "--stabilizers", "1,2,3", "--list"),
+                "4b57c3959c05a9974fab6ee9615471d76cb1b17f6a95331aa0a62794ca47d93c",
+            ),
+            (
+                ("enumerate", "-g", "2", "-n", "2", "--stabilizers", "1,2", "--list"),
+                "8432ad89259931ee2e444b42ce00903d25b34f6806e88e84bc98d7904a5b219b",
+            ),
+        ],
+    )
+    def test_enumerate_output_pinned(self, capsys, argv, digest):
+        # SHA-256 of the exact stdout, newline included: the representatives,
+        # their vertex and edge order and the output order are all pinned.
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_nr(self, capsys):
         code, out = run_cli(capsys, "nr", "-r", "11")
@@ -195,6 +235,39 @@ class TestExitCodes:
             _, out = run_cli(capsys, "orbits", loop_path, "-r", "2", "--involution")
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "-g", "2", "--stabilizers", "1,x"),
+            ("roots", "{loop}", "-r", "2", "--bundle", "omega:k=x"),
+            ("roots", "{loop}", "-r", "2", "--bundle", "omega:k=1,h=a:1"),
+            ("roots", "{loop}", "-r", "2", "--bundle-file", "{missing}"),
+            ("roots", "{loop}", "-r", "2", "--bundle-file", "{garbled}"),
+            ("roots", "{loop}", "-r", "2", "--bundle-file", "{boolean}"),
+            ("lift", "{loop}", "-r", "2", "-t", "a"),
+            ("genus", "{bool_genus}"),
+            ("criterion", "{loop}", "-r", "0"),
+            ("verify-cond", "-g", "2", "-r", "0", "-l", "2,2"),
+            ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--random-bundles", "-1"),
+        ],
+    )
+    def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):
+        files = {
+            "loop": loop_path,
+            "missing": str(tmp_path / "missing.json"),
+            "garbled": tmp_path / "garbled.json",
+            "boolean": tmp_path / "boolean.json",
+            "bool_genus": tmp_path / "bool_genus.json",
+        }
+        files["garbled"].write_text('{"int_part": [0],')
+        files["boolean"].write_text('{"int_part": [true], "mult": [0]}')
+        files["bool_genus"].write_text('{"vertices": [{"genus": true}], "edges": []}')
+        code = main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("tc: error: ")
+        assert captured.out == ""
 
     def test_env_max_domain(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "big.json"

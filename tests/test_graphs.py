@@ -26,6 +26,11 @@ from twistcount.graphs import (
     is_stable,
     relabel,
 )
+from twistcount.graphs import (
+    MAX_ENUMERATION_VERTICES,
+    _enumerate_shapes,
+    _stabilizer_assignments,
+)
 
 
 def theta():
@@ -196,8 +201,8 @@ class TestEnumeration:
 
     def test_genus_two_with_two_stabilizers(self):
         # Independent oracle: regenerate every decorated graph by brute
-        # force over all per-edge assignments on all labeled shapes and
-        # reject isomorphs pairwise.
+        # force over all per-edge assignments on all shapes and count the
+        # distinct brute-force labels.
         found = enumerate_stable_graphs(2, 0, [1, 2])
         assert len(found) == _oracle_count(2, (1, 2))
 
@@ -205,22 +210,207 @@ class TestEnumeration:
         found = enumerate_stable_graphs(2, 0, [1, 2, 3])
         assert len(found) == _oracle_count(2, (1, 2, 3))
 
+    @pytest.mark.parametrize("g, count", [(2, 7), (3, 42), (4, 379)])
+    def test_undecorated_counts(self, g, count):
+        # Maggiolo-Pagani, "Generating stable modular graphs" (2011).
+        shapes = enumerate_stable_graphs(g, 0, [1])
+        assert len(shapes) == count
+        labels = {_brute_canonical_form(G) for G in shapes}
+        assert len(labels) == count
+
+    @pytest.mark.parametrize(
+        "g, n, count", [(1, 2, 5), (1, 3, 11), (2, 1, 16), (2, 2, 60), (3, 1, 181)]
+    )
+    def test_pointed_shape_counts(self, g, n, count):
+        # Counts of the exhaustive search over every vertex labelling, before
+        # labellings with unsorted vertex keys were skipped.
+        assert len(enumerate_stable_graphs(g, n, [1])) == count
+
+    def test_genus_three_decorated_count(self):
+        assert len(enumerate_stable_graphs(3, 0, [1, 2, 3, 4, 6])) == 31156
+
+    def test_shape_layout_required(self):
+        G = dual_graph([0, 0], [(0, 1), (0, 0), (0, 1), (1, 1)])
+        with pytest.raises(GraphError):
+            _stabilizer_assignments(G, [1, 2])
+
+
+class TestAgainstOracles:
+    """The fast enumeration against the brute-force algorithms it replaced.
+
+    The assignment oracle visits every tuple in choices^edges, so shapes
+    with more than ORACLE_TUPLES of them (the twelve 7-edge shapes of
+    genus 3 with one leg, under five choices) are left to the pinned
+    counts.  Labels are compared on up to ORACLE_LABELS decorations per
+    shape, seeded.
+    """
+
+    ORACLE_TUPLES = 5**6
+    ORACLE_LABELS = 200
+
+    @pytest.mark.parametrize(
+        "g, n, choices",
+        [
+            (g, n, choices)
+            for g, n in ((1, 1), (2, 0), (2, 1), (3, 0), (3, 1))
+            for choices in ((1,), (1, 2), (1, 2, 3, 4, 6))
+        ],
+    )
+    def test_assignments_and_labels(self, g, n, choices):
+        rng = random.Random(100 * g + 10 * n + len(choices))
+        for shape in _enumerate_shapes(g, n, MAX_ENUMERATION_VERTICES):
+            fast = _stabilizer_assignments(shape, choices)
+            assert fast == sorted(fast)
+            if len(choices) ** shape.n_edges <= self.ORACLE_TUPLES:
+                assert set(fast) == set(_oracle_assignments(shape, choices))
+            if len(fast) > self.ORACLE_LABELS:
+                fast = rng.sample(fast, self.ORACLE_LABELS)
+            for assign in fast:
+                G = _decorate(shape, assign)
+                assert canonical_form(G) == _brute_canonical_form(G)
+
+    @pytest.mark.parametrize("g, choices", [(3, (1, 2, 3)), (4, (1,))])
+    def test_random_relabellings_and_flips(self, g, choices):
+        rng = random.Random(11 * g)
+        family = enumerate_stable_graphs(g, 0, choices)
+        for G in rng.sample(family, min(len(family), 150)):
+            expected = _brute_canonical_form(G)
+            assert canonical_form(G) == expected
+            for _ in range(4):
+                perm = list(range(G.n_vertices))
+                rng.shuffle(perm)
+                H = relabel(G, perm)
+                for k in range(H.n_edges):
+                    if rng.random() < 0.5:
+                        H = flip_edge(H, k)
+                assert canonical_form(H) == expected
+                assert _brute_canonical_form(H) == expected
+
+    def test_brute_labels_match_pairwise_isomorphism(self):
+        sample = enumerate_stable_graphs(2, 0, [1, 2])[:12]
+        rng = random.Random(3)
+        graphs = sample + [relabel(G, rng.sample(range(G.n_vertices), G.n_vertices)) for G in sample]
+        for G, H in itertools.combinations(graphs, 2):
+            same = _brute_canonical_form(G) == _brute_canonical_form(H)
+            assert same == _isomorphic(G, H)
+
+
+def _decorate(shape, assign):
+    return DualGraph(
+        shape.vertices,
+        tuple(Edge(e.tail, e.head, l) for e, l in zip(shape.edges, assign)),
+    )
+
+
+def _class_permutations(keys):
+    """All vertex permutations preserving the given per-vertex keys.
+
+    Yields maps old index -> new index; the new index order sorts the
+    classes by key.
+    """
+    order = sorted(range(len(keys)), key=lambda v: (keys[v], v))
+    groups = []
+    for v in order:
+        if groups and keys[groups[-1][0]] == keys[v]:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    slots = []
+    start = 0
+    for grp in groups:
+        slots.append(range(start, start + len(grp)))
+        start += len(grp)
+    for assignment in itertools.product(
+        *(itertools.permutations(slot) for slot in slots)
+    ):
+        perm = [0] * len(keys)
+        for grp, placed in zip(groups, assignment):
+            for v, target in zip(grp, placed):
+                perm[v] = target
+        yield perm
+
+
+def _brute_canonical_form(G):
+    """canonical_form by its definition: the least sorted edge list over
+    every class-preserving vertex permutation."""
+    loops = [0] * G.n_vertices
+    for e in G.edges:
+        if e.tail == e.head:
+            loops[e.tail] += 1
+    keys = [
+        (v.genus, len(v.legs), G.valence(i), loops[i])
+        for i, v in enumerate(G.vertices)
+    ]
+    best = min(
+        sorted(
+            (min(perm[e.tail], perm[e.head]), max(perm[e.tail], perm[e.head]), e.stabilizer)
+            for e in G.edges
+        )
+        for perm in _class_permutations(keys)
+    )
+    vert_part = sorted((k[0], k[1]) for k in keys)
+    return "V{};E{}".format(
+        ",".join(f"{g}:{n}" for g, n in vert_part),
+        ",".join(f"{u}-{v}:{l}" for u, v, l in best),
+    )
+
+
+def _oracle_assignments(shape, choices):
+    """One stabilizer tuple per automorphism orbit, by minimising an orbit
+    key over every automorphism for every tuple in choices^edges."""
+    pair = [(min(e.tail, e.head), max(e.tail, e.head)) for e in shape.edges]
+    classes = {}
+    for k, key in enumerate(pair):
+        classes.setdefault(key, []).append(k)
+    class_keys = sorted(classes)
+    autos = []
+    for perm in itertools.permutations(range(shape.n_vertices)):
+        if all(
+            shape.vertices[v].genus == shape.vertices[perm[v]].genus
+            and len(shape.vertices[v].legs) == len(shape.vertices[perm[v]].legs)
+            for v in range(shape.n_vertices)
+        ) and sorted(
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in pair
+        ) == sorted(pair):
+            autos.append(perm)
+    out = []
+    seen = set()
+    for assign in itertools.product(choices, repeat=shape.n_edges):
+        if any(
+            assign[k] > assign[k + 1]
+            for k in range(shape.n_edges - 1)
+            if pair[k] == pair[k + 1]
+        ):
+            # Sorting a parallel run is an automorphism and gives a tuple
+            # that comes earlier in product order, so this one is never the
+            # first of its orbit.
+            continue
+        best = None
+        for perm in autos:
+            mapped = {}
+            for u, v in class_keys:
+                target = (min(perm[u], perm[v]), max(perm[u], perm[v]))
+                mapped.setdefault(target, []).extend(
+                    assign[k] for k in classes[(u, v)]
+                )
+            candidate = tuple(tuple(sorted(mapped[key])) for key in sorted(mapped))
+            if best is None or candidate < best:
+                best = candidate
+        if best not in seen:
+            seen.add(best)
+            out.append(assign)
+    return out
+
 
 def _oracle_count(g, choices):
-    """Brute-force isomorphism-rejection count of decorated stable graphs."""
+    """Brute-force count of decorated stable graphs: every per-edge
+    assignment on every shape, deduplicated by the brute-force label."""
     shapes = enumerate_stable_graphs(g, 0, [1])
-    reps = []
+    labels = set()
     for shape in shapes:
         for assign in itertools.product(choices, repeat=shape.n_edges):
-            G = DualGraph(
-                shape.vertices,
-                tuple(
-                    Edge(e.tail, e.head, l) for e, l in zip(shape.edges, assign)
-                ),
-            )
-            if not any(_isomorphic(G, H) for H in reps):
-                reps.append(G)
-    return len(reps)
+            labels.add(_brute_canonical_form(_decorate(shape, assign)))
+    return len(labels)
 
 
 def _isomorphic(G, H):

@@ -26,7 +26,7 @@ from twistcount.graphs import (
     is_stable,
     relabel,
 )
-from twistcount.graphs import (
+from twistcount.graphs import (  # internals compared with their oracles
     MAX_ENUMERATION_VERTICES,
     _enumerate_shapes,
     _stabilizer_assignments,
@@ -289,7 +289,9 @@ class TestAgainstOracles:
     def test_brute_labels_match_pairwise_isomorphism(self):
         sample = enumerate_stable_graphs(2, 0, [1, 2])[:12]
         rng = random.Random(3)
-        graphs = sample + [relabel(G, rng.sample(range(G.n_vertices), G.n_vertices)) for G in sample]
+        graphs = sample + [
+            relabel(G, rng.sample(range(G.n_vertices), G.n_vertices)) for G in sample
+        ]
         for G, H in itertools.combinations(graphs, 2):
             same = _brute_canonical_form(G) == _brute_canonical_form(H)
             assert same == _isomorphic(G, H)

@@ -86,6 +86,11 @@ def emit_graph(G: graphs.DualGraph) -> dict:
     }
 
 
+def emit_bundle(F: picard.LineBundleData) -> dict:
+    """The --bundle-file form of a bundle."""
+    return {"int_part": list(F.int_part), "mult": list(F.mult)}
+
+
 def parse_bundle_spec(spec: str, G: graphs.DualGraph) -> picard.LineBundleData:
     """Builder string omega:k=K[,h=ID:VAL,...]."""
     head, _, rest = spec.partition(":")
@@ -355,6 +360,7 @@ def run(args) -> dict:
                 {
                     "graph": emit_graph(rec.graph),
                     "r": rec.r,
+                    "bundle": emit_bundle(rec.bundle),
                     "criterion": rec.criterion,
                     "count": rec.count,
                     "expected": rec.expected,

@@ -736,11 +736,19 @@ def enumerate_stable_graphs(
     order is deterministic (sorted canonical labels).  Each shape class is
     decorated once per orbit of stabilizer tuples, so no two outputs share
     a label; ``canonical_form`` is computed once per output graph, to sort.
+    A ``max_vertices`` below the 2g - 2 + n vertices a stable graph can
+    have raises ``GraphError`` rather than return part of the family.
     """
     if g < 1 or (g == 1 and n_legs < 1):
         raise UnsupportedGenus(f"no stable graphs enumerated for (g, n) = ({g}, {n_legs})")
     if g > max_genus:
         raise UnsupportedGenus(f"genus {g} above the enumeration cap {max_genus}")
+    needed = max(1, 2 * g - 2 + n_legs)
+    if max_vertices < needed:
+        raise GraphError(
+            f"max_vertices {max_vertices} would truncate the family: stable graphs of "
+            f"(g, n) = ({g}, {n_legs}) have up to {needed} vertices"
+        )
     choices = sorted(set(int(l) for l in stabilizer_choices))
     if not choices or choices[0] < 1:
         raise GraphError("stabilizer choices must be a non-empty set of positive integers")

@@ -66,9 +66,15 @@ __all__ = [
     "check_rootsnum_graph",
     "verify_rootsnum",
     "DEFAULT_MAX_DOMAIN",
+    "GRAPH_CACHE_SIZE",
 ]
 
 DEFAULT_MAX_DOMAIN = 10**6
+# Bound on each per-graph cache (about 3.3 KB per genus-3 graph for both).
+# A family sweep visits every graph once, so the caches only need to hold
+# the graphs in flight; unbounded, they grew to about 100 MB on the
+# decorated genus-3 family.
+GRAPH_CACHE_SIZE = 128
 
 
 class PicardError(ValueError):
@@ -119,12 +125,12 @@ class _Geometry:
         self.units = tuple(self.scale // l for l in self.stabs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _geometry(G: DualGraph) -> _Geometry:
     return _Geometry(G)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _node_types(G: DualGraph):
     return tuple(classify_node(G, k) for k in range(G.n_edges))
 
@@ -342,13 +348,17 @@ def torsion_count(G: DualGraph, r: int) -> int:
 
 
 class RootCounter:
-    """Shared enumeration machinery for r-th roots on a fixed graph.
+    """Root counting on a fixed graph for a fixed r.
 
     The per-edge solution sets of r*mu = m (mod l) are parameterised by
     x in prod_e Z/h_e, and a candidate is a root exactly when the vertex
     degree defect M x - t vanishes mod r, where M is the boundary map of
-    delta_embed.  The sweep over the domain is tabulated once in two
-    halves, after which any target costs one convolution lookup.
+    delta_embed.  The base solution mu0 of each edge is memoized per
+    multiplicity on first use, so a count works on the bundle's scaled
+    degrees and multiplicities as plain integers and builds no bundle.  The
+    sweep over the domain is tabulated once in two halves, after which any
+    target costs one convolution lookup.  One counter serves every bundle
+    on (G, r); check_rootsnum_graph builds one per r.
     """
 
     def __init__(self, G: DualGraph, r: int, max_domain: int = DEFAULT_MAX_DOMAIN):
@@ -363,6 +373,11 @@ class RootCounter:
                 f"solution domain {self.domain_size} exceeds the cap {max_domain}"
             )
         self.free_factor = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
+        self._geo = _geometry(G)
+        # Per edge: (index, head, tail, memo) where memo maps a multiplicity
+        # m to the pair r * S * (branch fraction of mu0) at the head and the
+        # tail, or to () when r*mu = m (mod l) has no solution.
+        self._shifts = tuple((k, e.head, e.tail, {}) for k, e in enumerate(G.edges))
         self._tables = None
         self._conv: dict[tuple[int, ...], int] | None = None
 
@@ -387,24 +402,43 @@ class RootCounter:
         multiplicities in place the remaining defect r*(deg_v(F)/r -
         frac_v(mu0)) has to be an integer hit by the sweep.
         """
-        geo = _geometry(self.graph)
-        S = geo.scale
-        t = []
-        for v in range(self.graph.n_vertices):
-            # S * deg_v(F) and S * frac_v(mu0), exactly.
-            deg_s = S * F.int_part[v]
-            frac_s = 0
-            for e, is_head in geo.incidences[v]:
-                l = geo.stabs[e]
-                unit = geo.units[e]
-                m_f = F.mult[e] if is_head else (l - F.mult[e]) % l
-                m_0 = mu0[e] % l if is_head else (l - mu0[e]) % l
-                deg_s += unit * m_f
-                frac_s += unit * m_0
-            defect = deg_s - self.r * frac_s  # = S * r * T_v
-            if defect % S:
+        geo, r = self._geo, self.r
+        defect = list(_scaled_degrees(F, geo))  # S * deg_v(F)
+        for e, l, u, mu in zip(self.graph.edges, geo.stabs, geo.units, mu0):
+            defect[e.head] -= r * u * (mu % l)
+            defect[e.tail] -= r * u * ((l - mu) % l)
+        return self._reduce(defect)
+
+    def _targets(self, scaled, mult):
+        """vertex_targets for the base solutions, from S * degrees and the
+        multiplicities alone; None when some edge has no base solution."""
+        defect = list(scaled)
+        for (k, head, tail, memo), m in zip(self._shifts, mult):
+            shift = memo.get(m)
+            if shift is None:
+                shift = memo[m] = self._shift(k, m)
+            if not shift:
                 return None
-            t.append((defect // S) % self.r)
+            defect[head] -= shift[0]
+            defect[tail] -= shift[1]
+        return self._reduce(defect)
+
+    def _shift(self, k: int, m: int):
+        l = self._geo.stabs[k]
+        sol = solve_congruence(self.r, m, l)
+        if sol is None:
+            return ()
+        c = self.r * self._geo.units[k]
+        return c * sol[0], c * ((l - sol[0]) % l)
+
+    def _reduce(self, defect):
+        # defect_v = S * r * T_v; the root exists only for integral T_v.
+        S, r = self._geo.scale, self.r
+        t = []
+        for d in defect:
+            if d % S:
+                return None
+            t.append((d // S) % r)
         return tuple(t)
 
     # -- domain sweep ---------------------------------------------------
@@ -464,13 +498,13 @@ class RootCounter:
     # -- public counts ----------------------------------------------------
 
     def count(self, F: LineBundleData) -> int:
-        mu0 = self.base_solution(F)
-        if mu0 is None:
-            return 0
-        t = self.vertex_targets(F, mu0)
-        if t is None:
-            return 0
-        return self.free_factor * self.solution_count(t)
+        if F.graph != self.graph:
+            raise GraphMismatch("bundle lives on a different graph")
+        return self._count(self._targets(_scaled_degrees(F, self._geo), F.mult))
+
+    def _count(self, t) -> int:
+        """Root count for a target from _targets (None counts 0)."""
+        return 0 if t is None else self.free_factor * self.solution_count(t)
 
     def solutions(self, F: LineBundleData):
         """All accepted multiplicity vectors, each yielding one discrete root."""
@@ -579,6 +613,45 @@ def construct_root(
 # Numerical criterion
 
 
+class _Criterion:
+    """The edge criterion of root_count_criterion for one (graph, r), as a
+    test on S * vertex degrees and multiplicities.
+
+    Nonseparating edges need l and the head multiplicity divisible by r
+    (the tail multiplicity l - mu then is too).  For a separating edge the
+    "+" side suffices: with the total degree a multiple of r the two side
+    conditions agree.
+    """
+
+    __slots__ = ("r", "modulus", "stabilizers_ok", "nonseparating", "sides")
+
+    def __init__(self, G: DualGraph, r: int):
+        geo = _geometry(G)
+        nodes = _node_types(G)
+        self.r = r
+        self.modulus = geo.scale * r
+        self.nonseparating = tuple(k for k, n in enumerate(nodes) if not n.separating)
+        self.stabilizers_ok = all(geo.stabs[k] % r == 0 for k in self.nonseparating)
+        self.sides = tuple(
+            (geo.stabs[k], tuple(sorted(n.plus_vertices)))
+            for k, n in enumerate(nodes)
+            if n.separating
+        )
+
+    def holds(self, scaled, mult) -> bool:
+        if not self.stabilizers_ok:
+            return False
+        r = self.r
+        for k in self.nonseparating:
+            if mult[k] % r:
+                return False
+        modulus = self.modulus
+        for l, plus in self.sides:
+            if l * sum([scaled[v] for v in plus]) % modulus:
+                return False
+        return True
+
+
 def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
     """Edge-by-edge test for F to have the maximal number r^(2g) of roots.
 
@@ -586,7 +659,8 @@ def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
     edge must have stabilizer and both branch multiplicities divisible by
     r; a separating edge must have l_e * (side degree) divisible by r on
     both sides.  Returns (passed, witnesses) where each witness names a
-    failing edge and the condition it broke.
+    failing edge and the condition it broke; witnesses are built only when
+    the test fails.
     """
     if F.graph != G:
         raise GraphMismatch("bundle lives on a different graph")
@@ -599,6 +673,8 @@ def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
         raise HypothesisViolated(
             f"total degree {sum(scaled) // S} is not a multiple of {r}"
         )
+    if _Criterion(G, r).holds(scaled, F.mult):
+        return True, []
     witnesses = []
     for k, node in enumerate(_node_types(G)):
         l = geo.stabs[k]
@@ -619,7 +695,9 @@ def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
                     )
                 if (ld // S) % r:
                     witnesses.append((k, f"side {side} degree", Fraction(d_scaled, S)))
-    return (not witnesses), witnesses
+    if not witnesses:
+        raise PicardError("the edge criterion failed without a failing edge")
+    return False, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +707,8 @@ def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
 def _check_lift_hypotheses(G: DualGraph, r: int, t):
     if len(t) != G.n_vertices:
         raise GraphMismatch("target length does not match the vertex count")
-    for k, e in enumerate(G.edges):
-        if not classify_node(G, k).separating and e.stabilizer % r:
+    for k, (e, node) in enumerate(zip(G.edges, _node_types(G))):
+        if not node.separating and e.stabilizer % r:
             raise HypothesisViolated(
                 f"nonseparating edge {k} has stabilizer {e.stabilizer}, not a multiple of {r}"
             )
@@ -646,8 +724,7 @@ def delta_image_member(G: DualGraph, r: int, t) -> bool:
     t must be a multiple of r/h_e.
     """
     _check_lift_hypotheses(G, r, t)
-    for k, e in enumerate(G.edges):
-        node = classify_node(G, k)
+    for e, node in zip(G.edges, _node_types(G)):
         if not node.separating:
             continue
         h = gcd(e.stabilizer, r)
@@ -669,15 +746,15 @@ def delta_image_lift(G: DualGraph, r: int, t) -> tuple[int, ...] | None:
     if not delta_image_member(G, r, t):
         return None
     x = [0] * G.n_edges
+    nodes = _node_types(G)
 
     def solve(vertex_ids, edge_ids, local_t):
         if not edge_ids:
             return
         bridge = None
         for k in sorted(edge_ids):
-            node = classify_node(G, k)
-            if node.separating:
-                bridge = (k, node)
+            if nodes[k].separating:
+                bridge = (k, nodes[k])
                 break
         if bridge is None:
             _solve_bridgeless(vertex_ids, edge_ids, local_t)
@@ -802,32 +879,46 @@ def check_rootsnum_graph(
     """Criterion-versus-count checks for one graph; see verify_rootsnum.
 
     The random bundles are seeded from (seed, graph), so the result does
-    not depend on how a family sweep is chunked.
+    not depend on how a family sweep is chunked.  Each bundle's scaled
+    degrees and total degree are computed once; per r one RootCounter and
+    one edge criterion serve every bundle, which is padded by lowering the
+    scaled degree of vertex 0, so a check handles integer tuples only.  A
+    LineBundleData for the padded bundle is built only for a discrepancy.
     """
     rng = random.Random(f"{seed}:{G!r}")
     g = genus(G)
     bundles = [omega_bundle(G, k) for k in omega_powers]
     bundles.append(trivial_bundle(G))
     bundles += [random_bundle(G, rng) for _ in range(n_random)]
+    geo = _geometry(G)
+    S = geo.scale
+    prepared = [(F, _scaled_degrees(F, geo), total_degree(F)) for F in bundles]
     discrepancies: list[RootsnumRecord] = []
     checked = 0
     for r in r_values:
         counter = RootCounter(G, r, max_domain)
+        criterion = _Criterion(G, r)
         expected = r ** (2 * g)
-        for F in bundles:
-            if total_degree(F) % r:
-                # No roots at all off the hypothesis; pad the degree to
-                # keep the bundle in the sweep.
-                if counter.count(F) != 0:
-                    discrepancies.append(
-                        RootsnumRecord(G, r, F, False, counter.count(F), 0)
-                    )
-                F = _pad_degree(F, r)
-            count = counter.count(F)
-            passed, _ = root_count_criterion(G, F, r)
+        for F, scaled, total in prepared:
+            t = counter._targets(scaled, F.mult)
+            excess = total % r
+            if excess:
+                # No roots at all off the hypothesis; pad the degree on
+                # vertex 0 to keep the bundle in the sweep.  Padding moves
+                # S * deg_0 by a multiple of S, so only t_0 changes.
+                count = counter._count(t)
+                if count != 0:
+                    discrepancies.append(RootsnumRecord(G, r, F, False, count, 0))
+                scaled = (scaled[0] - S * excess,) + scaled[1:]
+                if t is not None:
+                    t = ((t[0] - excess) % r,) + t[1:]
+            count = counter._count(t)
+            passed = criterion.holds(scaled, F.mult)
             checked += 1
             if passed != (count == expected):
-                discrepancies.append(RootsnumRecord(G, r, F, passed, count, expected))
+                discrepancies.append(
+                    RootsnumRecord(G, r, _pad_degree(F, r), passed, count, expected)
+                )
     return discrepancies, checked
 
 
@@ -879,6 +970,7 @@ def verify_rootsnum(
 
 
 def _pad_degree(F: LineBundleData, r: int) -> LineBundleData:
+    """F with its total degree lowered to a multiple of r on vertex 0."""
     int_part = list(F.int_part)
     int_part[0] -= total_degree(F) % r
     return LineBundleData(F.graph, tuple(int_part), F.mult)

@@ -196,6 +196,47 @@ class TestCommands:
         assert payload["discrepancies"] == []
         assert payload["graphs"] == 22
 
+    def test_verify_rootsnum_output_pinned(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "verify-rootsnum",
+            *("-g", "2", "--stabilizers", "1,2", "-r", "2,3", "--random-bundles", "3"),
+        )
+        assert code == 0
+        assert out == '{"graphs":22,"checked":264,"discrepancies":[]}'
+
+    def test_verify_rootsnum_discrepancies_replay(self, capsys, monkeypatch, tmp_path):
+        # Force the criterion to pass everywhere, so every non-maximal count
+        # is reported; each report must replay through tc roots.
+        from twistcount import picard
+
+        monkeypatch.setattr(picard._Criterion, "holds", lambda self, scaled, mult: True)
+        code, out = run_cli(
+            capsys,
+            "verify-rootsnum",
+            *("-g", "2", "--stabilizers", "1,2", "-r", "2,4", "--random-bundles", "2"),
+        )
+        assert code == 0
+        discrepancies = json.loads(out)["discrepancies"]
+        assert len(discrepancies) > 10
+        for k, rec in enumerate(discrepancies):
+            assert set(rec["bundle"]) == {"int_part", "mult"}
+            graph_path = tmp_path / f"graph{k}.json"
+            bundle_path = tmp_path / f"bundle{k}.json"
+            graph_path.write_text(json.dumps(rec["graph"]))
+            bundle_path.write_text(json.dumps(rec["bundle"]))
+            code, replay = run_cli(
+                capsys,
+                "roots",
+                str(graph_path),
+                "-r",
+                str(rec["r"]),
+                "--bundle-file",
+                str(bundle_path),
+            )
+            assert code == 0
+            assert json.loads(replay)["count"] == rec["count"]
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -250,6 +291,8 @@ class TestExitCodes:
             ("criterion", "{loop}", "-r", "0"),
             ("verify-cond", "-g", "2", "-r", "0", "-l", "2,2"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--random-bundles", "-1"),
+            ("enumerate", "-g", "2", "--max-vertices", "0"),
+            ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--max-vertices", "1"),
         ],
     )
     def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):

@@ -229,6 +229,14 @@ class TestEnumeration:
     def test_genus_three_decorated_count(self):
         assert len(enumerate_stable_graphs(3, 0, [1, 2, 3, 4, 6])) == 31156
 
+    @pytest.mark.parametrize("g, n, least", [(2, 0, 2), (3, 0, 4), (2, 2, 4), (1, 1, 1)])
+    def test_vertex_cap_below_family_raises(self, g, n, least):
+        for cap in range(least):
+            with pytest.raises(GraphError):
+                enumerate_stable_graphs(g, n, [1], max_vertices=cap)
+        full = enumerate_stable_graphs(g, n, [1])
+        assert enumerate_stable_graphs(g, n, [1], max_vertices=least) == full
+
     def test_shape_layout_required(self):
         G = dual_graph([0, 0], [(0, 1), (0, 0), (0, 1), (1, 1)])
         with pytest.raises(GraphError):

@@ -1,11 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistcount import picard
 
 from twistcount.exactalg import hom_image_contains, hom_kernel_size
 from twistcount.graphs import (
+    DualGraph,
+    Edge,
     bridges,
     classify_node,
     dual_graph,
@@ -14,6 +21,7 @@ from twistcount.graphs import (
     genus,
 )
 from twistcount.picard import (
+    GRAPH_CACHE_SIZE,
     AugmentationNonzero,
     DomainTooLarge,
     GraphMismatch,
@@ -23,6 +31,8 @@ from twistcount.picard import (
     NotCoprime,
     RootCounter,
     RootMismatch,
+    RootsnumRecord,
+    check_rootsnum_graph,
     combine_coprime,
     construct_root,
     count_roots,
@@ -506,3 +516,207 @@ class TestOrientationIndependence:
             passed, _ = root_count_criterion(G, F, 2)
             passed_f, _ = root_count_criterion(H, flipped_F, 2)
             assert passed == passed_f
+
+
+# ---------------------------------------------------------------------------
+# The rootsnum sweep against the per-bundle path it replaced
+
+
+def _criterion_by_witnesses(G, F, r):
+    """The edge criterion as a full witness loop over every edge, the
+    criterion's form before it gained a boolean fast path."""
+    S = 1
+    for e in G.edges:
+        S = S * e.stabilizer // gcd(S, e.stabilizer)
+    witnesses = []
+    for k, e in enumerate(G.edges):
+        node = classify_node(G, k)
+        l = e.stabilizer
+        if not node.separating:
+            if l % r:
+                witnesses.append((k, "stabilizer", l))
+            if F.mult[k] % r:
+                witnesses.append((k, "head multiplicity", F.mult[k]))
+            if F.tail_mult(k) % r:
+                witnesses.append((k, "tail multiplicity", F.tail_mult(k)))
+        else:
+            for side, vs in (("+", node.plus_vertices), ("-", node.minus_vertices)):
+                d = sum(vertex_degree(F, v) for v in vs)
+                assert (l * d).denominator == 1
+                if (l * d) % r:
+                    witnesses.append((k, f"side {side} degree", d))
+    return not witnesses, witnesses
+
+
+def _count_by_base_solution(G, F, r):
+    """Root count through the general mu0 path (base_solution and
+    vertex_targets), not the memoized shifts behind RootCounter.count."""
+    counter = RootCounter(G, r)
+    mu0 = counter.base_solution(F)
+    if mu0 is None:
+        return 0
+    t = counter.vertex_targets(F, mu0)
+    if t is None:
+        return 0
+    return counter.free_factor * counter.solution_count(t)
+
+
+def _rootsnum_oracle(G, r_values, n_random, seed, criterion=None):
+    """The per-bundle sweep: a LineBundleData per padded bundle, degrees
+    recomputed per r, the criterion with witnesses on every check."""
+    rng = random.Random(f"{seed}:{G!r}")
+    g = genus(G)
+    bundles = [omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G)]
+    bundles += [random_bundle(G, rng) for _ in range(n_random)]
+    discrepancies = []
+    checked = 0
+    for r in r_values:
+        expected = r ** (2 * g)
+        for F in bundles:
+            excess = total_degree(F) % r
+            if excess:
+                count = _count_by_base_solution(G, F, r)
+                if count != 0:
+                    discrepancies.append(RootsnumRecord(G, r, F, False, count, 0))
+                int_part = list(F.int_part)
+                int_part[0] -= excess
+                F = LineBundleData(G, tuple(int_part), F.mult)
+            count = _count_by_base_solution(G, F, r)
+            if criterion is None:
+                passed, witnesses = _criterion_by_witnesses(G, F, r)
+                assert root_count_criterion(G, F, r) == (passed, witnesses)
+            else:
+                passed = criterion(G, F, r)
+            checked += 1
+            if passed != (count == expected):
+                discrepancies.append(RootsnumRecord(G, r, F, passed, count, expected))
+    return discrepancies, checked
+
+
+def _random_decoration(rng, shape, choices=(1, 2, 3, 4, 6)):
+    return DualGraph(
+        shape.vertices,
+        tuple(Edge(e.tail, e.head, rng.choice(choices)) for e in shape.edges),
+    )
+
+
+class TestRootsnumPlan:
+    ORDERS = (2, 3, 4, 6)
+
+    def test_genus_two_family_matches_oracle(self):
+        family = enumerate_stable_graphs(2, 0, [1, 2, 3, 4, 6])
+        assert len(family) == 161
+        for G in family:
+            got = check_rootsnum_graph(G, self.ORDERS, n_random=50, seed=1729)
+            assert got == _rootsnum_oracle(G, self.ORDERS, 50, 1729)
+
+    def test_genus_three_sample_matches_oracle(self):
+        rng = random.Random(3)
+        shapes = enumerate_stable_graphs(3, 0, [1])
+        for _ in range(60):
+            G = _random_decoration(rng, rng.choice(shapes))
+            got = check_rootsnum_graph(G, self.ORDERS, n_random=20, seed=5)
+            assert got == _rootsnum_oracle(G, self.ORDERS, 20, 5)
+
+    def test_forced_disagreement_records_padded_bundles(self, monkeypatch):
+        # With the criterion forced to pass, every check whose count is not
+        # maximal is a discrepancy; the records must carry the padded
+        # bundle and come in sweep order (r, then bundle).
+        monkeypatch.setattr(picard._Criterion, "holds", lambda self, scaled, mult: True)
+        family = enumerate_stable_graphs(2, 0, [1, 2, 4])
+        padded = 0
+        for G in family[::5]:
+            got, checked = check_rootsnum_graph(G, self.ORDERS, n_random=8, seed=2)
+            expected = _rootsnum_oracle(G, self.ORDERS, 8, 2, lambda G, F, r: True)
+            assert (got, checked) == expected
+            assert got
+            rng = random.Random(f"2:{G!r}")
+            raw = {random_bundle(G, rng) for _ in range(8)}
+            for rec in got:
+                assert rec.criterion and rec.count != rec.expected
+                assert total_degree(rec.bundle) % rec.r == 0
+                assert count_roots(G, rec.bundle, rec.r) == rec.count
+                padded += rec.bundle not in raw and rec.bundle.mult in {
+                    F.mult for F in raw
+                }
+        assert padded
+
+    def test_cache_sizes_stay_bounded(self):
+        shape = dual_graph([0, 0, 0, 0], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        sweep = itertools.islice(
+            itertools.product((1, 2, 3, 4, 6), repeat=shape.n_edges),
+            GRAPH_CACHE_SIZE + 64,
+        )
+        for stabs in sweep:
+            G = DualGraph(
+                shape.vertices,
+                tuple(Edge(e.tail, e.head, l) for e, l in zip(shape.edges, stabs)),
+            )
+            check_rootsnum_graph(G, (2,), n_random=0)
+        for cache in (picard._geometry, picard._node_types):
+            info = cache.cache_info()
+            assert info.maxsize == GRAPH_CACHE_SIZE
+            assert info.currsize == GRAPH_CACHE_SIZE
+
+    def test_lifts_reuse_cached_node_types(self, monkeypatch):
+        G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 2), (1, 2, 2)])
+        t = (1, 0, 1)
+        expected = delta_image_member(G, 2, t), delta_image_lift(G, 2, t)
+
+        def refuse(*args):
+            raise AssertionError("classify_node called on a cached graph")
+
+        monkeypatch.setattr(picard, "classify_node", refuse)
+        assert (delta_image_member(G, 2, t), delta_image_lift(G, 2, t)) == expected
+
+
+_SHAPES = enumerate_stable_graphs(2, 0, [1]) + enumerate_stable_graphs(3, 0, [1])
+
+
+@st.composite
+def _graph_bundle_order(draw):
+    shape = draw(st.sampled_from(_SHAPES))
+    stabs = [draw(st.sampled_from((1, 2, 3, 4, 6, 12))) for _ in shape.edges]
+    G = DualGraph(
+        shape.vertices,
+        tuple(Edge(e.tail, e.head, l) for e, l in zip(shape.edges, stabs)),
+    )
+    int_part = [draw(st.integers(-3, 3)) for _ in G.vertices]
+    mult = [draw(st.integers(0, l - 1)) for l in stabs]
+    r = draw(st.sampled_from((2, 3, 4, 6)))
+    return G, line_bundle(G, int_part, mult), r
+
+
+def _plan_answers(G, F, r):
+    """Count and criterion through the per-(G, r) plan, on integer tuples."""
+    geo = picard._geometry(G)
+    scaled = picard._scaled_degrees(F, geo)
+    counter = RootCounter(G, r)
+    count = counter._count(counter._targets(scaled, F.mult))
+    if sum(scaled) % (geo.scale * r):
+        return count, None
+    return count, picard._Criterion(G, r).holds(scaled, F.mult)
+
+
+class TestPlanProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_bundle_order(), st.data())
+    def test_plan_against_oracles(self, case, data):
+        G, L, r = case
+        padded = line_bundle(
+            G, (L.int_part[0] - total_degree(L) % r,) + L.int_part[1:], L.mult
+        )
+        e = data.draw(st.integers(0, G.n_edges - 1)) if G.n_edges else None
+        for F in (L, padded):
+            count, holds = _plan_answers(G, F, r)
+            if RootCounter(G, r).domain_size <= 10**3:
+                assert count == count_roots_by_fractions(G, F, r, max_domain=10**3)
+            assert count == _count_by_base_solution(G, F, r)
+            if total_degree(F) % r:
+                assert count == 0 and holds is None
+                continue
+            assert holds == root_count_criterion(G, F, r)[0]
+            assert holds == _criterion_by_witnesses(G, F, r)[0]
+            if e is not None:
+                flipped = flip_bundle_edge(F, e)
+                assert _plan_answers(flipped.graph, flipped, r) == (count, holds)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from twistcount import picard
 from twistcount.cli import ParseError, emit_graph, main, parse_graph_data
 from twistcount.graphs import enumerate_stable_graphs
 
@@ -208,8 +209,6 @@ class TestCommands:
     def test_verify_rootsnum_discrepancies_replay(self, capsys, monkeypatch, tmp_path):
         # Force the criterion to pass everywhere, so every non-maximal count
         # is reported; each report must replay through tc roots.
-        from twistcount import picard
-
         monkeypatch.setattr(picard._Criterion, "holds", lambda self, scaled, mult: True)
         code, out = run_cli(
             capsys,
@@ -219,6 +218,7 @@ class TestCommands:
         assert code == 0
         discrepancies = json.loads(out)["discrepancies"]
         assert len(discrepancies) > 10
+        assert any(rec["count"] for rec in discrepancies)
         for k, rec in enumerate(discrepancies):
             assert set(rec["bundle"]) == {"int_part", "mult"}
             graph_path = tmp_path / f"graph{k}.json"

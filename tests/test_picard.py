@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistcount import picard
-
 from twistcount.exactalg import hom_image_contains, hom_kernel_size
 from twistcount.graphs import (
     DualGraph,
@@ -519,15 +518,12 @@ class TestOrientationIndependence:
 
 
 # ---------------------------------------------------------------------------
-# The rootsnum sweep against the per-bundle path it replaced
+# The rootsnum plan against per-bundle oracles
 
 
 def _criterion_by_witnesses(G, F, r):
-    """The edge criterion as a full witness loop over every edge, the
-    criterion's form before it gained a boolean fast path."""
-    S = 1
-    for e in G.edges:
-        S = S * e.stabilizer // gcd(S, e.stabilizer)
+    """The edge criterion as a witness loop over every edge, with side
+    degrees as exact rationals: independent of the integer plan."""
     witnesses = []
     for k, e in enumerate(G.edges):
         node = classify_node(G, k)
@@ -593,10 +589,10 @@ def _rootsnum_oracle(G, r_values, n_random, seed, criterion=None):
     return discrepancies, checked
 
 
-def _random_decoration(rng, shape, choices=(1, 2, 3, 4, 6)):
+def _decorate(shape, stabs):
     return DualGraph(
         shape.vertices,
-        tuple(Edge(e.tail, e.head, rng.choice(choices)) for e in shape.edges),
+        tuple(Edge(e.tail, e.head, l) for e, l in zip(shape.edges, stabs)),
     )
 
 
@@ -614,7 +610,8 @@ class TestRootsnumPlan:
         rng = random.Random(3)
         shapes = enumerate_stable_graphs(3, 0, [1])
         for _ in range(60):
-            G = _random_decoration(rng, rng.choice(shapes))
+            shape = rng.choice(shapes)
+            G = _decorate(shape, [rng.choice((1, 2, 3, 4, 6)) for _ in shape.edges])
             got = check_rootsnum_graph(G, self.ORDERS, n_random=20, seed=5)
             assert got == _rootsnum_oracle(G, self.ORDERS, 20, 5)
 
@@ -648,11 +645,7 @@ class TestRootsnumPlan:
             GRAPH_CACHE_SIZE + 64,
         )
         for stabs in sweep:
-            G = DualGraph(
-                shape.vertices,
-                tuple(Edge(e.tail, e.head, l) for e, l in zip(shape.edges, stabs)),
-            )
-            check_rootsnum_graph(G, (2,), n_random=0)
+            check_rootsnum_graph(_decorate(shape, stabs), (2,), n_random=0)
         for cache in (picard._geometry, picard._node_types):
             info = cache.cache_info()
             assert info.maxsize == GRAPH_CACHE_SIZE
@@ -677,10 +670,7 @@ _SHAPES = enumerate_stable_graphs(2, 0, [1]) + enumerate_stable_graphs(3, 0, [1]
 def _graph_bundle_order(draw):
     shape = draw(st.sampled_from(_SHAPES))
     stabs = [draw(st.sampled_from((1, 2, 3, 4, 6, 12))) for _ in shape.edges]
-    G = DualGraph(
-        shape.vertices,
-        tuple(Edge(e.tail, e.head, l) for e, l in zip(shape.edges, stabs)),
-    )
+    G = _decorate(shape, stabs)
     int_part = [draw(st.integers(-3, 3)) for _ in G.vertices]
     mult = [draw(st.integers(0, l - 1)) for l in stabs]
     r = draw(st.sampled_from((2, 3, 4, 6)))

@@ -18,7 +18,6 @@ from .graphs import (
 from .exactalg import (
     CyclicHom,
     hom_image_contains,
-    hom_kernel_size,
     smith_normal_form,
     solve_congruence,
 )

@@ -201,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--bundle")
     p.add_argument("--bundle-file")
+    p.add_argument("--list", action="store_true", help="include the discrete roots, not just the count")
 
     p = sub.add_parser(
         "criterion", parents=[common], help="edge criterion for the maximal root count"
@@ -296,7 +297,11 @@ def run(args) -> dict:
     if args.command == "roots":
         G = parse_graph(args.graph)
         F = load_bundle(args, G)
-        return {"count": picard.count_roots(G, F, args.r, args.max_domain)}
+        out = {"count": picard.count_roots(G, F, args.r, args.max_domain)}
+        if args.list:
+            roots = picard.enumerate_discrete_roots(G, F, args.r, args.max_domain)
+            out["roots"] = [emit_bundle(R) for R in roots]
+        return out
     if args.command == "criterion":
         G = parse_graph(args.graph)
         F = load_bundle(args, G)

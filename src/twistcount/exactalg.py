@@ -21,18 +21,12 @@ __all__ = [
     "mat_identity",
     "det",
     "CyclicHom",
-    "hom_kernel_size",
     "kernel_size_by_enumeration",
     "kernel_size_by_smith",
     "image_size_by_enumeration",
     "hom_image_contains",
     "solve_congruence",
-    "ENUMERATION_CROSSOVER",
 ]
-
-# Kernel sizes are enumerated below this domain size and Smith-reduced above.
-ENUMERATION_CROSSOVER = 10**6
-
 
 class AlgebraError(ValueError):
     pass
@@ -293,13 +287,6 @@ def kernel_size_by_smith(h: CyclicHom) -> int:
     if coker == 0:
         raise AlgebraError("infinite cokernel: the moduli block must have full rank")
     return h.domain_size * coker // prod(h.codomain_moduli)
-
-
-def hom_kernel_size(h: CyclicHom, crossover: int = ENUMERATION_CROSSOVER) -> int:
-    """Exact cardinality of ker h, enumerated below the crossover size."""
-    if h.domain_size <= crossover:
-        return kernel_size_by_enumeration(h)
-    return kernel_size_by_smith(h)
 
 
 def image_size_by_enumeration(h: CyclicHom) -> int:

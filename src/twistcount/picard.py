@@ -27,6 +27,7 @@ from .exactalg import (
     CyclicHom,
     hom_image_contains,
     kernel_size_by_smith,
+    smith_normal_form,
     solve_congruence,
 )
 from .graphs import DualGraph, betti, classify_node, flip_edge, genus
@@ -353,12 +354,18 @@ class RootCounter:
     The per-edge solution sets of r*mu = m (mod l) are parameterised by
     x in prod_e Z/h_e, and a candidate is a root exactly when the vertex
     degree defect M x - t vanishes mod r, where M is the boundary map of
-    delta_embed.  The base solution mu0 of each edge is memoized per
+    delta_embed.  The solutions are empty or a coset of ker M, so one Smith
+    reduction D = U M V of the integer V x E matrix, done on the first
+    solution_count, answers every target.  With m_i = gcd(d_i, r) (d_i = 0
+    past the rank), t is hit exactly when (U t)_i = 0 (mod m_i), and
+    |ker M| = prod h_e * prod m_i / r^V.  solutions builds the coset from
+    a witness and the kernel generators (the columns of V scaled by
+    r/m_i), so its cost scales with the number of roots, not with the
+    domain.  The base solution mu0 of each edge is memoized per
     multiplicity on first use, so a count works on the bundle's scaled
-    degrees and multiplicities as plain integers and builds no bundle.  The
-    sweep over the domain is tabulated once in two halves, after which any
-    target costs one convolution lookup.  One counter serves every bundle
-    on (G, r); check_rootsnum_graph builds one per r.
+    degrees and multiplicities as plain integers and builds no bundle.  One
+    counter serves every bundle on (G, r); check_rootsnum_graph builds one
+    per r, and count_roots keeps the recent ones.
     """
 
     def __init__(self, G: DualGraph, r: int, max_domain: int = DEFAULT_MAX_DOMAIN):
@@ -378,8 +385,7 @@ class RootCounter:
         # m to the pair r * S * (branch fraction of mu0) at the head and the
         # tail, or to () when r*mu = m (mod l) has no solution.
         self._shifts = tuple((k, e.head, e.tail, {}) for k, e in enumerate(G.edges))
-        self._tables = None
-        self._conv: dict[tuple[int, ...], int] | None = None
+        self._smith = None
 
     # -- per-bundle congruence data ------------------------------------
 
@@ -400,7 +406,7 @@ class RootCounter:
 
         At vertex v the root must have degree deg_v(F)/r; with the base
         multiplicities in place the remaining defect r*(deg_v(F)/r -
-        frac_v(mu0)) has to be an integer hit by the sweep.
+        frac_v(mu0)) has to be an integer in the image of M.
         """
         geo, r = self._geo, self.r
         defect = list(_scaled_degrees(F, geo))  # S * deg_v(F)
@@ -441,59 +447,20 @@ class RootCounter:
             t.append((d // S) % r)
         return tuple(t)
 
-    # -- domain sweep ---------------------------------------------------
+    # -- the boundary map, Smith-reduced ----------------------------------
 
-    def _build_tables(self):
-        G, r = self.graph, self.r
-        columns = []
-        for k, e in enumerate(G.edges):
-            w = r // self.hs[k]
-            columns.append((e.head, e.tail, w))
-        left, right = [], []
-        size_l = size_r = 1
-        for k in sorted(range(G.n_edges), key=lambda k: -self.hs[k]):
-            if size_l <= size_r:
-                left.append(k)
-                size_l *= self.hs[k]
-            else:
-                right.append(k)
-                size_r *= self.hs[k]
-
-        def table(indices):
-            out: dict[tuple[int, ...], int] = {}
-            for xs in itertools.product(*(range(self.hs[k]) for k in indices)):
-                s = [0] * G.n_vertices
-                for k, x in zip(indices, xs):
-                    head, tail, w = columns[k]
-                    s[head] = (s[head] + w * x) % r
-                    s[tail] = (s[tail] - w * x) % r
-                key = tuple(s)
-                out[key] = out.get(key, 0) + 1
-            return out
-
-        self._tables = (table(left), table(right))
+    def _reduced(self) -> _SmithData:
+        if self._smith is None:
+            self._smith = _SmithData(delta_embed(self.graph, self.r))
+        return self._smith
 
     def solution_count(self, t) -> int:
         """Number of x in prod Z/h_e with M x = t (mod r)."""
-        if self._tables is None:
-            self._build_tables()
-        table_l, table_r = self._tables
-        if self._conv is None and len(table_l) * len(table_r) <= 10**5:
-            conv: dict[tuple[int, ...], int] = {}
-            for key_l, c_l in table_l.items():
-                for key_r, c_r in table_r.items():
-                    key = tuple((a + b) % self.r for a, b in zip(key_l, key_r))
-                    conv[key] = conv.get(key, 0) + c_l * c_r
-            self._conv = conv
-        if self._conv is not None:
-            return self._conv.get(tuple(t), 0)
-        if len(table_l) > len(table_r):
-            table_l, table_r = table_r, table_l
-        total = 0
-        for key, count in table_l.items():
-            complement = tuple((a - b) % self.r for a, b in zip(t, key))
-            total += count * table_r.get(complement, 0)
-        return total
+        smith = self._reduced()
+        for row, m in smith.checks:
+            if sum([a * b for a, b in zip(row, t)]) % m:
+                return 0
+        return smith.kernel_size
 
     # -- public counts ----------------------------------------------------
 
@@ -506,32 +473,113 @@ class RootCounter:
         """Root count for a target from _targets (None counts 0)."""
         return 0 if t is None else self.free_factor * self.solution_count(t)
 
-    def solutions(self, F: LineBundleData):
-        """All accepted multiplicity vectors, each yielding one discrete root."""
+    def _lift(self, F: LineBundleData):
+        """(mu0, x) with x one solution of M x = t for F, or None."""
         mu0 = self.base_solution(F)
         if mu0 is None:
-            return []
+            return None
         t = self.vertex_targets(F, mu0)
-        if t is None:
+        if t is None or not self.solution_count(t):
+            return None
+        x = self._smith.witness(t)
+        if delta_embed(self.graph, self.r).apply(x) != t:
+            raise PicardError("the Smith witness does not map to the target")
+        return mu0, x
+
+    def _mult(self, mu0, x) -> tuple[int, ...]:
+        return tuple(
+            (mu0[k] + (e.stabilizer // self.hs[k]) * x[k]) % e.stabilizer
+            for k, e in enumerate(self.graph.edges)
+        )
+
+    def solutions(self, F: LineBundleData):
+        """All accepted multiplicity vectors, each yielding one discrete root,
+        in lexicographic order of x in prod Z/h_e."""
+        lift = self._lift(F)
+        if lift is None:
             return []
-        G, r = self.graph, self.r
-        hom = delta_embed(G, r)
-        out = []
-        for x in itertools.product(*(range(h) for h in self.hs)):
-            if hom.apply(x) == t:
-                mult = tuple(
-                    (mu0[k] + (e.stabilizer // self.hs[k]) * x[k]) % e.stabilizer
-                    for k, e in enumerate(G.edges)
-                )
-                out.append(mult)
-        return out
+        mu0, x0 = lift
+        coset = sorted(
+            tuple((a + b) % h for a, b, h in zip(x0, k, self.hs))
+            for k in self._smith.kernel()
+        )
+        return [self._mult(mu0, x) for x in coset]
+
+
+class _SmithData:
+    """One Smith reduction D = U M V of a boundary map M into (Z/r)^V.
+
+    checks holds (row of U mod m_i, m_i) for every m_i > 1: t is in the
+    image exactly when each row annihilates it.  kernel_size is |ker M| on
+    prod Z/h_e.
+    """
+
+    __slots__ = ("hs", "r", "U", "V", "diag", "mods", "checks", "kernel_size")
+
+    def __init__(self, hom: CyclicHom):
+        hs = self.hs = hom.domain_moduli
+        nv, ne = len(hom.codomain_moduli), len(hs)
+        r = self.r = hom.codomain_moduli[0]
+        U, D, V = smith_normal_form(hom.matrix)
+        self.U = tuple(map(tuple, U))
+        self.V = tuple(map(tuple, V))
+        self.diag = tuple(D[i][i] if i < ne else 0 for i in range(nv))
+        self.mods = tuple(gcd(d, r) for d in self.diag)
+        self.checks = tuple(
+            (tuple(u % m for u in U[i]), m) for i, m in enumerate(self.mods) if m > 1
+        )
+        self.kernel_size = prod(hs) * prod(self.mods) // r**nv
+
+    def witness(self, t) -> tuple[int, ...]:
+        """One x in prod Z/h_e with M x = t (mod r), for t in the image:
+        solve d_i z_i = (U t)_i (mod r) and take x = V z mod h_e."""
+        r = self.r
+        z = []
+        for row, d in zip(self.U, self.diag):
+            sol = solve_congruence(d, sum(a * b for a, b in zip(row, t)), r)
+            if sol is None:
+                raise PicardError("target outside the image of the boundary map")
+            z.append(sol[0])
+        return tuple(
+            sum(a * b for a, b in zip(row, z)) % h for row, h in zip(self.V, self.hs)
+        )
+
+    def kernel(self) -> list[tuple[int, ...]]:
+        """Every element of ker M, as the closure of its generators: column i
+        of V scaled by r/m_i (by 1 past the rows), reduced mod h_e."""
+        hs, r = self.hs, self.r
+        ne = len(hs)
+        scales = [r // m for m in self.mods[:ne]] + [1] * (ne - len(self.mods))
+        elements = [(0,) * ne]
+        members = set(elements)
+        for i, s in enumerate(scales):
+            g = tuple(s * row[i] % h for row, h in zip(self.V, hs))
+            step = g
+            subgroup = list(elements)
+            while step not in members:
+                for x in subgroup:
+                    y = tuple((a + b) % h for a, b, h in zip(x, step, hs))
+                    members.add(y)
+                    elements.append(y)
+                step = tuple((a + b) % h for a, b, h in zip(step, g, hs))
+        if len(elements) != self.kernel_size:
+            raise PicardError(
+                f"kernel closure has {len(elements)} elements, the Smith count "
+                f"{self.kernel_size}"
+            )
+        return elements
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _counter(G: DualGraph, r: int, max_domain: int) -> RootCounter:
+    return RootCounter(G, r, max_domain)
 
 
 def count_roots(
     G: DualGraph, F: LineBundleData, r: int, max_domain: int = DEFAULT_MAX_DOMAIN
 ) -> int:
     """Number of r-th roots of F; either 0 or the full torsion count."""
-    return RootCounter(G, r, max_domain).count(F)
+    return _counter(G, r, max_domain).count(F)
 
 
 def count_roots_by_fractions(
@@ -572,12 +620,9 @@ def enumerate_discrete_roots(
     G: DualGraph, F: LineBundleData, r: int, max_domain: int = DEFAULT_MAX_DOMAIN
 ) -> list[LineBundleData]:
     """All discrete r-th roots of F (multiplicities plus forced degrees)."""
-    counter = RootCounter(G, r, max_domain)
-    roots = []
-    for mult in counter.solutions(F):
-        degrees = [Fraction(vertex_degree(F, v), r) for v in range(G.n_vertices)]
-        roots.append(_from_degrees(G, degrees, mult))
-    return roots
+    mults = _counter(G, r, max_domain).solutions(F)
+    degrees = [Fraction(vertex_degree(F, v), r) for v in range(G.n_vertices)]
+    return [_from_degrees(G, degrees, mult) for mult in mults]
 
 
 def construct_root(
@@ -585,25 +630,15 @@ def construct_root(
 ) -> LineBundleData | None:
     """One discrete r-th root of F, or None when no root exists.
 
-    Found by solving the defect equation on the boundary-map lattice, so
-    no domain sweep is needed.
+    Found from the Smith witness of the defect equation, so no domain
+    sweep is needed.
     """
-    counter = RootCounter(G, r, max_domain)
-    mu0 = counter.base_solution(F)
-    if mu0 is None:
+    counter = _counter(G, r, max_domain)
+    lift = counter._lift(F)
+    if lift is None:
         return None
-    t = counter.vertex_targets(F, mu0)
-    if t is None:
-        return None
-    ok, x = hom_image_contains(delta_embed(G, r), t)
-    if not ok:
-        return None
-    mult = tuple(
-        (mu0[k] + (e.stabilizer // counter.hs[k]) * x[k]) % e.stabilizer
-        for k, e in enumerate(G.edges)
-    )
     degrees = [Fraction(vertex_degree(F, v), r) for v in range(G.n_vertices)]
-    R = _from_degrees(G, degrees, mult)
+    R = _from_degrees(G, degrees, counter._mult(*lift))
     if rth_power(R, r) != F:
         raise RootMismatch("constructed class is not an r-th root of the bundle")
     return R

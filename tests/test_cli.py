@@ -156,6 +156,45 @@ class TestCommands:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    THETA = (
+        '{"vertices":[{"genus":0,"legs":[1]},{"genus":0,"legs":[]}],'
+        '"edges":[{"tail":0,"head":1,"stabilizer":2},{"tail":0,"head":1,"stabilizer":4},'
+        '{"tail":1,"head":1,"stabilizer":4}]}'
+    )
+    TRIANGLE = (
+        '{"vertices":[{"genus":0,"legs":[1,2]},{"genus":0,"legs":[3]},{"genus":0,"legs":[4]}],'
+        '"edges":[{"tail":0,"head":1,"stabilizer":4},{"tail":1,"head":2,"stabilizer":6},'
+        '{"tail":2,"head":0,"stabilizer":3},{"tail":1,"head":1,"stabilizer":12}]}'
+    )
+
+    @pytest.mark.parametrize(
+        "graph, args, digest",
+        [
+            (
+                THETA,
+                ("-r", "4", "--bundle", "omega:k=2"),
+                "f134de7a92b3a989d92bbd589c2100c6ea53d48532a874dd2cdd20a9a68b4b42",
+            ),
+            (
+                # The bundle is L^12 for L = ([1, 0, -1], [1, 3, 2, 5]).
+                TRIANGLE,
+                ("-r", "12", "--bundle-file", "{bundle}"),
+                "90f8e180b5cb39bb4c248c353a63f5d6314c5e13bd07ab96a9a0cb2917730f6d",
+            ),
+        ],
+    )
+    def test_roots_list_pinned(self, capsys, tmp_path, graph, args, digest):
+        # SHA-256 of the exact stdout: the discrete roots and their order
+        # (lexicographic in the per-edge solution parameters) are pinned.
+        path = tmp_path / "graph.json"
+        path.write_text(graph)
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text('{"int_part": [29, 21, -2], "mult": [0, 0, 0, 0]}')
+        argv = ["roots", str(path), *(a.format(bundle=bundle) for a in args), "--list"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_nr(self, capsys):
         code, out = run_cli(capsys, "nr", "-r", "11")
         assert code == 0

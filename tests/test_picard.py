@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistcount import picard
-from twistcount.exactalg import hom_image_contains, hom_kernel_size
+from twistcount.exactalg import hom_image_contains, kernel_size_by_enumeration
 from twistcount.graphs import (
     DualGraph,
     Edge,
@@ -256,6 +256,32 @@ class TestCountRoots:
         assert total_degree(L) % 3 != 0
         assert count_roots(G, L, 3) == 0
 
+    def test_wide_domain_counted_by_smith(self):
+        # Seven loops with l = 12 at r = 12: every x in the 12^7 domain is a
+        # root, times the free factor 12^7.  No sweep of the domain runs.
+        G = dual_graph([(0, [1])], [(0, 0, 12)] * 7)
+        counter = RootCounter(G, 12, max_domain=12**7)
+        assert counter.domain_size == 12**7
+        assert counter.count(trivial_bundle(G)) == 12**14 == torsion_count(G, 12)
+
+    def test_count_roots_reuses_counters(self):
+        picard._counter.cache_clear()
+        G = two_bridge(3, 4)
+        F = omega_bundle(G, 1)
+        counts = {count_roots(G, F, 4) for _ in range(3)}
+        assert counts == {4**6}
+        info = picard._counter.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 2, GRAPH_CACHE_SIZE)
+
+    def test_kernel_closure_checked_against_smith(self):
+        G = dual_graph([0, 0], [(0, 1, 4), (0, 1, 4), (0, 1, 2)])
+        counter = RootCounter(G, 4)
+        F = trivial_bundle(G)
+        assert len(counter.solutions(F)) == counter.solution_count((0, 0)) == 8
+        counter._smith.kernel_size += 1
+        with pytest.raises(picard.PicardError):
+            counter.solutions(F)
+
     def test_domain_cap(self):
         G = dual_graph([0, 0], [(0, 1, 5)] * 3)
         with pytest.raises(DomainTooLarge):
@@ -335,7 +361,7 @@ class TestKernelLaws:
                     k for k in range(G.n_edges) if not classify_node(G, k).separating
                 ]
                 divisible = all(G.edges[k].stabilizer % r == 0 for k in nonsep)
-                size = hom_kernel_size(delta_embed(G, r))
+                size = kernel_size_by_enumeration(delta_embed(G, r))
                 assert (size == r ** (1 - G.n_vertices + G.n_edges)) == divisible
 
     def test_deletion_recursion_in_divisible_regime(self):
@@ -346,7 +372,7 @@ class TestKernelLaws:
                 ]
                 if not all(G.edges[k].stabilizer % r == 0 for k in nonsep):
                     continue
-                full = hom_kernel_size(delta_embed(G, r))
+                full = kernel_size_by_enumeration(delta_embed(G, r))
                 for k in nonsep:
                     sub = _delete_edge_kernel(G, k, r)
                     assert full == sub * gcd(r, G.edges[k].stabilizer)
@@ -354,7 +380,7 @@ class TestKernelLaws:
     def test_deletion_bound_always(self):
         for G in enumerate_stable_graphs(2, 0, [1, 2, 3, 6]):
             for r in (2, 6):
-                full = hom_kernel_size(delta_embed(G, r))
+                full = kernel_size_by_enumeration(delta_embed(G, r))
                 for k in range(G.n_edges):
                     if classify_node(G, k).separating:
                         continue
@@ -367,7 +393,7 @@ class TestKernelLaws:
         # deletion factor gcd(r, l) is only an upper bound here.
         G = dual_graph([1, 1], [(0, 1, 2), (0, 1, 3)])
         r = 6
-        full = hom_kernel_size(delta_embed(G, r))
+        full = kernel_size_by_enumeration(delta_embed(G, r))
         sub = _delete_edge_kernel(G, 0, r)
         assert not classify_node(G, 0).separating
         assert full == 1 and sub == 1
@@ -379,7 +405,7 @@ class TestKernelLaws:
         for G in enumerate_stable_graphs(2, 0, [2]):
             r = 2
             h = delta_embed(G, r)
-            image = hom_kernel_size(h)
+            image = kernel_size_by_enumeration(h)
             assert h.domain_size // image == r ** (G.n_vertices - 1)
             assert torsion_count(G, r) == r ** (
                 2 * sum(v.genus for v in G.vertices) + 2 * (1 - G.n_vertices + G.n_edges)
@@ -389,7 +415,7 @@ class TestKernelLaws:
 def _delete_edge_kernel(G, k, r):
     edges = [e for i, e in enumerate(G.edges) if i != k]
     sub = DeletedGraph(G.n_vertices, edges)
-    return hom_kernel_size(_delta_embed_raw(sub, r))
+    return kernel_size_by_enumeration(_delta_embed_raw(sub, r))
 
 
 class DeletedGraph:
@@ -557,6 +583,75 @@ def _count_by_base_solution(G, F, r):
     return counter.free_factor * counter.solution_count(t)
 
 
+def _solution_count_by_tables(G, r, t):
+    """Number of x in prod Z/h_e with M x = t (mod r), by a meet-in-the-middle
+    sweep: the images of two halves of the domain are tabulated and matched."""
+    hs = [gcd(e.stabilizer, r) for e in G.edges]
+    left, right = [], []
+    size_l = size_r = 1
+    for k in sorted(range(G.n_edges), key=lambda k: -hs[k]):
+        if size_l <= size_r:
+            left.append(k)
+            size_l *= hs[k]
+        else:
+            right.append(k)
+            size_r *= hs[k]
+
+    def table(indices):
+        out = {}
+        for xs in itertools.product(*(range(hs[k]) for k in indices)):
+            s = [0] * G.n_vertices
+            for k, x in zip(indices, xs):
+                e, w = G.edges[k], r // hs[k]
+                s[e.head] = (s[e.head] + w * x) % r
+                s[e.tail] = (s[e.tail] - w * x) % r
+            key = tuple(s)
+            out[key] = out.get(key, 0) + 1
+        return out
+
+    table_l, table_r = table(left), table(right)
+    total = 0
+    for key, count in table_l.items():
+        complement = tuple((a - b) % r for a, b in zip(t, key))
+        total += count * table_r.get(complement, 0)
+    return total
+
+
+def _count_by_tables(G, F, r):
+    """Root count with the table sweep in place of the Smith reduction."""
+    counter = RootCounter(G, r)
+    mu0 = counter.base_solution(F)
+    if mu0 is None:
+        return 0
+    t = counter.vertex_targets(F, mu0)
+    if t is None:
+        return 0
+    return counter.free_factor * _solution_count_by_tables(G, r, t)
+
+
+def _solutions_by_product(G, F, r):
+    """Accepted multiplicity vectors by sweeping all of prod Z/h_e in
+    lexicographic order."""
+    counter = RootCounter(G, r)
+    mu0 = counter.base_solution(F)
+    if mu0 is None:
+        return []
+    t = counter.vertex_targets(F, mu0)
+    if t is None:
+        return []
+    hom = delta_embed(G, r)
+    out = []
+    for x in itertools.product(*(range(h) for h in counter.hs)):
+        if hom.apply(x) == t:
+            out.append(
+                tuple(
+                    (mu0[k] + (e.stabilizer // counter.hs[k]) * x[k]) % e.stabilizer
+                    for k, e in enumerate(G.edges)
+                )
+            )
+    return out
+
+
 def _rootsnum_oracle(G, r_values, n_random, seed, criterion=None):
     """The per-bundle sweep: a LineBundleData per padded bundle, degrees
     recomputed per r, the criterion with witnesses on every check."""
@@ -697,16 +792,20 @@ class TestPlanProperties:
             G, (L.int_part[0] - total_degree(L) % r,) + L.int_part[1:], L.mult
         )
         e = data.draw(st.integers(0, G.n_edges - 1)) if G.n_edges else None
+        small = RootCounter(G, r).domain_size <= 10**3
         for F in (L, padded):
             count, holds = _plan_answers(G, F, r)
-            if RootCounter(G, r).domain_size <= 10**3:
-                assert count == count_roots_by_fractions(G, F, r, max_domain=10**3)
             assert count == _count_by_base_solution(G, F, r)
+            assert count == _count_by_tables(G, F, r)
+            if small:
+                assert count == count_roots_by_fractions(G, F, r, max_domain=10**3)
+                assert RootCounter(G, r).solutions(F) == _solutions_by_product(G, F, r)
+            if e is not None:
+                flipped = flip_bundle_edge(F, e)
+                assert _plan_answers(flipped.graph, flipped, r) == (count, holds)
+                assert _count_by_tables(flipped.graph, flipped, r) == count
             if total_degree(F) % r:
                 assert count == 0 and holds is None
                 continue
             assert holds == root_count_criterion(G, F, r)[0]
             assert holds == _criterion_by_witnesses(G, F, r)[0]
-            if e is not None:
-                flipped = flip_bundle_edge(F, e)
-                assert _plan_answers(flipped.graph, flipped, r) == (count, holds)

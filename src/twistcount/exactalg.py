@@ -41,7 +41,10 @@ class IllDefinedHom(AlgebraError):
 
 
 def mat_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def mat_mul(A, B) -> list[list[int]]:
@@ -82,11 +85,18 @@ def det(A) -> int:
 
 
 def _min_nonzero_position(D, t):
+    """First position, in row-major order, of a least nonzero |entry| in
+    the block D[t:][t:]."""
     best = None
+    least = 0
     for i in range(t, len(D)):
-        for j in range(t, len(D[0])):
-            if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                best = (i, j)
+        row = D[i]
+        for j in range(t, len(row)):
+            a = abs(row[j])
+            if a and (best is None or a < least):
+                if a == 1:
+                    return i, j
+                best, least = (i, j), a
     return best
 
 

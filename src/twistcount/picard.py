@@ -326,16 +326,17 @@ def delta_embed(G: DualGraph, r: int) -> CyclicHom:
     """
     if r < 1:
         raise PicardError(f"order {r} < 1")
-    nv = G.n_vertices
-    matrix = [[0] * G.n_edges for _ in range(nv)]
-    moduli = []
-    for k, e in enumerate(G.edges):
-        h = gcd(e.stabilizer, r)
-        moduli.append(h)
+    hs = [gcd(e.stabilizer, r) for e in G.edges]
+    return CyclicHom.of(_boundary_matrix(G, hs, r), hs, [r] * G.n_vertices)
+
+
+def _boundary_matrix(G: DualGraph, hs, r: int) -> list[list[int]]:
+    matrix = [[0] * G.n_edges for _ in range(G.n_vertices)]
+    for k, (e, h) in enumerate(zip(G.edges, hs)):
         w = r // h
         matrix[e.head][k] += w
         matrix[e.tail][k] -= w
-    return CyclicHom.of(matrix, moduli, [r] * nv)
+    return matrix
 
 
 def torsion_count(G: DualGraph, r: int) -> int:
@@ -451,7 +452,8 @@ class RootCounter:
 
     def _reduced(self) -> _SmithData:
         if self._smith is None:
-            self._smith = _SmithData(delta_embed(self.graph, self.r))
+            matrix = _boundary_matrix(self.graph, self.hs, self.r)
+            self._smith = _SmithData(matrix, self.hs, self.r)
         return self._smith
 
     def solution_count(self, t) -> int:
@@ -507,7 +509,8 @@ class RootCounter:
 
 
 class _SmithData:
-    """One Smith reduction D = U M V of a boundary map M into (Z/r)^V.
+    """One Smith reduction D = U M V of the boundary map M: prod Z/h_e ->
+    (Z/r)^V.
 
     checks holds (row of U mod m_i, m_i) for every m_i > 1: t is in the
     image exactly when each row annihilates it.  kernel_size is |ker M| on
@@ -516,13 +519,11 @@ class _SmithData:
 
     __slots__ = ("hs", "r", "U", "V", "diag", "mods", "checks", "kernel_size")
 
-    def __init__(self, hom: CyclicHom):
-        hs = self.hs = hom.domain_moduli
-        nv, ne = len(hom.codomain_moduli), len(hs)
-        r = self.r = hom.codomain_moduli[0]
-        U, D, V = smith_normal_form(hom.matrix)
-        self.U = tuple(map(tuple, U))
-        self.V = tuple(map(tuple, V))
+    def __init__(self, matrix, hs, r: int):
+        self.hs, self.r = hs, r
+        nv, ne = len(matrix), len(hs)
+        U, D, V = smith_normal_form(matrix)
+        self.U, self.V = U, V
         self.diag = tuple(D[i][i] if i < ne else 0 for i in range(nv))
         self.mods = tuple(gcd(d, r) for d in self.diag)
         self.checks = tuple(

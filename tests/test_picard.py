@@ -570,17 +570,19 @@ def _criterion_by_witnesses(G, F, r):
     return not witnesses, witnesses
 
 
-def _count_by_base_solution(G, F, r):
-    """Root count through the general mu0 path (base_solution and
-    vertex_targets), not the memoized shifts behind RootCounter.count."""
+def _base_target(G, F, r):
+    """(counter, mu0, t) through the general mu0 path (base_solution and
+    vertex_targets), not the memoized shifts behind RootCounter.count; t
+    is None when F has no root."""
     counter = RootCounter(G, r)
     mu0 = counter.base_solution(F)
-    if mu0 is None:
-        return 0
-    t = counter.vertex_targets(F, mu0)
-    if t is None:
-        return 0
-    return counter.free_factor * counter.solution_count(t)
+    t = None if mu0 is None else counter.vertex_targets(F, mu0)
+    return counter, mu0, t
+
+
+def _count_by_base_solution(G, F, r):
+    counter, _, t = _base_target(G, F, r)
+    return 0 if t is None else counter.free_factor * counter.solution_count(t)
 
 
 def _solution_count_by_tables(G, r, t):
@@ -619,24 +621,14 @@ def _solution_count_by_tables(G, r, t):
 
 def _count_by_tables(G, F, r):
     """Root count with the table sweep in place of the Smith reduction."""
-    counter = RootCounter(G, r)
-    mu0 = counter.base_solution(F)
-    if mu0 is None:
-        return 0
-    t = counter.vertex_targets(F, mu0)
-    if t is None:
-        return 0
-    return counter.free_factor * _solution_count_by_tables(G, r, t)
+    counter, _, t = _base_target(G, F, r)
+    return 0 if t is None else counter.free_factor * _solution_count_by_tables(G, r, t)
 
 
 def _solutions_by_product(G, F, r):
     """Accepted multiplicity vectors by sweeping all of prod Z/h_e in
     lexicographic order."""
-    counter = RootCounter(G, r)
-    mu0 = counter.base_solution(F)
-    if mu0 is None:
-        return []
-    t = counter.vertex_targets(F, mu0)
+    counter, mu0, t = _base_target(G, F, r)
     if t is None:
         return []
     hom = delta_embed(G, r)

@@ -35,7 +35,6 @@ from .picard import (
     HypothesisViolated,
     LineBundleData,
     PicardError,
-    RootCounter,
     count_roots,
     omega_bundle,
 )
@@ -186,8 +185,7 @@ def enumerate_root_classes(
     """
     if any(v.genus for v in G.vertices):
         raise NotRational("root classes require an all-rational graph")
-    counter = RootCounter(G, r, max_domain)
-    mults = counter.solutions(F)
+    mults = picard._counter(G, r, max_domain).solutions(F)
     b1 = betti(G)
     if mults and len(mults) * r**b1 > max_domain:
         raise picard.DomainTooLarge(

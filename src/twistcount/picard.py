@@ -11,7 +11,10 @@ all root counting happens through the boundary map
 which sends the basis element at e to (r/h_e) ([head] - [tail]).  The
 continuous part of the Picard group (component Jacobians and the gluing
 torus) only ever contributes the factor r^(2*sum g_v + b_1) to r-torsion
-and root counts, so the finite data above decides everything else.
+and root counts, so the finite data above decides everything else.  One
+cached Smith reduction of that map per (graph, r) answers all of it: its
+kernel gives the torsion count, and its image decides whether roots exist
+and whether a target lifts.
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .exactalg import (
-    CyclicHom,
-    hom_image_contains,
-    kernel_size_by_smith,
-    smith_normal_form,
-    solve_congruence,
-)
+from .exactalg import CyclicHom, smith_normal_form, solve_congruence
 from .graphs import DualGraph, betti, classify_node, flip_edge, genus
 
 __all__ = [
@@ -125,6 +122,22 @@ class _Geometry:
         self.stabs = tuple(e.stabilizer for e in G.edges)
         self.units = tuple(self.scale // l for l in self.stabs)
 
+    def scaled_degrees(self, int_part, mult) -> list[int]:
+        """S * deg_v of the class (int_part, mult): S * int_part[v] plus S
+        times the branch fractions mu/l at v, where a tail branch carries
+        (l - mu) mod l."""
+        S, stabs, units = self.scale, self.stabs, self.units
+        out = []
+        for a, incidences in zip(int_part, self.incidences):
+            acc = S * a
+            for e, is_head in incidences:
+                m = mult[e]
+                if not is_head:
+                    m = (stabs[e] - m) % stabs[e]
+                acc += units[e] * m
+            out.append(acc)
+        return out
+
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _geometry(G: DualGraph) -> _Geometry:
@@ -173,38 +186,17 @@ def _scaled_degrees(L: LineBundleData, geo: _Geometry) -> tuple[int, ...]:
     cached = L.__dict__.get("_scaled")
     if cached is not None:
         return cached
-    S = geo.scale
-    out = []
-    for v in range(len(geo.incidences)):
-        acc = S * L.int_part[v]
-        for e, is_head in geo.incidences[v]:
-            m = L.mult[e]
-            if not is_head:
-                m = (geo.stabs[e] - m) % geo.stabs[e]
-            acc += geo.units[e] * m
-        out.append(acc)
-    result = tuple(out)
+    result = tuple(geo.scaled_degrees(L.int_part, L.mult))
     object.__setattr__(L, "_scaled", result)
     return result
-
-
-def _vertex_degree_raw(L: LineBundleData, v: int) -> Fraction:
-    geo = _geometry(L.graph)
-    S = geo.scale
-    acc = S * L.int_part[v]
-    for e, is_head in geo.incidences[v]:
-        m = L.mult[e]
-        if not is_head:
-            m = (geo.stabs[e] - m) % geo.stabs[e]
-        acc += geo.units[e] * m
-    return Fraction(acc, S)
 
 
 def vertex_degree(L: LineBundleData, v: int) -> Fraction:
     """Exact degree of the class on the component v."""
     if not 0 <= v < L.graph.n_vertices:
         raise GraphMismatch(f"no vertex {v}")
-    return _vertex_degree_raw(L, v)
+    geo = _geometry(L.graph)
+    return Fraction(_scaled_degrees(L, geo)[v], geo.scale)
 
 
 def total_degree(L: LineBundleData) -> int:
@@ -250,23 +242,22 @@ def tensor(L1: LineBundleData, L2: LineBundleData) -> LineBundleData:
     if L1.graph != L2.graph:
         raise GraphMismatch("tensor of bundles on different graphs")
     G = L1.graph
+    geo = _geometry(G)
     mult = tuple(
         (a + b) % e.stabilizer for a, b, e in zip(L1.mult, L2.mult, G.edges)
     )
-    return _from_degrees(
-        G,
-        [_vertex_degree_raw(L1, v) + _vertex_degree_raw(L2, v) for v in range(G.n_vertices)],
-        mult,
-    )
+    scaled = [
+        a + b for a, b in zip(_scaled_degrees(L1, geo), _scaled_degrees(L2, geo))
+    ]
+    return _from_degrees(G, scaled, mult)
 
 
 def power(L: LineBundleData, a: int) -> LineBundleData:
     """a-th tensor power for any integer a; degrees scale by a."""
     G = L.graph
     mult = tuple((a * m) % e.stabilizer for m, e in zip(L.mult, G.edges))
-    return _from_degrees(
-        G, [a * _vertex_degree_raw(L, v) for v in range(G.n_vertices)], mult
-    )
+    scaled = [a * s for s in _scaled_degrees(L, _geometry(G))]
+    return _from_degrees(G, scaled, mult)
 
 
 def rth_power(L: LineBundleData, r: int) -> LineBundleData:
@@ -275,20 +266,22 @@ def rth_power(L: LineBundleData, r: int) -> LineBundleData:
     return power(L, r)
 
 
-def _from_degrees(G: DualGraph, degrees, mult) -> LineBundleData:
+def _from_degrees(G: DualGraph, scaled, mult, divisor: int = 1) -> LineBundleData:
+    """The class with multiplicities mult whose degree on v is
+    scaled[v] / (divisor * S); divisor r gives an r-th root's degrees from
+    S * deg_v(F)."""
+    geo = _geometry(G)
+    modulus = divisor * geo.scale
+    branches = geo.scaled_degrees((0,) * G.n_vertices, mult)
     int_part = []
-    for v in range(G.n_vertices):
-        frac = Fraction(0)
-        for e, is_head in G.incidences(v):
-            l = G.edges[e].stabilizer
-            m = mult[e] if is_head else (l - mult[e]) % l
-            frac += Fraction(m, l)
-        part = degrees[v] - frac
-        if part.denominator != 1:
+    for v, (s, b) in enumerate(zip(scaled, branches)):
+        q, rem = divmod(s - divisor * b, modulus)
+        if rem:
             raise PicardError(
-                f"vertex {v}: degree {degrees[v]} is incompatible with the multiplicities"
+                f"vertex {v}: degree {Fraction(s, modulus)} is incompatible "
+                "with the multiplicities"
             )
-        int_part.append(int(part))
+        int_part.append(q)
     return LineBundleData(G, tuple(int_part), tuple(mult))
 
 
@@ -340,9 +333,10 @@ def _boundary_matrix(G: DualGraph, hs, r: int) -> list[list[int]]:
 
 
 def torsion_count(G: DualGraph, r: int) -> int:
-    """Number of r-torsion line-bundle classes on the twisted curve."""
+    """Number of r-torsion line-bundle classes on the twisted curve: the
+    free factor times |ker M| from the cached Smith reduction."""
     free = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
-    return free * kernel_size_by_smith(delta_embed(G, r))
+    return free * _smith(G, r).kernel_size
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +349,15 @@ class RootCounter:
     The per-edge solution sets of r*mu = m (mod l) are parameterised by
     x in prod_e Z/h_e, and a candidate is a root exactly when the vertex
     degree defect M x - t vanishes mod r, where M is the boundary map of
-    delta_embed.  The solutions are empty or a coset of ker M, so one Smith
-    reduction D = U M V of the integer V x E matrix, done on the first
-    solution_count, answers every target.  With m_i = gcd(d_i, r) (d_i = 0
-    past the rank), t is hit exactly when (U t)_i = 0 (mod m_i), and
-    |ker M| = prod h_e * prod m_i / r^V.  solutions builds the coset from
-    a witness and the kernel generators (the columns of V scaled by
-    r/m_i), so its cost scales with the number of roots, not with the
-    domain.  The base solution mu0 of each edge is memoized per
+    delta_embed.  The solutions are empty or a coset of ker M, so the
+    Smith reduction D = U M V of the integer V x E matrix answers every
+    target; the first solution_count takes it from the per-(graph, r)
+    cache that torsion_count and delta_image_lift share.  With
+    m_i = gcd(d_i, r) (d_i = 0 past the rank), t is hit exactly when
+    (U t)_i = 0 (mod m_i), and |ker M| = prod h_e * prod m_i / r^V.
+    solutions builds the coset from a witness and the kernel generators
+    (the columns of V scaled by r/m_i), so its cost scales with the number
+    of roots, not with the domain.  The base solution mu0 of each edge is memoized per
     multiplicity on first use, so a count works on the bundle's scaled
     degrees and multiplicities as plain integers and builds no bundle.  One
     counter serves every bundle on (G, r); check_rootsnum_graph builds one
@@ -452,8 +447,7 @@ class RootCounter:
 
     def _reduced(self) -> _SmithData:
         if self._smith is None:
-            matrix = _boundary_matrix(self.graph, self.hs, self.r)
-            self._smith = _SmithData(matrix, self.hs, self.r)
+            self._smith = _smith(self.graph, self.r)
         return self._smith
 
     def solution_count(self, t) -> int:
@@ -483,10 +477,7 @@ class RootCounter:
         t = self.vertex_targets(F, mu0)
         if t is None or not self.solution_count(t):
             return None
-        x = self._smith.witness(t)
-        if delta_embed(self.graph, self.r).apply(x) != t:
-            raise PicardError("the Smith witness does not map to the target")
-        return mu0, x
+        return mu0, self._smith.witness(t)
 
     def _mult(self, mu0, x) -> tuple[int, ...]:
         return tuple(
@@ -514,13 +505,14 @@ class _SmithData:
 
     checks holds (row of U mod m_i, m_i) for every m_i > 1: t is in the
     image exactly when each row annihilates it.  kernel_size is |ker M| on
-    prod Z/h_e.
+    prod Z/h_e.  The matrix M is kept so that every witness is checked
+    against it.
     """
 
-    __slots__ = ("hs", "r", "U", "V", "diag", "mods", "checks", "kernel_size")
+    __slots__ = ("matrix", "hs", "r", "U", "V", "diag", "mods", "checks", "kernel_size")
 
     def __init__(self, matrix, hs, r: int):
-        self.hs, self.r = hs, r
+        self.matrix, self.hs, self.r = matrix, hs, r
         nv, ne = len(matrix), len(hs)
         U, D, V = smith_normal_form(matrix)
         self.U, self.V = U, V
@@ -530,6 +522,12 @@ class _SmithData:
             (tuple(u % m for u in U[i]), m) for i, m in enumerate(self.mods) if m > 1
         )
         self.kernel_size = prod(hs) * prod(self.mods) // r**nv
+
+    def contains(self, t) -> bool:
+        """Whether t lies in the image of M."""
+        return all(
+            sum([a * b for a, b in zip(row, t)]) % m == 0 for row, m in self.checks
+        )
 
     def witness(self, t) -> tuple[int, ...]:
         """One x in prod Z/h_e with M x = t (mod r), for t in the image:
@@ -541,9 +539,13 @@ class _SmithData:
             if sol is None:
                 raise PicardError("target outside the image of the boundary map")
             z.append(sol[0])
-        return tuple(
+        x = tuple(
             sum(a * b for a, b in zip(row, z)) % h for row, h in zip(self.V, self.hs)
         )
+        for row, tv in zip(self.matrix, t):
+            if (sum(a * b for a, b in zip(row, x)) - tv) % r:
+                raise PicardError("the Smith witness does not map to the target")
+        return x
 
     def kernel(self) -> list[tuple[int, ...]]:
         """Every element of ker M, as the closure of its generators: column i
@@ -569,6 +571,16 @@ class _SmithData:
                 f"{self.kernel_size}"
             )
         return elements
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _smith(G: DualGraph, r: int) -> _SmithData:
+    """The Smith reduction of the boundary map of (G, r), shared by torsion
+    counts, root counts and lifts."""
+    if r < 1:
+        raise PicardError(f"order {r} < 1")
+    hs = [gcd(e.stabilizer, r) for e in G.edges]
+    return _SmithData(_boundary_matrix(G, hs, r), hs, r)
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -622,8 +634,8 @@ def enumerate_discrete_roots(
 ) -> list[LineBundleData]:
     """All discrete r-th roots of F (multiplicities plus forced degrees)."""
     mults = _counter(G, r, max_domain).solutions(F)
-    degrees = [Fraction(vertex_degree(F, v), r) for v in range(G.n_vertices)]
-    return [_from_degrees(G, degrees, mult) for mult in mults]
+    scaled = _scaled_degrees(F, _geometry(G))
+    return [_from_degrees(G, scaled, mult, r) for mult in mults]
 
 
 def construct_root(
@@ -638,8 +650,7 @@ def construct_root(
     lift = counter._lift(F)
     if lift is None:
         return None
-    degrees = [Fraction(vertex_degree(F, v), r) for v in range(G.n_vertices)]
-    R = _from_degrees(G, degrees, counter._mult(*lift))
+    R = _from_degrees(G, _scaled_degrees(F, _geometry(G)), counter._mult(*lift), r)
     if rth_power(R, r) != F:
         raise RootMismatch("constructed class is not an r-th root of the bundle")
     return R
@@ -773,77 +784,18 @@ def delta_image_member(G: DualGraph, r: int, t) -> bool:
 def delta_image_lift(G: DualGraph, r: int, t) -> tuple[int, ...] | None:
     """A preimage x in prod Z/h_e of t under the boundary map, or None.
 
-    Peels separating edges one at a time: the edge value is forced by the
-    head-side sum of t, both endpoints are adjusted, and the two sides are
-    lifted independently.  Bridgeless pieces are solved directly on the
-    lattice.
+    Membership is decided by the edge criterion of delta_image_member and
+    cross-checked against the image of the cached Smith reduction; a
+    member's preimage is the Smith witness, which checks M x = t itself.
     """
-    _check_lift_hypotheses(G, r, t)
-    if not delta_image_member(G, r, t):
-        return None
-    x = [0] * G.n_edges
-    nodes = _node_types(G)
-
-    def solve(vertex_ids, edge_ids, local_t):
-        if not edge_ids:
-            return
-        bridge = None
-        for k in sorted(edge_ids):
-            if nodes[k].separating:
-                bridge = (k, nodes[k])
-                break
-        if bridge is None:
-            _solve_bridgeless(vertex_ids, edge_ids, local_t)
-            return
-        k, node = bridge
-        e = G.edges[k]
-        h = gcd(e.stabilizer, r)
-        w = r // h
-        plus_sum = sum(local_t[v] for v in node.plus_vertices if v in vertex_ids) % r
-        if plus_sum % w:
-            raise PicardError(f"edge {k}: side sum {plus_sum} is not hit after membership")
-        x[k] = (plus_sum // w) % h
-        adjusted = dict(local_t)
-        adjusted[e.head] = (adjusted[e.head] - w * x[k]) % r
-        adjusted[e.tail] = (adjusted[e.tail] + w * x[k]) % r
-        for vs, es in (
-            (node.plus_vertices, node.plus_edges),
-            (node.minus_vertices, node.minus_edges),
-        ):
-            sub_v = vs & vertex_ids
-            sub_e = es & edge_ids
-            solve(sub_v, sub_e, {v: adjusted[v] for v in sub_v})
-
-    def _solve_bridgeless(vertex_ids, edge_ids, local_t):
-        verts = sorted(vertex_ids)
-        pos = {v: i for i, v in enumerate(verts)}
-        edge_list = sorted(edge_ids)
-        matrix = [[0] * len(edge_list) for _ in verts]
-        moduli = []
-        for col, k in enumerate(edge_list):
-            e = G.edges[k]
-            h = gcd(e.stabilizer, r)
-            moduli.append(h)
-            w = r // h
-            matrix[pos[e.head]][col] += w
-            matrix[pos[e.tail]][col] -= w
-        hom = CyclicHom.of(matrix, moduli, [r] * len(verts))
-        target = tuple(local_t[v] % r for v in verts)
-        ok, sol = hom_image_contains(hom, target)
-        if not ok:
-            raise PicardError("augmentation-zero target missed on a bridgeless piece")
-        for col, k in enumerate(edge_list):
-            x[k] = sol[col]
-
-    solve(
-        set(range(G.n_vertices)),
-        set(range(G.n_edges)),
-        {v: t[v] % r for v in range(G.n_vertices)},
-    )
-    result = tuple(x)
-    if delta_embed(G, r).apply(result) != tuple(v % r for v in t):
-        raise PicardError("the lift does not map to the target")
-    return result
+    member = delta_image_member(G, r, t)
+    smith = _smith(G, r)
+    target = tuple(v % r for v in t)
+    if smith.contains(target) != member:
+        raise PicardError(
+            f"edge criterion says member={member} for {target}, the Smith form disagrees"
+        )
+    return smith.witness(target) if member else None
 
 
 # ---------------------------------------------------------------------------

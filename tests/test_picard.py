@@ -273,14 +273,44 @@ class TestCountRoots:
         info = picard._counter.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, 2, GRAPH_CACHE_SIZE)
 
-    def test_kernel_closure_checked_against_smith(self):
+    def test_kernel_closure_checked_against_smith(self, monkeypatch):
         G = dual_graph([0, 0], [(0, 1, 4), (0, 1, 4), (0, 1, 2)])
         counter = RootCounter(G, 4)
         F = trivial_bundle(G)
         assert len(counter.solutions(F)) == counter.solution_count((0, 0)) == 8
-        counter._smith.kernel_size += 1
+        # The reduction is shared through the (G, r) cache; undo the damage.
+        monkeypatch.setattr(counter._smith, "kernel_size", 9)
         with pytest.raises(picard.PicardError):
             counter.solutions(F)
+
+    def test_one_smith_reduction_per_graph_and_order(self, monkeypatch):
+        # A bridge (edge 0) and a two-edge cycle: torsion, counts, root
+        # lists, constructed roots and lifts all read one reduction.
+        G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 2, 4), (1, 2, 4)])
+        r = 4
+        F = rth_power(line_bundle(G, [1, 0, -1], [1, 2, 3]), r)
+        picard._smith.cache_clear()
+        picard._counter.cache_clear()
+        calls = []
+        reduce = picard.smith_normal_form
+
+        def counting(A):
+            calls.append(A)
+            return reduce(A)
+
+        monkeypatch.setattr(picard, "smith_normal_form", counting)
+        assert torsion_count(G, r) == r**5 * 4
+        assert count_roots(G, F, r) == torsion_count(G, r)
+        roots = enumerate_discrete_roots(G, F, r)
+        assert len(roots) * r**5 == count_roots(G, F, r)
+        assert construct_root(G, F, r) in roots
+        for t in ((0, 0, 0), (2, 1, 1), (1, 1, 2), (1, 0, 3)):
+            lift = delta_image_lift(G, r, t)
+            if delta_image_member(G, r, t):
+                assert delta_embed(G, r).apply(lift) == t
+            else:
+                assert lift is None
+        assert len(calls) == 1
 
     def test_domain_cap(self):
         G = dual_graph([0, 0], [(0, 1, 5)] * 3)
@@ -465,28 +495,44 @@ class TestDeltaImage:
         with pytest.raises(AugmentationNonzero):
             delta_image_member(pointed_loop(2), 2, (1,))
 
-    def test_matches_lattice_membership(self):
-        rng = random.Random(41)
-        checked = 0
-        family = enumerate_stable_graphs(2, 0, [2, 4]) + enumerate_stable_graphs(
-            3, 0, [2, 4]
-        )
-        while checked < 200:
-            G = rng.choice(family)
-            r = 2
-            nonsep = [k for k in range(G.n_edges) if not classify_node(G, k).separating]
-            if not all(G.edges[k].stabilizer % r == 0 for k in nonsep):
-                continue
+    @pytest.mark.parametrize("r", [2, 3, 4, 6])
+    def test_matches_lattice_membership(self, r):
+        # Nonseparating stabilizers r or 2r, separating ones free, so both
+        # members and non-members occur.
+        rng = random.Random(f"lift:{r}")
+        seen = set()
+        for _ in range(200):
+            shape = rng.choice(_SHAPES)
+            stabs = [
+                r * rng.choice((1, 2))
+                if not classify_node(shape, k).separating
+                else rng.choice((1, 2, 3, 4, 6, 12))
+                for k in range(shape.n_edges)
+            ]
+            G = _decorate(shape, stabs)
             t = [rng.randrange(r) for _ in range(G.n_vertices)]
             t[-1] = (t[-1] - sum(t)) % r
-            checked += 1
             expected, _ = hom_image_contains(delta_embed(G, r), tuple(t))
             assert delta_image_member(G, r, t) == expected
+            seen.add(expected)
             lift = delta_image_lift(G, r, t)
             if expected:
-                assert delta_embed(G, r).apply(lift) == tuple(v % r for v in t)
+                assert delta_embed(G, r).apply(lift) == tuple(t)
             else:
                 assert lift is None
+        assert seen == {True, False}
+
+    def test_forced_disagreement_raises(self, monkeypatch):
+        G = dual_graph([1, 1], [(0, 1, 2)])
+        member = picard.delta_image_member
+        monkeypatch.setattr(
+            picard, "delta_image_member", lambda G, r, t: not member(G, r, t)
+        )
+        for t in ((1, 1), (0, 0)):
+            with pytest.raises(picard.PicardError):
+                delta_image_lift(G, 2, t)
+        with pytest.raises(picard.PicardError):
+            delta_image_lift(dual_graph([1, 1], [(0, 1, 1)]), 2, (1, 1))
 
 
 class TestCoprimeSplit:
@@ -733,7 +779,7 @@ class TestRootsnumPlan:
         )
         for stabs in sweep:
             check_rootsnum_graph(_decorate(shape, stabs), (2,), n_random=0)
-        for cache in (picard._geometry, picard._node_types):
+        for cache in (picard._geometry, picard._node_types, picard._smith):
             info = cache.cache_info()
             assert info.maxsize == GRAPH_CACHE_SIZE
             assert info.currsize == GRAPH_CACHE_SIZE

@@ -326,7 +326,12 @@ def run(args) -> dict:
         if args.nontrivial:
             classes = [c for c in classes if any(c.mult) or any(c.gluing)]
         n, parts = orbits.orbit_count(
-            G, F, args.r, with_involution=args.involution, classes=classes
+            G,
+            F,
+            args.r,
+            with_involution=args.involution,
+            classes=classes,
+            max_domain=args.max_domain,
         )
         return {
             "classes": len(classes),

@@ -4,27 +4,35 @@ On an all-rational graph a discrete root class is pinned down by its
 branch multiplicities together with a gluing residue in Z/r per edge,
 taken modulo coboundaries (rescaling the components).  Classes are stored
 in spanning-tree normal form: the gluing residue vanishes on a fixed BFS
-tree, so class equality is plain data equality.
+tree, so class equality is plain data equality, and the residues on the
+remaining b1 edges are coordinates in (Z/r)^{b1}.
 
 The ghost generator at an edge e twists the gluing there by
 (r/l_e) * mult_e; it is available when l_e divides r, and generators at
 the remaining edges act trivially on r-th root classes and are omitted.
+The action is linear: on the classes with multiplicity vector m the ghost
+group translates by the subgroup H_m of (Z/r)^{b1} spanned by the
+normalised twists, so m contributes |Q_m| orbits, Q_m = (Z/r)^{b1} / H_m.
+The genus-1 involution negates all discrete data; it pairs m with -m, and
+a self-paired m contributes (|Q_m| + |Q_m[2]|) / 2 orbits.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from math import gcd, prod
 
 from . import picard
+from .exactalg import smith_normal_form
 from .graphs import (
     DualGraph,
     Edge,
     MultiIndex,
     MultiIndexLengthMismatch,
-    betti,
     dual_graph,
     enumerate_stable_graphs,
     node_type_index,
@@ -109,32 +117,81 @@ class RootClass:
             raise OrbitError("per-edge data length mismatch")
 
 
+class _Gluing:
+    """Per-(G, r) data of the gluing normal form and the ghost action.
+
+    walk lists the BFS spanning tree as (child, parent, edge, sign) in
+    visiting order, so potentials fill in one pass; free holds the other
+    edges with their endpoints; units[i] is the normal form of the unit
+    gluing vector at the acting edge acting[i], in free coordinates.
+    """
+
+    __slots__ = ("r", "n_vertices", "n_edges", "stabs", "walk", "free", "acting", "steps", "units")
+
+    def __init__(self, G: DualGraph, r: int):
+        self.r = r
+        self.n_vertices = G.n_vertices
+        self.n_edges = G.n_edges
+        self.stabs = tuple(e.stabilizer for e in G.edges)
+        known = {0}
+        walk = []
+        for k in spanning_tree(G):
+            e = G.edges[k]
+            # beta_k = alpha_head - alpha_tail must become 0 on the tree.
+            if e.tail in known:
+                walk.append((e.head, e.tail, k, 1))
+                known.add(e.head)
+            else:
+                walk.append((e.tail, e.head, k, -1))
+                known.add(e.tail)
+        self.walk = tuple(walk)
+        tree = {k for _, _, k, _ in walk}
+        self.free = tuple(
+            (k, e.head, e.tail) for k, e in enumerate(G.edges) if k not in tree
+        )
+        self.acting = tuple(acting_edges(G, r))
+        self.steps = tuple(r // self.stabs[k] for k in self.acting)
+        self.units = tuple(
+            self.coordinates([int(j == k) for j in range(G.n_edges)]) for k in self.acting
+        )
+
+    def coordinates(self, beta) -> tuple[int, ...]:
+        """Free residues of beta after subtracting the coboundary that
+        kills it on the tree."""
+        r = self.r
+        potentials = [0] * self.n_vertices
+        for child, parent, k, sign in self.walk:
+            potentials[child] = (potentials[parent] + sign * beta[k]) % r
+        return tuple((beta[k] - potentials[h] + potentials[t]) % r for k, h, t in self.free)
+
+    def gluing(self, x) -> tuple[int, ...]:
+        beta = [0] * self.n_edges
+        for (k, _, _), b in zip(self.free, x):
+            beta[k] = b
+        return tuple(beta)
+
+    def negate(self, mult) -> tuple[int, ...]:
+        return tuple((-m) % l for m, l in zip(mult, self.stabs))
+
+    def twists(self, mult) -> list[tuple[int, ...]]:
+        """Translations of (Z/r)^{b1} by the ghost generators on the
+        classes with multiplicities mult, one per acting edge."""
+        r = self.r
+        return [
+            tuple(step * mult[k] * u % r for u in unit)
+            for k, step, unit in zip(self.acting, self.steps, self.units)
+        ]
+
+
+@lru_cache(maxsize=picard.GRAPH_CACHE_SIZE)
+def _gluing(G: DualGraph, r: int) -> _Gluing:
+    return _Gluing(G, r)
+
+
 def _normalize_gluing(G: DualGraph, r: int, beta) -> tuple[int, ...]:
     """Subtract the unique coboundary that kills beta on the spanning tree."""
-    tree = spanning_tree(G)
-    tree_set = set(tree)
-    potentials = [None] * G.n_vertices
-    potentials[0] = 0
-    incident = [[] for _ in range(G.n_vertices)]
-    for k in tree:
-        e = G.edges[k]
-        incident[e.tail].append((e.head, k, 1))
-        incident[e.head].append((e.tail, k, -1))
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for w, k, sign in incident[v]:
-            if potentials[w] is None:
-                # beta_k = alpha_head - alpha_tail must become 0 on the tree.
-                potentials[w] = (potentials[v] + sign * beta[k]) % r
-                queue.append(w)
-    out = []
-    for k, e in enumerate(G.edges):
-        if k in tree_set:
-            out.append(0)
-        else:
-            out.append((beta[k] - (potentials[e.head] - potentials[e.tail])) % r)
-    return tuple(out)
+    data = _gluing(G, r)
+    return data.gluing(data.coordinates(beta))
 
 
 def root_class(G: DualGraph, r: int, mult, gluing) -> RootClass:
@@ -172,6 +229,13 @@ def involution_act(c: RootClass) -> RootClass:
     return RootClass(G, r, mult, _normalize_gluing(G, r, beta))
 
 
+def _accepted_mults(G: DualGraph, F: LineBundleData, r: int, max_domain: int):
+    """Multiplicity vectors of the r-th roots of F, one per discrete root."""
+    if any(v.genus for v in G.vertices):
+        raise NotRational("root classes require an all-rational graph")
+    return picard._counter(G, r, max_domain).solutions(F)
+
+
 def enumerate_root_classes(
     G: DualGraph,
     F: LineBundleData,
@@ -183,45 +247,124 @@ def enumerate_root_classes(
     One class per accepted multiplicity vector and per gluing residue on
     the non-tree edges; their number is exactly count_roots(G, F, r).
     """
-    if any(v.genus for v in G.vertices):
-        raise NotRational("root classes require an all-rational graph")
-    mults = picard._counter(G, r, max_domain).solutions(F)
-    b1 = betti(G)
+    mults = _accepted_mults(G, F, r, max_domain)
+    data = _gluing(G, r)
+    b1 = len(data.free)
     if mults and len(mults) * r**b1 > max_domain:
         raise picard.DomainTooLarge(
             f"{len(mults) * r ** b1} root classes exceed the cap {max_domain}"
         )
-    tree = set(spanning_tree(G))
-    free = [k for k in range(G.n_edges) if k not in tree]
-    out = []
-    for mult in mults:
-        for residues in itertools.product(range(r), repeat=len(free)):
-            beta = [0] * G.n_edges
-            for k, b in zip(free, residues):
-                beta[k] = b
-            out.append(RootClass(G, r, tuple(mult), tuple(beta)))
-    return out
+    gluings = [data.gluing(x) for x in itertools.product(range(r), repeat=b1)]
+    return [RootClass(G, r, mult, beta) for mult in mults for beta in gluings]
 
 
-def _group_elements(G: DualGraph, r: int, with_involution: bool):
-    edges = acting_edges(G, r)
-    ranges = [range(G.edges[k].stabilizer) for k in edges]
-    flips = (False, True) if with_involution else (False,)
-    for powers in itertools.product(*ranges):
-        for flip in flips:
-            yield edges, powers, flip
+def _quotient_sizes(data: _Gluing, mult) -> tuple[int, int]:
+    """|Q| and |Q[2]| for Q = (Z/r)^{b1} / H, H spanned by the twists of
+    mult, from one Smith reduction of the twists stacked with r * I."""
+    b1 = len(data.free)
+    if not b1:
+        return 1, 1
+    r = data.r
+    rows = [list(t) for t in data.twists(mult)]
+    rows += [[r * (i == j) for j in range(b1)] for i in range(b1)]
+    _, D, _ = smith_normal_form(rows)
+    divisors = [D[i][i] for i in range(b1)]
+    return prod(divisors), prod(gcd(2, d) for d in divisors)
 
 
-def _apply_element(c: RootClass, edges, powers, flip) -> RootClass:
-    G, r = c.graph, c.r
-    beta = list(c.gluing)
-    for k, p in zip(edges, powers):
-        l = G.edges[k].stabilizer
-        beta[k] = (beta[k] + p * (r // l) * c.mult[k]) % r
-    out = RootClass(G, r, c.mult, _normalize_gluing(G, r, beta))
-    if flip:
-        out = involution_act(out)
-    return out
+def _burnside_orbits(data: _Gluing, mults, with_involution: bool) -> int:
+    """Orbits by Burnside's lemma, with fixed classes counted per group
+    element and multiplicity vector: a plain element fixes all r^{b1}
+    classes of m when its shift s is 0, and a flipped one fixes a class x
+    of a self-paired m when 2x = -s."""
+    r = data.r
+    b1 = len(data.free)
+    zero = (0,) * b1
+    halves = gcd(2, r)
+    order = prod(data.stabs[k] for k in data.acting) * (2 if with_involution else 1)
+    fixed = 0
+    for m in mults:
+        # Number of ghost elements shifting the classes of m by each s.
+        shifts = {zero: 1}
+        for k, t in zip(data.acting, data.twists(m)):
+            grown = defaultdict(int)
+            for s, n in shifts.items():
+                for _ in range(data.stabs[k]):
+                    grown[s] += n
+                    s = tuple((a + b) % r for a, b in zip(s, t))
+            shifts = grown
+        fixed += shifts.get(zero, 0) * r**b1
+        if with_involution and data.negate(m) == m:
+            fixed += sum(
+                n * halves**b1 for s, n in shifts.items() if all(a % halves == 0 for a in s)
+            )
+    if fixed % order:
+        raise OrbitError(
+            f"Burnside sum {fixed} is not a multiple of the group order {order}"
+        )
+    return fixed // order
+
+
+def _orbit_total(data: _Gluing, mults, with_involution: bool) -> int:
+    """Number of orbits on all classes with the given multiplicity vectors,
+    summed per vector and checked against the Burnside count."""
+    accepted = set(mults)
+    total = 0
+    for m in mults:
+        size, two_torsion = _quotient_sizes(data, m)
+        if not with_involution:
+            total += size
+            continue
+        pair = data.negate(m)
+        if pair not in accepted:
+            raise OrbitError(
+                f"the involution sends multiplicities {list(m)} to {list(pair)},"
+                " which carry no root class"
+            )
+        if pair == m:
+            total += (size + two_torsion) // 2
+        elif m < pair:
+            total += size
+    burnside = _burnside_orbits(data, mults, with_involution)
+    if burnside != total:
+        raise OrbitError(
+            f"Burnside count {burnside} disagrees with {total} orbits by multiplicity"
+        )
+    return total
+
+
+def _orbit_partition(
+    data: _Gluing, classes: list[RootClass], with_involution: bool
+) -> list[list[RootClass]]:
+    """The orbits of a class set, by walking the generators."""
+    r = data.r
+    keys = [(c.mult, tuple(c.gluing[k] for k, _, _ in data.free)) for c in classes]
+    index = {key: i for i, key in enumerate(keys)}
+    seen = [False] * len(classes)
+    orbits: list[list[RootClass]] = []
+    for i in range(len(classes)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        stack = [i]
+        orbit = []
+        while stack:
+            j = stack.pop()
+            orbit.append(classes[j])
+            m, x = keys[j]
+            images = [(m, tuple((a + b) % r for a, b in zip(x, t))) for t in data.twists(m)]
+            if with_involution:
+                images.append((data.negate(m), tuple(-a % r for a in x)))
+            for image in images:
+                n = index.get(image)
+                if n is None:
+                    raise OrbitError("the group action leaves the set of root classes")
+                if not seen[n]:
+                    seen[n] = True
+                    stack.append(n)
+        orbits.append(sorted(orbit, key=lambda c: (c.mult, c.gluing)))
+    orbits.sort(key=lambda orbit: (orbit[0].mult, orbit[0].gluing))
+    return orbits
 
 
 def orbit_count(
@@ -233,57 +376,41 @@ def orbit_count(
     classes: list[RootClass] | None = None,
     max_domain: int = DEFAULT_MAX_DOMAIN,
 ) -> tuple[int, list[list[RootClass]]]:
-    """Orbits of the ghost group (plus, optionally, the involution).
+    """Orbits of the ghost group (plus, optionally, the involution) on the
+    r-th root classes of F.
 
-    The direct orbit partition is cross-checked against the Burnside
-    average of fixed-point counts; a mismatch raises.
+    The number of orbits is summed per multiplicity vector and checked
+    against a Burnside count; the returned orbit lists come from one walk
+    over all classes of F, which must find the same number.  With classes
+    given, only the orbits inside that list are counted and returned; a
+    list that splits an orbit, or holds a class that is not a root class
+    of F, raises OrbitError.
     """
+    full = enumerate_root_classes(G, F, r, max_domain)
+    data = _gluing(G, r)
+    total = _orbit_total(data, list(dict.fromkeys(c.mult for c in full)), with_involution)
+    orbits = _orbit_partition(data, full, with_involution)
+    if len(orbits) != total:
+        raise OrbitError(
+            f"{len(orbits)} orbits by walking disagree with {total} by multiplicity"
+        )
     if classes is None:
-        classes = enumerate_root_classes(G, F, r, max_domain)
-    index = {c: i for i, c in enumerate(classes)}
-    generators = acting_edges(G, r)
-    seen = [False] * len(classes)
-    orbits: list[list[RootClass]] = []
-    for i, start in enumerate(classes):
-        if seen[i]:
-            continue
-        orbit = []
-        stack = [start]
-        seen[i] = True
-        while stack:
-            c = stack.pop()
-            orbit.append(c)
-            images = [ghost_act(c, k) for k in generators]
-            if with_involution:
-                images.append(involution_act(c))
-            for image in images:
-                j = index[image]
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(image)
-        orbits.append(sorted(orbit, key=lambda c: (c.mult, c.gluing)))
-    class_set = set(classes)
-    fixed_total = 0
-    n_elements = 0
-    for edges, powers, flip in _group_elements(G, r, with_involution):
-        n_elements += 1
-        for c in classes:
-            image = _apply_element(c, edges, powers, flip)
-            if image not in class_set:
-                raise OrbitError("the group action leaves the set of root classes")
-            if image == c:
-                fixed_total += 1
-    if fixed_total % n_elements:
-        raise OrbitError(
-            f"Burnside sum {fixed_total} is not a multiple of the group order {n_elements}"
-        )
-    burnside = fixed_total // n_elements
-    if burnside != len(orbits):
-        raise OrbitError(
-            f"Burnside count {burnside} disagrees with {len(orbits)} direct orbits"
-        )
-    orbits.sort(key=lambda orbit: (orbit[0].mult, orbit[0].gluing))
-    return len(orbits), orbits
+        return total, orbits
+    wanted = set()
+    for c in classes:
+        if c.r != r or c.graph != G:
+            raise OrbitError("a class belongs to another graph or order")
+        wanted.add((c.mult, c.gluing))
+    kept = []
+    for orbit in orbits:
+        inside = sum((c.mult, c.gluing) in wanted for c in orbit)
+        if inside == len(orbit):
+            kept.append(orbit)
+        elif inside:
+            raise OrbitError("the classes split an orbit of the group")
+    if sum(map(len, kept)) != len(wanted):
+        raise OrbitError(f"a class is not a root class of the bundle for r={r}")
+    return len(kept), kept
 
 
 # ---------------------------------------------------------------------------
@@ -299,44 +426,30 @@ _TORSION_GENERATORS = {
 
 def elliptic_torsion_orbits(r: int, aut_order: int) -> int:
     """Orbits of the nonzero r-torsion plane under the cyclic reduced
-    automorphism group of an elliptic curve (order 2, 4, or 6)."""
+    automorphism group of an elliptic curve (order 2, 4, or 6).
+
+    Counted by Burnside's lemma: the k-th power A^k of the generator fixes
+    r^(2 - rank(A^k - I mod r)) points of (Z/r)^2, the origin among them.
+    """
     if aut_order not in _TORSION_GENERATORS:
         raise BadAutOrder(f"automorphism order {aut_order} not in (2, 4, 6)")
     if r in (2, 3) or not _is_prime(r):
         raise BadR(f"{r} is not a prime >= 5")
-    (a, b), (c, d) = _TORSION_GENERATORS[aut_order]
-
-    def act(p):
-        x, y = p
-        return ((a * x + b * y) % r, (c * x + d * y) % r)
-
-    points = [(x, y) for x in range(r) for y in range(r) if (x, y) != (0, 0)]
-    seen = set()
-    orbits = 0
-    for p in points:
-        if p in seen:
-            continue
-        orbits += 1
-        q = p
-        while q not in seen:
-            seen.add(q)
-            q = act(q)
-    # Burnside cross-check over the cyclic group.
+    (p, q), (s, t) = _TORSION_GENERATORS[aut_order]
+    (a, b), (c, d) = (1, 0), (0, 1)  # A^k, from k = 0
     fixed_total = 0
-    for k in range(aut_order):
-        fixed_total += sum(1 for p in points if _iterate(act, p, k) == p)
-    if fixed_total != aut_order * orbits:
+    for _ in range(aut_order):
+        if ((a - 1) * (d - 1) - b * c) % r:
+            rank = 2
+        else:
+            rank = int(any(x % r for x in (a - 1, b, c, d - 1)))
+        fixed_total += r ** (2 - rank) - 1
+        (a, b), (c, d) = (p * a + q * c, p * b + q * d), (s * a + t * c, s * b + t * d)
+    if fixed_total % aut_order:
         raise OrbitError(
-            f"Burnside sum {fixed_total} disagrees with {orbits} direct orbits"
-            f" of a group of order {aut_order}"
+            f"Burnside sum {fixed_total} is not a multiple of the group order {aut_order}"
         )
-    return orbits
-
-
-def _iterate(f, p, k):
-    for _ in range(k):
-        p = f(p)
-    return p
+    return fixed_total // aut_order
 
 
 def _is_prime(n: int) -> bool:
@@ -380,10 +493,12 @@ def _cusp_fixture(r: int) -> DualGraph:
 def nr_report(r: int) -> NrReport:
     """Assemble the cover data for the space of nontrivial r-spin structures.
 
-    The generic fibre has (r^2-1)/2 points, the two special smooth fibres
-    are counted by torsion orbits, and the cusp fibre is counted by the
-    ghost-plus-involution orbit machinery on the one-loop fixture (never
-    hard-coded).  The resulting genus must be (r-5)(r-7)/24.
+    The generic fibre has (r^2-1)/2 points and the two special smooth
+    fibres are counted by torsion orbits.  The cusp fibre is the number of
+    ghost-plus-involution orbits on the r-th roots of omega on the one-loop
+    fixture, summed per multiplicity vector (never hard-coded), minus the
+    orbit of the trivial class, which must be among them.  The resulting
+    genus must be (r-5)(r-7)/24.
     """
     if r < 5 or not _is_prime(r):
         raise BadR(f"{r} is not a prime >= 5")
@@ -391,10 +506,10 @@ def nr_report(r: int) -> NrReport:
     n_j1728 = elliptic_torsion_orbits(r, 4)
     n_j0 = elliptic_torsion_orbits(r, 6)
     fixture = _cusp_fixture(r)
-    F = omega_bundle(fixture, 1)
-    classes = enumerate_root_classes(fixture, F, r)
-    nontrivial = [c for c in classes if any(c.mult) or any(c.gluing)]
-    n_cusp, _ = orbit_count(fixture, F, r, with_involution=True, classes=nontrivial)
+    mults = _accepted_mults(fixture, omega_bundle(fixture, 1), r, DEFAULT_MAX_DOMAIN)
+    if (0,) not in mults:
+        raise OrbitError(f"the trivial class is not a root of omega on the cusp fixture, r={r}")
+    n_cusp = _orbit_total(_gluing(fixture, r), mults, with_involution=True) - 1
     euler = riemann_hurwitz_chi(degree, [n_j1728, n_j0, n_cusp])
     if euler % 2:
         raise OrbitError(f"odd Euler characteristic {euler} for r={r}")

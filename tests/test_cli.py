@@ -332,11 +332,13 @@ class TestExitCodes:
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--random-bundles", "-1"),
             ("enumerate", "-g", "2", "--max-vertices", "0"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--max-vertices", "1"),
+            ("orbits", "{unpaired}", "-r", "3", "--involution"),
         ],
     )
     def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):
         files = {
             "loop": loop_path,
+            "unpaired": tmp_path / "unpaired.json",
             "missing": str(tmp_path / "missing.json"),
             "garbled": tmp_path / "garbled.json",
             "boolean": tmp_path / "boolean.json",
@@ -345,6 +347,11 @@ class TestExitCodes:
         files["garbled"].write_text('{"int_part": [0],')
         files["boolean"].write_text('{"int_part": [true], "mult": [0]}')
         files["bool_genus"].write_text('{"vertices": [{"genus": true}], "edges": []}')
+        # The involution sends some cube roots of omega outside the root set.
+        files["unpaired"].write_text(
+            '{"vertices":[{"genus":0},{"genus":0,"legs":[1,2]}],"edges":'
+            '[{"tail":0,"head":0,"stabilizer":1},{"tail":0,"head":1,"stabilizer":3}]}'
+        )
         code = main([arg.format(**files) for arg in argv])
         captured = capsys.readouterr()
         assert code == 1

@@ -1,9 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from twistcount.graphs import MultiIndex, dual_graph
+from twistcount import orbits
+from twistcount.graphs import DualGraph, Edge, MultiIndex, dual_graph, enumerate_stable_graphs
 from twistcount.orbits import (
     BadAutOrder,
     BadR,
@@ -12,6 +17,8 @@ from twistcount.orbits import (
     OrbitError,
     RootClass,
     StabilizerNotDivisible,
+    _normalize_gluing,
+    acting_edges,
     aut_order_ratio,
     cond_check,
     elliptic_torsion_orbits,
@@ -25,7 +32,85 @@ from twistcount.orbits import (
     root_class,
     verify_cond,
 )
-from twistcount.picard import HypothesisViolated, count_roots, omega_bundle, trivial_bundle
+from twistcount.picard import (
+    HypothesisViolated,
+    count_roots,
+    line_bundle,
+    omega_bundle,
+    rth_power,
+    trivial_bundle,
+)
+
+
+def _group_elements(G, r, with_involution):
+    edges = acting_edges(G, r)
+    ranges = [range(G.edges[k].stabilizer) for k in edges]
+    flips = (False, True) if with_involution else (False,)
+    for powers in itertools.product(*ranges):
+        for flip in flips:
+            yield edges, powers, flip
+
+
+def _apply_element(c, edges, powers, flip):
+    G, r = c.graph, c.r
+    beta = list(c.gluing)
+    for k, p in zip(edges, powers):
+        l = G.edges[k].stabilizer
+        beta[k] = (beta[k] + p * (r // l) * c.mult[k]) % r
+    out = RootClass(G, r, c.mult, _normalize_gluing(G, r, beta))
+    if flip:
+        out = involution_act(out)
+    return out
+
+
+def _orbit_count_by_sweep(G, F, r, with_involution=False, classes=None):
+    """Orbit partition by walking the generators class by class, checked
+    against a Burnside average that applies every group element to every
+    class: the reference for orbit_count."""
+    if classes is None:
+        classes = enumerate_root_classes(G, F, r)
+    index = {c: i for i, c in enumerate(classes)}
+    generators = acting_edges(G, r)
+    seen = [False] * len(classes)
+    found = []
+    for i, start in enumerate(classes):
+        if seen[i]:
+            continue
+        orbit = []
+        stack = [start]
+        seen[i] = True
+        while stack:
+            c = stack.pop()
+            orbit.append(c)
+            images = [ghost_act(c, k) for k in generators]
+            if with_involution:
+                images.append(involution_act(c))
+            for image in images:
+                if image not in index:
+                    raise OrbitError("the group action leaves the set of root classes")
+                j = index[image]
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(image)
+        found.append(sorted(orbit, key=lambda c: (c.mult, c.gluing)))
+    fixed_total = 0
+    n_elements = 0
+    for edges, powers, flip in _group_elements(G, r, with_involution):
+        n_elements += 1
+        for c in classes:
+            image = _apply_element(c, edges, powers, flip)
+            if image not in index:
+                raise OrbitError("the group action leaves the set of root classes")
+            if image == c:
+                fixed_total += 1
+    if fixed_total % n_elements or fixed_total // n_elements != len(found):
+        raise OrbitError(f"Burnside sum {fixed_total} disagrees with {len(found)} orbits")
+    found.sort(key=lambda orbit: (orbit[0].mult, orbit[0].gluing))
+    return len(found), found
+
+
+def _nontrivial(classes):
+    return [c for c in classes if any(c.mult) or any(c.gluing)]
 
 
 def pointed_loop(l):
@@ -34,6 +119,17 @@ def pointed_loop(l):
 
 def theta(l=1):
     return dual_graph([0, 0], [(0, 1, l), (0, 1, l), (0, 1, l)])
+
+
+_RATIONAL_SHAPES = [
+    G
+    for g, n in ((1, 1), (1, 2), (2, 0), (2, 1))
+    for G in enumerate_stable_graphs(g, n, [1])
+    if not any(v.genus for v in G.vertices)
+]
+
+
+UNIQUE = dual_graph([(0, [1, 2]), (0, [3, 4])], [(0, 1, 2)])
 
 
 class TestGhostGroup:
@@ -125,6 +221,20 @@ class TestRootClasses:
         classes = enumerate_root_classes(G, trivial_bundle(G), 2)
         assert len(classes) == 4  # r^(b_1) with b_1 = 2
 
+    @pytest.mark.parametrize("G", _RATIONAL_SHAPES)
+    def test_normal_form_kills_coboundaries(self, G):
+        # r = 5 so that a sign slip in the coboundary cannot cancel.
+        rng = random.Random(repr(G))
+        r = 5
+        free = {k for k, _, _ in orbits._gluing(G, r).free}
+        for _ in range(20):
+            beta = [rng.randrange(r) for _ in G.edges]
+            alpha = [rng.randrange(r) for _ in G.vertices]
+            moved = [(b + alpha[e.head] - alpha[e.tail]) % r for b, e in zip(beta, G.edges)]
+            normal = _normalize_gluing(G, r, beta)
+            assert _normalize_gluing(G, r, moved) == normal
+            assert all(normal[k] == 0 for k in range(G.n_edges) if k not in free)
+
     def test_gluing_normal_form_quotient(self):
         G = theta(2)
         a = root_class(G, 2, (0, 0, 0), (1, 1, 1))
@@ -169,12 +279,135 @@ class TestOrbits:
         assert involution_act(involution_act(c)) == c
 
     def test_unique_class_single_orbit(self):
-        G = dual_graph([(0, [1, 2]), (0, [3, 4])], [(0, 1, 2)])
+        G = UNIQUE
         F = trivial_bundle(G)
         classes = enumerate_root_classes(G, F, 2)
         assert len(classes) == 1
         n, orbits = orbit_count(G, F, 2, classes=classes)
         assert n == 1 and len(orbits[0]) == 1
+
+    @pytest.mark.parametrize("with_involution", [False, True])
+    @pytest.mark.parametrize("nontrivial", [False, True])
+    @pytest.mark.parametrize(
+        "G, F, r",
+        [
+            (pointed_loop(2), trivial_bundle(pointed_loop(2)), 2),
+            (pointed_loop(3), omega_bundle(pointed_loop(3), 1), 3),
+            (theta(2), trivial_bundle(theta(2)), 2),
+            (theta(2), omega_bundle(theta(2), 1), 2),
+            (UNIQUE, trivial_bundle(UNIQUE), 2),
+        ]
+        + [(pointed_loop(r), omega_bundle(pointed_loop(r), 1), r) for r in (5, 7, 11, 13)],
+    )
+    def test_matches_sweep_on_fixtures(self, G, F, r, with_involution, nontrivial):
+        classes = enumerate_root_classes(G, F, r)
+        if nontrivial:
+            classes = _nontrivial(classes)
+        expected = _orbit_count_by_sweep(G, F, r, with_involution, classes)
+        assert orbit_count(G, F, r, with_involution, classes=classes) == expected
+        if not nontrivial:
+            assert orbit_count(G, F, r, with_involution) == expected
+
+    def test_involution_leaving_the_classes_raises(self):
+        # The involution sends some cube roots of omega here to classes
+        # whose multiplicities carry no root.
+        G = dual_graph([(0, []), (0, [1, 2])], [(0, 0, 1), (0, 1, 3)])
+        F = omega_bundle(G, 1)
+        assert orbit_count(G, F, 3)[0] == 3
+        with pytest.raises(OrbitError):
+            _orbit_count_by_sweep(G, F, 3, with_involution=True)
+        with pytest.raises(OrbitError, match="involution"):
+            orbit_count(G, F, 3, with_involution=True)
+
+    def test_classes_must_be_a_union_of_orbits(self):
+        G = pointed_loop(2)
+        F = trivial_bundle(G)
+        moved = [c for c in enumerate_root_classes(G, F, 2) if c.mult == (1,)]
+        assert orbit_count(G, F, 2, classes=moved)[0] == 1
+        with pytest.raises(OrbitError, match="split"):
+            orbit_count(G, F, 2, classes=moved[:1])
+        odd = line_bundle(G, [1], [0])  # odd degree: no square roots
+        with pytest.raises(OrbitError, match="not a root class"):
+            orbit_count(G, odd, 2, classes=moved)
+        with pytest.raises(OrbitError, match="another graph"):
+            orbit_count(G, F, 2, classes=[root_class(theta(2), 2, (0, 0, 0), (0, 0, 0))])
+
+
+@st.composite
+def _rational_case(draw):
+    shape = draw(st.sampled_from(_RATIONAL_SHAPES))
+    stabs = [draw(st.sampled_from((1, 2, 3, 4, 6, 12))) for _ in shape.edges]
+    G = DualGraph(
+        shape.vertices,
+        tuple(Edge(e.tail, e.head, l) for e, l in zip(shape.edges, stabs)),
+    )
+    r = draw(st.sampled_from((2, 3, 4, 6)))
+    if draw(st.booleans()):
+        F = omega_bundle(G, draw(st.integers(0, 3)))
+    else:
+        L = line_bundle(
+            G,
+            [draw(st.integers(-3, 3)) for _ in G.vertices],
+            [draw(st.integers(0, l - 1)) for l in stabs],
+        )
+        F = rth_power(L, r)
+    return G, F, r, draw(st.booleans())
+
+
+class TestOrbitProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_rational_case())
+    def test_matches_sweep(self, case):
+        G, F, r, with_involution = case
+        classes = enumerate_root_classes(G, F, r)
+        # The sweep applies every group element to every class.
+        assume(prod(G.edges[k].stabilizer for k in acting_edges(G, r)) * len(classes) <= 10**5)
+        closed = not with_involution or {involution_act(c) for c in classes} <= set(classes)
+        if not closed:
+            with pytest.raises(OrbitError):
+                _orbit_count_by_sweep(G, F, r, with_involution)
+            with pytest.raises(OrbitError):
+                orbit_count(G, F, r, with_involution)
+            return
+        assert orbit_count(G, F, r, with_involution) == _orbit_count_by_sweep(
+            G, F, r, with_involution
+        )
+
+
+BENCH_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _iterate(f, p, k):
+    for _ in range(k):
+        p = f(p)
+    return p
+
+
+def _elliptic_orbits_by_walk(r, aut_order):
+    """Orbits of the nonzero points of (Z/r)^2 under the generator, by
+    walking each orbit, checked against a pointwise Burnside sum."""
+    (a, b), (c, d) = orbits._TORSION_GENERATORS[aut_order]
+
+    def act(p):
+        x, y = p
+        return ((a * x + b * y) % r, (c * x + d * y) % r)
+
+    points = [(x, y) for x in range(r) for y in range(r) if (x, y) != (0, 0)]
+    seen = set()
+    count = 0
+    for p in points:
+        if p in seen:
+            continue
+        count += 1
+        q = p
+        while q not in seen:
+            seen.add(q)
+            q = act(q)
+    fixed_total = sum(
+        1 for k in range(aut_order) for p in points if _iterate(act, p, k) == p
+    )
+    assert fixed_total == aut_order * count
+    return count
 
 
 class TestEllipticOrbits:
@@ -185,6 +418,11 @@ class TestEllipticOrbits:
     def test_counts(self, r, aut, expected):
         assert elliptic_torsion_orbits(r, aut) == expected
         assert expected == (r * r - 1) // aut
+
+    @pytest.mark.parametrize("aut", [2, 4, 6])
+    @pytest.mark.parametrize("r", BENCH_PRIMES)
+    def test_matches_walk(self, r, aut):
+        assert elliptic_torsion_orbits(r, aut) == _elliptic_orbits_by_walk(r, aut)
 
     def test_bad_aut_order(self):
         with pytest.raises(BadAutOrder):
@@ -218,12 +456,29 @@ class TestNrReport:
         assert (rep.degree, rep.n_j1728, rep.n_j0, rep.n_cusp) == (60, 30, 20, 10)
         assert rep.euler == 0 and rep.genus_nr == 1
 
-    @pytest.mark.parametrize("r", [5, 7, 11, 13, 17, 19, 23])
+    @pytest.mark.parametrize("r", BENCH_PRIMES)
     def test_genus_closed_form(self, r):
         rep = nr_report(r)
+        assert rep.n_cusp == r - 1
         assert rep.genus_nr == (r - 5) * (r - 7) // 24
         assert rep.euler == -rep.degree + rep.n_j1728 + rep.n_j0 + rep.n_cusp
         assert rep.genus_nr == 1 - rep.euler // 2
+
+    @pytest.mark.parametrize("r", [5, 7, 11, 13])
+    def test_cusp_matches_sweep(self, r):
+        G = pointed_loop(r)
+        F = omega_bundle(G, 1)
+        classes = _nontrivial(enumerate_root_classes(G, F, r))
+        n, _ = _orbit_count_by_sweep(G, F, r, with_involution=True, classes=classes)
+        assert nr_report(r).n_cusp == n
+
+    def test_builds_no_root_classes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nr_report built root classes")
+
+        monkeypatch.setattr(orbits, "RootClass", refuse)
+        monkeypatch.setattr(orbits, "enumerate_root_classes", refuse)
+        assert nr_report(31).genus_nr == 26
 
     def test_bad_r(self):
         with pytest.raises(BadR):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcount import picard
+from twistcount import orbits, picard
 from twistcount.exactalg import hom_image_contains, kernel_size_by_enumeration
 from twistcount.graphs import (
     DualGraph,
@@ -778,8 +778,10 @@ class TestRootsnumPlan:
             GRAPH_CACHE_SIZE + 64,
         )
         for stabs in sweep:
-            check_rootsnum_graph(_decorate(shape, stabs), (2,), n_random=0)
-        for cache in (picard._geometry, picard._node_types, picard._smith):
+            G = _decorate(shape, stabs)
+            check_rootsnum_graph(G, (2,), n_random=0)
+            orbits.root_class(G, 2, (0,) * G.n_edges, (0,) * G.n_edges)
+        for cache in (picard._geometry, picard._node_types, picard._smith, orbits._gluing):
             info = cache.cache_info()
             assert info.maxsize == GRAPH_CACHE_SIZE
             assert info.currsize == GRAPH_CACHE_SIZE

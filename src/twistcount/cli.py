@@ -297,7 +297,7 @@ def run(args) -> dict:
     if args.command == "roots":
         G = parse_graph(args.graph)
         F = load_bundle(args, G)
-        out = {"count": picard.count_roots(G, F, args.r, args.max_domain)}
+        out = {"count": picard.count_roots(G, F, args.r)}
         if args.list:
             roots = picard.enumerate_discrete_roots(G, F, args.r, args.max_domain)
             out["roots"] = [emit_bundle(R) for R in roots]
@@ -322,19 +322,16 @@ def run(args) -> dict:
     if args.command == "orbits":
         G = parse_graph(args.graph)
         F = load_bundle(args, G)
-        classes = orbits.enumerate_root_classes(G, F, args.r, args.max_domain)
-        if args.nontrivial:
-            classes = [c for c in classes if any(c.mult) or any(c.gluing)]
         n, parts = orbits.orbit_count(
-            G,
-            F,
-            args.r,
-            with_involution=args.involution,
-            classes=classes,
-            max_domain=args.max_domain,
+            G, F, args.r, with_involution=args.involution, max_domain=args.max_domain
         )
+        if args.nontrivial:
+            # The trivial class (mult 0, gluing 0) is fixed by every ghost
+            # element and by the involution: a singleton orbit.
+            parts = [p for p in parts if any(p[0].mult) or any(p[0].gluing)]
+            n = len(parts)
         return {
-            "classes": len(classes),
+            "classes": sum(map(len, parts)),
             "orbits": n,
             "sizes": sorted((len(p) for p in parts), reverse=True),
         }
@@ -360,7 +357,6 @@ def run(args) -> dict:
             _csv_ints(args.orders),
             n_random=args.random_bundles,
             seed=args.seed,
-            max_domain=args.max_domain,
             jobs=args.jobs,
         )
         return {
@@ -384,7 +380,6 @@ def run(args) -> dict:
             args.r,
             graphs.MultiIndex.of(_csv_ints(args.profile)),
             args.k,
-            max_domain=args.max_domain,
         )
         return {
             "equivalent": report.equivalent,

@@ -233,7 +233,7 @@ def _accepted_mults(G: DualGraph, F: LineBundleData, r: int, max_domain: int):
     """Multiplicity vectors of the r-th roots of F, one per discrete root."""
     if any(v.genus for v in G.vertices):
         raise NotRational("root classes require an all-rational graph")
-    return picard._counter(G, r, max_domain).solutions(F)
+    return picard._counter(G, r).solutions(F, max_domain)
 
 
 def enumerate_root_classes(
@@ -569,7 +569,6 @@ def verify_cond(
     r: int,
     l: MultiIndex,
     k: int,
-    max_domain: int = DEFAULT_MAX_DOMAIN,
 ) -> CondReport:
     """Exhaustively compare cond_check with the counted roots of the k-th
     dualizing power over every stable shape of genus g, stabilized by l.
@@ -588,7 +587,7 @@ def verify_cond(
     witnesses = []
     for shape in enumerate_stable_graphs(g, 0, (1,)):
         G = redecorate(shape, l)
-        n = count_roots(G, omega_bundle(G, k), r, max_domain)
+        n = count_roots(G, omega_bundle(G, k), r)
         if n != expected:
             witnesses.append((G, n))
     all_maximal = not witnesses

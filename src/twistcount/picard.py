@@ -12,9 +12,11 @@ which sends the basis element at e to (r/h_e) ([head] - [tail]).  The
 continuous part of the Picard group (component Jacobians and the gluing
 torus) only ever contributes the factor r^(2*sum g_v + b_1) to r-torsion
 and root counts, so the finite data above decides everything else.  One
-cached Smith reduction of that map per (graph, r) answers all of it: its
-kernel gives the torsion count, and its image decides whether roots exist
-and whether a target lifts.
+RootCounter per (graph, r), kept in a bounded cache, holds one Smith
+reduction of that map and answers all of it: its kernel gives the
+torsion count, its image decides whether roots exist and whether a
+target lifts, and its witness and kernel build the roots themselves.
+Counts never sweep the domain, so only listing roots is capped.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .exactalg import CyclicHom, smith_normal_form, solve_congruence
@@ -335,8 +337,8 @@ def _boundary_matrix(G: DualGraph, hs, r: int) -> list[list[int]]:
 def torsion_count(G: DualGraph, r: int) -> int:
     """Number of r-torsion line-bundle classes on the twisted curve: the
     free factor times |ker M| from the cached Smith reduction."""
-    free = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
-    return free * _smith(G, r).kernel_size
+    counter = _counter(G, r)
+    return counter.free_factor * counter.smith.kernel_size
 
 
 # ---------------------------------------------------------------------------
@@ -350,70 +352,49 @@ class RootCounter:
     x in prod_e Z/h_e, and a candidate is a root exactly when the vertex
     degree defect M x - t vanishes mod r, where M is the boundary map of
     delta_embed.  The solutions are empty or a coset of ker M, so the
-    Smith reduction D = U M V of the integer V x E matrix answers every
-    target; the first solution_count takes it from the per-(graph, r)
-    cache that torsion_count and delta_image_lift share.  With
-    m_i = gcd(d_i, r) (d_i = 0 past the rank), t is hit exactly when
-    (U t)_i = 0 (mod m_i), and |ker M| = prod h_e * prod m_i / r^V.
-    solutions builds the coset from a witness and the kernel generators
-    (the columns of V scaled by r/m_i), so its cost scales with the number
-    of roots, not with the domain.  The base solution mu0 of each edge is memoized per
-    multiplicity on first use, so a count works on the bundle's scaled
-    degrees and multiplicities as plain integers and builds no bundle.  One
-    counter serves every bundle on (G, r); check_rootsnum_graph builds one
-    per r, and count_roots keeps the recent ones.
+    Smith reduction D = U M V of the integer V x E matrix, built on first
+    use as smith, answers every target.  With m_i = gcd(d_i, r) (d_i = 0
+    past the rank), t is hit exactly when (U t)_i = 0 (mod m_i), and
+    |ker M| = prod h_e * prod m_i / r^V.  solutions builds the coset from a
+    witness and the kernel generators (the columns of V scaled by r/m_i),
+    so its cost scales with the number of roots, not with the domain.
+    Per edge, the base solution mu0 of each multiplicity and the shifts it
+    makes to the scaled degrees are memoized on first use, so counts and
+    lifts work on the bundle's scaled degrees and multiplicities as plain
+    integers and build no bundle.  One counter serves every bundle on
+    (G, r): _counter keeps the recent ones for torsion, counts, root lists,
+    constructed roots and lifts, and check_rootsnum_graph builds one per r.
     """
 
-    def __init__(self, G: DualGraph, r: int, max_domain: int = DEFAULT_MAX_DOMAIN):
+    def __init__(self, G: DualGraph, r: int):
         if r < 1:
             raise PicardError(f"order {r} < 1")
         self.graph = G
         self.r = r
         self.hs = [gcd(e.stabilizer, r) for e in G.edges]
         self.domain_size = prod(self.hs)
-        if self.domain_size > max_domain:
-            raise DomainTooLarge(
-                f"solution domain {self.domain_size} exceeds the cap {max_domain}"
-            )
         self.free_factor = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
         self._geo = _geometry(G)
         # Per edge: (index, head, tail, memo) where memo maps a multiplicity
-        # m to the pair r * S * (branch fraction of mu0) at the head and the
-        # tail, or to () when r*mu = m (mod l) has no solution.
+        # m to (mu0, head shift, tail shift), the shifts being r * S times
+        # the branch fractions of mu0, or to () when r*mu = m (mod l) has no
+        # solution.
         self._shifts = tuple((k, e.head, e.tail, {}) for k, e in enumerate(G.edges))
-        self._smith = None
 
-    # -- per-bundle congruence data ------------------------------------
+    @cached_property
+    def smith(self) -> _SmithData:
+        """The Smith reduction of the boundary map, built on first use."""
+        return _SmithData(_boundary_matrix(self.graph, self.hs, self.r), self.hs, self.r)
 
-    def base_solution(self, F: LineBundleData):
-        """Per-edge base multiplicities mu0 of r*mu = mult_F (mod l), or None."""
-        if F.graph != self.graph:
-            raise GraphMismatch("bundle lives on a different graph")
-        mu0 = []
-        for m, e in zip(F.mult, self.graph.edges):
-            sol = solve_congruence(self.r, m, e.stabilizer)
-            if sol is None:
-                return None
-            mu0.append(sol[0])
-        return mu0
-
-    def vertex_targets(self, F: LineBundleData, mu0):
-        """Defect vector t with acceptance condition M x = t (mod r), or None.
+    def _targets(self, scaled, mult):
+        """Defect vector t with acceptance condition M x = t (mod r) for the
+        base solutions, from S * degrees and the multiplicities alone; None
+        when some edge has no base solution or t is not integral.
 
         At vertex v the root must have degree deg_v(F)/r; with the base
         multiplicities in place the remaining defect r*(deg_v(F)/r -
         frac_v(mu0)) has to be an integer in the image of M.
         """
-        geo, r = self._geo, self.r
-        defect = list(_scaled_degrees(F, geo))  # S * deg_v(F)
-        for e, l, u, mu in zip(self.graph.edges, geo.stabs, geo.units, mu0):
-            defect[e.head] -= r * u * (mu % l)
-            defect[e.tail] -= r * u * ((l - mu) % l)
-        return self._reduce(defect)
-
-    def _targets(self, scaled, mult):
-        """vertex_targets for the base solutions, from S * degrees and the
-        multiplicities alone; None when some edge has no base solution."""
         defect = list(scaled)
         for (k, head, tail, memo), m in zip(self._shifts, mult):
             shift = memo.get(m)
@@ -421,19 +402,8 @@ class RootCounter:
                 shift = memo[m] = self._shift(k, m)
             if not shift:
                 return None
-            defect[head] -= shift[0]
-            defect[tail] -= shift[1]
-        return self._reduce(defect)
-
-    def _shift(self, k: int, m: int):
-        l = self._geo.stabs[k]
-        sol = solve_congruence(self.r, m, l)
-        if sol is None:
-            return ()
-        c = self.r * self._geo.units[k]
-        return c * sol[0], c * ((l - sol[0]) % l)
-
-    def _reduce(self, defect):
+            defect[head] -= shift[1]
+            defect[tail] -= shift[2]
         # defect_v = S * r * T_v; the root exists only for integral T_v.
         S, r = self._geo.scale, self.r
         t = []
@@ -443,20 +413,19 @@ class RootCounter:
             t.append((d // S) % r)
         return tuple(t)
 
-    # -- the boundary map, Smith-reduced ----------------------------------
-
-    def _reduced(self) -> _SmithData:
-        if self._smith is None:
-            self._smith = _smith(self.graph, self.r)
-        return self._smith
+    def _shift(self, k: int, m: int):
+        l = self._geo.stabs[k]
+        sol = solve_congruence(self.r, m, l)
+        if sol is None:
+            return ()
+        mu0 = sol[0]
+        c = self.r * self._geo.units[k]
+        return mu0, c * mu0, c * ((l - mu0) % l)
 
     def solution_count(self, t) -> int:
         """Number of x in prod Z/h_e with M x = t (mod r)."""
-        smith = self._reduced()
-        for row, m in smith.checks:
-            if sum([a * b for a, b in zip(row, t)]) % m:
-                return 0
-        return smith.kernel_size
+        smith = self.smith
+        return smith.kernel_size if smith.contains(t) else 0
 
     # -- public counts ----------------------------------------------------
 
@@ -471,13 +440,13 @@ class RootCounter:
 
     def _lift(self, F: LineBundleData):
         """(mu0, x) with x one solution of M x = t for F, or None."""
-        mu0 = self.base_solution(F)
-        if mu0 is None:
+        if F.graph != self.graph:
+            raise GraphMismatch("bundle lives on a different graph")
+        t = self._targets(_scaled_degrees(F, self._geo), F.mult)
+        if t is None or not self.smith.contains(t):
             return None
-        t = self.vertex_targets(F, mu0)
-        if t is None or not self.solution_count(t):
-            return None
-        return mu0, self._smith.witness(t)
+        mu0 = [memo[m][0] for (_, _, _, memo), m in zip(self._shifts, F.mult)]
+        return mu0, self.smith.witness(t)
 
     def _mult(self, mu0, x) -> tuple[int, ...]:
         return tuple(
@@ -485,16 +454,22 @@ class RootCounter:
             for k, e in enumerate(self.graph.edges)
         )
 
-    def solutions(self, F: LineBundleData):
+    def solutions(self, F: LineBundleData, max_domain: int = DEFAULT_MAX_DOMAIN):
         """All accepted multiplicity vectors, each yielding one discrete root,
-        in lexicographic order of x in prod Z/h_e."""
+        in lexicographic order of x in prod Z/h_e; DomainTooLarge when there
+        are more than max_domain of them."""
         lift = self._lift(F)
         if lift is None:
             return []
+        smith = self.smith
+        if smith.kernel_size > max_domain:
+            raise DomainTooLarge(
+                f"{smith.kernel_size} discrete roots exceed the cap {max_domain}"
+            )
         mu0, x0 = lift
         coset = sorted(
             tuple((a + b) % h for a, b, h in zip(x0, k, self.hs))
-            for k in self._smith.kernel()
+            for k in smith.kernel()
         )
         return [self._mult(mu0, x) for x in coset]
 
@@ -525,9 +500,10 @@ class _SmithData:
 
     def contains(self, t) -> bool:
         """Whether t lies in the image of M."""
-        return all(
-            sum([a * b for a, b in zip(row, t)]) % m == 0 for row, m in self.checks
-        )
+        for row, m in self.checks:
+            if sum([a * b for a, b in zip(row, t)]) % m:
+                return False
+        return True
 
     def witness(self, t) -> tuple[int, ...]:
         """One x in prod Z/h_e with M x = t (mod r), for t in the image:
@@ -574,25 +550,13 @@ class _SmithData:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _smith(G: DualGraph, r: int) -> _SmithData:
-    """The Smith reduction of the boundary map of (G, r), shared by torsion
-    counts, root counts and lifts."""
-    if r < 1:
-        raise PicardError(f"order {r} < 1")
-    hs = [gcd(e.stabilizer, r) for e in G.edges]
-    return _SmithData(_boundary_matrix(G, hs, r), hs, r)
+def _counter(G: DualGraph, r: int) -> RootCounter:
+    return RootCounter(G, r)
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _counter(G: DualGraph, r: int, max_domain: int) -> RootCounter:
-    return RootCounter(G, r, max_domain)
-
-
-def count_roots(
-    G: DualGraph, F: LineBundleData, r: int, max_domain: int = DEFAULT_MAX_DOMAIN
-) -> int:
+def count_roots(G: DualGraph, F: LineBundleData, r: int) -> int:
     """Number of r-th roots of F; either 0 or the full torsion count."""
-    return _counter(G, r, max_domain).count(F)
+    return _counter(G, r).count(F)
 
 
 def count_roots_by_fractions(
@@ -633,20 +597,18 @@ def enumerate_discrete_roots(
     G: DualGraph, F: LineBundleData, r: int, max_domain: int = DEFAULT_MAX_DOMAIN
 ) -> list[LineBundleData]:
     """All discrete r-th roots of F (multiplicities plus forced degrees)."""
-    mults = _counter(G, r, max_domain).solutions(F)
+    mults = _counter(G, r).solutions(F, max_domain)
     scaled = _scaled_degrees(F, _geometry(G))
     return [_from_degrees(G, scaled, mult, r) for mult in mults]
 
 
-def construct_root(
-    G: DualGraph, F: LineBundleData, r: int, max_domain: int = DEFAULT_MAX_DOMAIN
-) -> LineBundleData | None:
+def construct_root(G: DualGraph, F: LineBundleData, r: int) -> LineBundleData | None:
     """One discrete r-th root of F, or None when no root exists.
 
     Found from the Smith witness of the defect equation, so no domain
     sweep is needed.
     """
-    counter = _counter(G, r, max_domain)
+    counter = _counter(G, r)
     lift = counter._lift(F)
     if lift is None:
         return None
@@ -752,6 +714,8 @@ def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
 
 
 def _check_lift_hypotheses(G: DualGraph, r: int, t):
+    if r < 1:
+        raise PicardError(f"order {r} < 1")
     if len(t) != G.n_vertices:
         raise GraphMismatch("target length does not match the vertex count")
     for k, (e, node) in enumerate(zip(G.edges, _node_types(G))):
@@ -789,7 +753,7 @@ def delta_image_lift(G: DualGraph, r: int, t) -> tuple[int, ...] | None:
     member's preimage is the Smith witness, which checks M x = t itself.
     """
     member = delta_image_member(G, r, t)
-    smith = _smith(G, r)
+    smith = _counter(G, r).smith
     target = tuple(v % r for v in t)
     if smith.contains(target) != member:
         raise PicardError(
@@ -862,7 +826,6 @@ def check_rootsnum_graph(
     n_random: int = 50,
     seed: int = 0,
     omega_powers=(1, 2),
-    max_domain: int = DEFAULT_MAX_DOMAIN,
 ):
     """Criterion-versus-count checks for one graph; see verify_rootsnum.
 
@@ -884,7 +847,7 @@ def check_rootsnum_graph(
     discrepancies: list[RootsnumRecord] = []
     checked = 0
     for r in r_values:
-        counter = RootCounter(G, r, max_domain)
+        counter = RootCounter(G, r)
         criterion = _Criterion(G, r)
         expected = r ** (2 * g)
         for F, scaled, total in prepared:
@@ -911,10 +874,8 @@ def check_rootsnum_graph(
 
 
 def _rootsnum_worker(args):
-    G, r_values, n_random, seed, max_domain = args
-    return check_rootsnum_graph(
-        G, r_values, n_random=n_random, seed=seed, max_domain=max_domain
-    )
+    G, r_values, n_random, seed = args
+    return check_rootsnum_graph(G, r_values, n_random=n_random, seed=seed)
 
 
 def verify_rootsnum(
@@ -923,7 +884,6 @@ def verify_rootsnum(
     *,
     n_random: int = 50,
     seed: int = 0,
-    max_domain: int = DEFAULT_MAX_DOMAIN,
     jobs: int = 1,
 ):
     """Check criterion <=> maximal root count over a family of graphs.
@@ -939,14 +899,12 @@ def verify_rootsnum(
     if jobs > 1:
         import multiprocessing
 
-        work = [(G, r_values, n_random, seed, max_domain) for G in graphs_to_check]
+        work = [(G, r_values, n_random, seed) for G in graphs_to_check]
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_rootsnum_worker, work, chunksize=64)
     else:
         results = [
-            check_rootsnum_graph(
-                G, r_values, n_random=n_random, seed=seed, max_domain=max_domain
-            )
+            check_rootsnum_graph(G, r_values, n_random=n_random, seed=seed)
             for G in graphs_to_check
         ]
     discrepancies: list[RootsnumRecord] = []

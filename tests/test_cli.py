@@ -3,12 +3,18 @@ import json
 
 import pytest
 
-from twistcount import picard
+from twistcount import orbits, picard
 from twistcount.cli import ParseError, emit_graph, main, parse_graph_data
 from twistcount.graphs import enumerate_stable_graphs
 
 LOOP = '{"vertices":[{"genus":0,"legs":[1]}],"edges":[{"tail":0,"head":0,"stabilizer":2}]}'
 BRIDGE = '{"vertices":[{"genus":1,"legs":[]},{"genus":1,"legs":[]}],"edges":[{"tail":0,"head":1,"stabilizer":1}]}'
+LOOP4 = LOOP.replace('"stabilizer":2', '"stabilizer":4')
+THETA2 = (
+    '{"vertices":[{"genus":0},{"genus":0}],"edges":['
+    + ",".join(['{"tail":0,"head":1,"stabilizer":2}'] * 3)
+    + "]}"
+)
 
 
 @pytest.fixture
@@ -131,6 +137,42 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["orbits"] == 3 and payload["sizes"] == [2, 1, 1]
 
+    @pytest.mark.parametrize(
+        "graph, r, flags, payload",
+        [
+            (LOOP4, 4, (), '{"classes":16,"orbits":8,"sizes":[4,4,2,2,1,1,1,1]}'),
+            (LOOP4, 4, ("--nontrivial",), '{"classes":15,"orbits":7,"sizes":[4,4,2,2,1,1,1]}'),
+            (LOOP4, 4, ("--involution",), '{"classes":16,"orbits":6,"sizes":[8,2,2,2,1,1]}'),
+            (
+                LOOP4,
+                4,
+                ("--involution", "--nontrivial"),
+                '{"classes":15,"orbits":5,"sizes":[8,2,2,2,1]}',
+            ),
+            # No root of omega has multiplicity 0, so no class is dropped.
+            (THETA2, 2, ("--nontrivial",), '{"classes":16,"orbits":7,"sizes":[4,2,2,2,2,2,2]}'),
+        ],
+        ids=["plain", "nontrivial", "involution", "involution-nontrivial", "no-trivial-class"],
+    )
+    def test_orbits_enumerate_classes_once(
+        self, capsys, monkeypatch, tmp_path, graph, r, flags, payload
+    ):
+        # --nontrivial drops the orbit of the trivial class, a singleton.
+        path = tmp_path / "graph.json"
+        path.write_text(graph)
+        calls = []
+        enumerate_classes = orbits.enumerate_root_classes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_classes(*args, **kwargs)
+
+        monkeypatch.setattr(orbits, "enumerate_root_classes", counting)
+        code, out = run_cli(capsys, "orbits", str(path), "-r", str(r), *flags)
+        assert code == 0
+        assert out == payload
+        assert len(calls) == 1
+
     def test_enumerate(self, capsys):
         code, out = run_cli(capsys, "enumerate", "-g", "2")
         assert code == 0
@@ -245,6 +287,15 @@ class TestCommands:
         assert code == 0
         assert out == '{"graphs":22,"checked":264,"discrepancies":[]}'
 
+    def test_verify_rootsnum_wide_domains(self, capsys):
+        # Solution domains up to 12^6, beyond the listing cap: counts never
+        # sweep the domain, so the family is checked in full.
+        code, out = run_cli(
+            capsys, "verify-rootsnum", "-g", "3", "--stabilizers", "12", "-r", "12"
+        )
+        assert code == 0
+        assert out == '{"graphs":42,"checked":2226,"discrepancies":[]}'
+
     def test_verify_rootsnum_discrepancies_replay(self, capsys, monkeypatch, tmp_path):
         # Force the criterion to pass everywhere, so every non-maximal count
         # is reported; each report must replay through tc roots.
@@ -333,6 +384,7 @@ class TestExitCodes:
             ("enumerate", "-g", "2", "--max-vertices", "0"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--max-vertices", "1"),
             ("orbits", "{unpaired}", "-r", "3", "--involution"),
+            ("lift", "{loop}", "-r", "0", "-t", "0"),
         ],
     )
     def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):
@@ -364,7 +416,13 @@ class TestExitCodes:
             '{"vertices":[{"genus":0,"legs":[1,2]}],'
             '"edges":[{"tail":0,"head":0,"stabilizer":5},{"tail":0,"head":0,"stabilizer":5}]}'
         )
+        bundle = tmp_path / "trivial.json"
+        bundle.write_text('{"int_part": [0], "mult": [0, 0]}')
         monkeypatch.setenv("TC_MAX_DOMAIN", "3")
-        code = main(["roots", str(path), "-r", "5"])
+        # 25 discrete roots: the count is not capped, the list is.
+        code, out = run_cli(capsys, "roots", str(path), "-r", "5", "--bundle-file", str(bundle))
+        assert code == 0
+        assert json.loads(out) == {"count": 5**4}
+        code = main(["roots", str(path), "-r", "5", "--bundle-file", str(bundle), "--list"])
         assert code == 1
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("tc: error: ")

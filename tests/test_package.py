@@ -39,8 +39,33 @@ def test_oracles_stay_out_of_library_paths():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            name = _name(node.func)
             if name in ORACLES:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_library_caches_are_bounded():
+    # Long sweeps must run in bounded memory, so every functools cache in
+    # the library is an lru_cache whose maxsize is GRAPH_CACHE_SIZE.
+    found, bounded = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for decorator in getattr(node, "decorator_list", []):
+                if _name(decorator) in ("lru_cache", "cache"):
+                    found.append(f"{path.name}:{decorator.lineno} bare {_name(decorator)}")
+            if not isinstance(node, ast.Call) or _name(node.func) not in ("lru_cache", "cache"):
+                continue
+            sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            where = f"{path.name}:{node.lineno}"
+            if _name(node.func) == "lru_cache" and [_name(v) for v in sizes] == ["GRAPH_CACHE_SIZE"]:
+                bounded.append(where)
+            else:
+                found.append(where)
+    assert found == []
+    assert bounded

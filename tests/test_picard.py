@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistcount import orbits, picard
-from twistcount.exactalg import hom_image_contains, kernel_size_by_enumeration
+from twistcount.exactalg import (
+    hom_image_contains,
+    kernel_size_by_enumeration,
+    solve_congruence,
+)
 from twistcount.graphs import (
     DualGraph,
     Edge,
@@ -260,7 +264,7 @@ class TestCountRoots:
         # Seven loops with l = 12 at r = 12: every x in the 12^7 domain is a
         # root, times the free factor 12^7.  No sweep of the domain runs.
         G = dual_graph([(0, [1])], [(0, 0, 12)] * 7)
-        counter = RootCounter(G, 12, max_domain=12**7)
+        counter = RootCounter(G, 12)
         assert counter.domain_size == 12**7
         assert counter.count(trivial_bundle(G)) == 12**14 == torsion_count(G, 12)
 
@@ -278,8 +282,7 @@ class TestCountRoots:
         counter = RootCounter(G, 4)
         F = trivial_bundle(G)
         assert len(counter.solutions(F)) == counter.solution_count((0, 0)) == 8
-        # The reduction is shared through the (G, r) cache; undo the damage.
-        monkeypatch.setattr(counter._smith, "kernel_size", 9)
+        monkeypatch.setattr(counter.smith, "kernel_size", 9)
         with pytest.raises(picard.PicardError):
             counter.solutions(F)
 
@@ -289,7 +292,6 @@ class TestCountRoots:
         G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 2, 4), (1, 2, 4)])
         r = 4
         F = rth_power(line_bundle(G, [1, 0, -1], [1, 2, 3]), r)
-        picard._smith.cache_clear()
         picard._counter.cache_clear()
         calls = []
         reduce = picard.smith_normal_form
@@ -313,9 +315,13 @@ class TestCountRoots:
         assert len(calls) == 1
 
     def test_domain_cap(self):
+        # 25 discrete roots: listing them is capped, counting them is not.
         G = dual_graph([0, 0], [(0, 1, 5)] * 3)
+        F = trivial_bundle(G)
         with pytest.raises(DomainTooLarge):
-            count_roots(G, trivial_bundle(G), 5, max_domain=10)
+            enumerate_discrete_roots(G, F, 5, max_domain=10)
+        assert len(enumerate_discrete_roots(G, F, 5, max_domain=25)) == 25
+        assert count_roots(G, F, 5) == 5**2 * 25 == torsion_count(G, 5)
 
 
 class TestDiscreteRoots:
@@ -488,6 +494,13 @@ class TestDeltaImage:
         assert not delta_image_member(G, 2, (1, 1))
         assert delta_image_lift(G, 2, (1, 1)) is None
 
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_order_below_one_rejected(self, r):
+        G = pointed_loop(2)
+        for call in (delta_image_member, delta_image_lift):
+            with pytest.raises(picard.PicardError, match="order"):
+                call(G, r, (0,))
+
     def test_hypothesis_and_augmentation_errors(self):
         G = pointed_loop(3)
         with pytest.raises(HypothesisViolated):
@@ -616,13 +629,43 @@ def _criterion_by_witnesses(G, F, r):
     return not witnesses, witnesses
 
 
+def _base_solution(G, F, r):
+    """Per-edge base multiplicities mu0 of r*mu = mult_F (mod l), or None."""
+    mu0 = []
+    for m, e in zip(F.mult, G.edges):
+        sol = solve_congruence(r, m, e.stabilizer)
+        if sol is None:
+            return None
+        mu0.append(sol[0])
+    return mu0
+
+
+def _vertex_targets(G, F, r, mu0):
+    """Defect vector t with acceptance condition M x = t (mod r), or None.
+
+    At vertex v the root must have degree deg_v(F)/r; with the base
+    multiplicities in place the remaining defect r*(deg_v(F)/r -
+    frac_v(mu0)) has to be an integer, taken with exact rationals.
+    """
+    t = []
+    for v in range(G.n_vertices):
+        defect = vertex_degree(F, v)
+        for k, is_head in G.incidences(v):
+            l = G.edges[k].stabilizer
+            defect -= r * Fraction(mu0[k] if is_head else (l - mu0[k]) % l, l)
+        if defect.denominator != 1:
+            return None
+        t.append(defect.numerator % r)
+    return tuple(t)
+
+
 def _base_target(G, F, r):
-    """(counter, mu0, t) through the general mu0 path (base_solution and
-    vertex_targets), not the memoized shifts behind RootCounter.count; t
-    is None when F has no root."""
+    """(counter, mu0, t) through the general mu0 path, not the memoized
+    shifts behind RootCounter.count and its lifts; t is None when F has no
+    root."""
     counter = RootCounter(G, r)
-    mu0 = counter.base_solution(F)
-    t = None if mu0 is None else counter.vertex_targets(F, mu0)
+    mu0 = _base_solution(G, F, r)
+    t = None if mu0 is None else _vertex_targets(G, F, r, mu0)
     return counter, mu0, t
 
 
@@ -669,6 +712,34 @@ def _count_by_tables(G, F, r):
     """Root count with the table sweep in place of the Smith reduction."""
     counter, _, t = _base_target(G, F, r)
     return 0 if t is None else counter.free_factor * _solution_count_by_tables(G, r, t)
+
+
+def _lift_by_base_solution(G, F, r):
+    """(counter, mu0, x0) with x0 the Smith witness of the mu0-path
+    target, or None when F has no root."""
+    counter, mu0, t = _base_target(G, F, r)
+    if t is None or not counter.solution_count(t):
+        return None
+    return counter, mu0, counter.smith.witness(t)
+
+
+def _check_roots_against_base_solution(G, F, r):
+    """construct_root and RootCounter.solutions against the mu0 path: the
+    root from the witness, and the witness translated by ker M."""
+    R = construct_root(G, F, r)
+    lift = _lift_by_base_solution(G, F, r)
+    assert (R is None) == (lift is None)
+    if R is None:
+        return
+    counter, mu0, x0 = lift
+    assert R.mult == counter._mult(mu0, x0)
+    assert rth_power(R, r) == F
+    if counter.smith.kernel_size <= 10**3:
+        coset = sorted(
+            tuple((a + b) % h for a, b, h in zip(x0, k, counter.hs))
+            for k in counter.smith.kernel()
+        )
+        assert counter.solutions(F) == [counter._mult(mu0, x) for x in coset]
 
 
 def _solutions_by_product(G, F, r):
@@ -780,8 +851,9 @@ class TestRootsnumPlan:
         for stabs in sweep:
             G = _decorate(shape, stabs)
             check_rootsnum_graph(G, (2,), n_random=0)
+            torsion_count(G, 2)
             orbits.root_class(G, 2, (0,) * G.n_edges, (0,) * G.n_edges)
-        for cache in (picard._geometry, picard._node_types, picard._smith, orbits._gluing):
+        for cache in (picard._geometry, picard._node_types, picard._counter, orbits._gluing):
             info = cache.cache_info()
             assert info.maxsize == GRAPH_CACHE_SIZE
             assert info.currsize == GRAPH_CACHE_SIZE
@@ -840,10 +912,12 @@ class TestPlanProperties:
             if small:
                 assert count == count_roots_by_fractions(G, F, r, max_domain=10**3)
                 assert RootCounter(G, r).solutions(F) == _solutions_by_product(G, F, r)
+            _check_roots_against_base_solution(G, F, r)
             if e is not None:
                 flipped = flip_bundle_edge(F, e)
                 assert _plan_answers(flipped.graph, flipped, r) == (count, holds)
                 assert _count_by_tables(flipped.graph, flipped, r) == count
+                _check_roots_against_base_solution(flipped.graph, flipped, r)
             if total_degree(F) % r:
                 assert count == 0 and holds is None
                 continue

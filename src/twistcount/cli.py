@@ -316,25 +316,17 @@ def run(args) -> dict:
     if args.command == "lift":
         G = parse_graph(args.graph)
         t = _csv_ints(args.target)
-        member = picard.delta_image_member(G, args.r, t)
-        lift = picard.delta_image_lift(G, args.r, t) if member else None
-        return {"member": member, "lift": list(lift) if lift is not None else None}
+        lift = picard.delta_image_lift(G, args.r, t)
+        # An edgeless graph lifts to (), which is still a member.
+        member = lift is not None
+        return {"member": member, "lift": list(lift) if member else None}
     if args.command == "orbits":
         G = parse_graph(args.graph)
         F = load_bundle(args, G)
-        n, parts = orbits.orbit_count(
-            G, F, args.r, with_involution=args.involution, max_domain=args.max_domain
+        n, sizes = orbits.orbit_count(
+            G, F, args.r, args.involution, nontrivial=args.nontrivial, max_domain=args.max_domain
         )
-        if args.nontrivial:
-            # The trivial class (mult 0, gluing 0) is fixed by every ghost
-            # element and by the involution: a singleton orbit.
-            parts = [p for p in parts if any(p[0].mult) or any(p[0].gluing)]
-            n = len(parts)
-        return {
-            "classes": sum(map(len, parts)),
-            "orbits": n,
-            "sizes": sorted((len(p) for p in parts), reverse=True),
-        }
+        return {"classes": sum(sizes), "orbits": n, "sizes": sizes}
     if args.command == "enumerate":
         found = graphs.enumerate_stable_graphs(
             args.g,

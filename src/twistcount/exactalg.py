@@ -278,6 +278,16 @@ def _match_count(h: CyclicHom, target) -> int:
     return total
 
 
+def _relations(h: CyclicHom) -> list[list[int]]:
+    """The matrix [A | diag(m)]: the columns of h next to the moduli of its
+    codomain, whose integer span is the preimage of the image of h."""
+    rows = len(h.codomain_moduli)
+    return [
+        list(h.matrix[i]) + [h.codomain_moduli[i] if j == i else 0 for j in range(rows)]
+        for i in range(rows)
+    ]
+
+
 def kernel_size_by_smith(h: CyclicHom) -> int:
     """Kernel size via the relation lattice.
 
@@ -288,11 +298,7 @@ def kernel_size_by_smith(h: CyclicHom) -> int:
     rows = len(h.codomain_moduli)
     if rows == 0:
         return h.domain_size
-    stacked = [
-        list(h.matrix[i]) + [h.codomain_moduli[i] if j == i else 0 for j in range(rows)]
-        for i in range(rows)
-    ]
-    _, D, _ = smith_normal_form(stacked)
+    _, D, _ = smith_normal_form(_relations(h))
     coker = prod(D[i][i] for i in range(rows))
     if coker == 0:
         raise AlgebraError("infinite cokernel: the moduli block must have full rank")
@@ -318,11 +324,7 @@ def hom_image_contains(h: CyclicHom, t) -> tuple[bool, tuple[int, ...] | None]:
         raise DimensionMismatch(f"target has {len(t)} entries, codomain {rows}")
     if rows == 0:
         return True, (0,) * cols
-    stacked = [
-        list(h.matrix[i]) + [h.codomain_moduli[i] if j == i else 0 for j in range(rows)]
-        for i in range(rows)
-    ]
-    U, D, V = smith_normal_form(stacked)
+    U, D, V = smith_normal_form(_relations(h))
     rhs = [sum(U[i][k] * t[k] for k in range(rows)) for i in range(rows)]
     w = []
     for i in range(rows):

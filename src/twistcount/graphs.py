@@ -122,7 +122,7 @@ class DualGraph:
                 raise BadIndex(f"edge {k}: endpoint out of range 0..{n - 1}")
             if e.stabilizer < 1:
                 raise GraphError(f"edge {k}: stabilizer {e.stabilizer} < 1")
-        if not _is_connected(n, [(e.tail, e.head) for e in self.edges]):
+        if len(_component(n, [(e.tail, e.head) for e in self.edges])) != n:
             raise DisconnectedGraph("underlying graph is not connected")
 
     @property
@@ -136,9 +136,6 @@ class DualGraph:
     def valence(self, v: int) -> int:
         """Number of branches at vertex v; a loop counts twice."""
         return sum((e.tail == v) + (e.head == v) for e in self.edges)
-
-    def n_legs(self, v: int) -> int:
-        return len(self.vertices[v].legs)
 
     def incidences(self, v: int) -> list[tuple[int, bool]]:
         """Branches at v as (edge index, is_head) pairs; loops yield both."""
@@ -179,20 +176,22 @@ def dual_graph(vertices, edges=()) -> DualGraph:
     return DualGraph(tuple(vs), tuple(es))
 
 
-def _is_connected(n: int, pairs) -> bool:
+def _component(n: int, pairs, start: int = 0) -> set[int]:
+    """Vertices reachable from start in the graph on range(n) whose edges
+    are the (tail, head) pairs."""
     adjacency = [[] for _ in range(n)]
     for t, h in pairs:
         adjacency[t].append(h)
         adjacency[h].append(t)
-    seen = {0}
-    stack = [0]
+    seen = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for w in adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == n
+    return seen
 
 
 @dataclass(frozen=True)
@@ -245,24 +244,6 @@ def genus(G: DualGraph) -> int:
     return betti(G) + sum(v.genus for v in G.vertices)
 
 
-def _reachable(G: DualGraph, start: int, skip_edge: int) -> set[int]:
-    adjacency = [[] for _ in range(G.n_vertices)]
-    for k, e in enumerate(G.edges):
-        if k == skip_edge:
-            continue
-        adjacency[e.tail].append(e.head)
-        adjacency[e.head].append(e.tail)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def classify_node(G: DualGraph, e: int) -> NodeType:
     """Classify edge e as nonseparating or separating of index min(g+, g-).
 
@@ -274,7 +255,8 @@ def classify_node(G: DualGraph, e: int) -> NodeType:
     edge = G.edges[e]
     if edge.tail == edge.head:
         return NodeType(separating=False, index=0)
-    plus = _reachable(G, edge.head, e)
+    pairs = [(f.tail, f.head) for k, f in enumerate(G.edges) if k != e]
+    plus = _component(G.n_vertices, pairs, edge.head)
     if edge.tail in plus:
         return NodeType(separating=False, index=0)
     minus = set(range(G.n_vertices)) - plus
@@ -621,7 +603,7 @@ def _enumerate_shapes(g: int, n_legs: int, max_vertices: int) -> list[DualGraph]
                     if not _sorted_within(degrees, runs):
                         continue
                     for pairs in _realizations(degrees):
-                        if not _is_connected(nv, pairs):
+                        if len(_component(nv, pairs)) != nv:
                             continue
                         marks = iter(range(1, n_legs + 1))
                         verts = tuple(
@@ -728,7 +710,6 @@ def enumerate_stable_graphs(
     stabilizer_choices,
     *,
     max_vertices: int = MAX_ENUMERATION_VERTICES,
-    max_genus: int = MAX_ENUMERATION_GENUS,
 ) -> list[DualGraph]:
     """All stable decorated graphs of genus g with n legs, one per iso class.
 
@@ -741,8 +722,8 @@ def enumerate_stable_graphs(
     """
     if g < 1 or (g == 1 and n_legs < 1):
         raise UnsupportedGenus(f"no stable graphs enumerated for (g, n) = ({g}, {n_legs})")
-    if g > max_genus:
-        raise UnsupportedGenus(f"genus {g} above the enumeration cap {max_genus}")
+    if g > MAX_ENUMERATION_GENUS:
+        raise UnsupportedGenus(f"genus {g} above the enumeration cap {MAX_ENUMERATION_GENUS}")
     needed = max(1, 2 * g - 2 + n_legs)
     if max_vertices < needed:
         raise GraphError(

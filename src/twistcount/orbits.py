@@ -236,6 +236,17 @@ def _accepted_mults(G: DualGraph, F: LineBundleData, r: int, max_domain: int):
     return picard._counter(G, r).solutions(F, max_domain)
 
 
+def _root_mults(G: DualGraph, F: LineBundleData, r: int, max_domain: int):
+    """Multiplicity vectors of the r-th roots of F and the gluing data of
+    (G, r), once the roots and their classes are known to fit the cap."""
+    mults = _accepted_mults(G, F, r, max_domain)
+    data = _gluing(G, r)
+    classes = len(mults) * r ** len(data.free)
+    if mults and classes > max_domain:
+        raise picard.DomainTooLarge(f"{classes} root classes exceed the cap {max_domain}")
+    return mults, data
+
+
 def enumerate_root_classes(
     G: DualGraph,
     F: LineBundleData,
@@ -247,14 +258,8 @@ def enumerate_root_classes(
     One class per accepted multiplicity vector and per gluing residue on
     the non-tree edges; their number is exactly count_roots(G, F, r).
     """
-    mults = _accepted_mults(G, F, r, max_domain)
-    data = _gluing(G, r)
-    b1 = len(data.free)
-    if mults and len(mults) * r**b1 > max_domain:
-        raise picard.DomainTooLarge(
-            f"{len(mults) * r ** b1} root classes exceed the cap {max_domain}"
-        )
-    gluings = [data.gluing(x) for x in itertools.product(range(r), repeat=b1)]
+    mults, data = _root_mults(G, F, r, max_domain)
+    gluings = [data.gluing(x) for x in itertools.product(range(r), repeat=len(data.free))]
     return [RootClass(G, r, mult, beta) for mult in mults for beta in gluings]
 
 
@@ -305,15 +310,24 @@ def _burnside_orbits(data: _Gluing, mults, with_involution: bool) -> int:
     return fixed // order
 
 
-def _orbit_total(data: _Gluing, mults, with_involution: bool) -> int:
-    """Number of orbits on all classes with the given multiplicity vectors,
-    summed per vector and checked against the Burnside count."""
+def _orbit_sizes(data: _Gluing, mults, with_involution: bool) -> list[int]:
+    """Sizes of the orbits on all classes with the given multiplicity
+    vectors, listed per vector; their number is checked against the
+    Burnside count.
+
+    The ghost orbits on the classes of m are the cosets of H_m, of size
+    r^{b1} / |Q_m| each.  The involution joins the cosets of m and -m in
+    pairs, and for a self-paired m fixes the |Q_m[2]| cosets x with
+    2x in H_m.
+    """
     accepted = set(mults)
-    total = 0
+    full = data.r ** len(data.free)
+    sizes = []
     for m in mults:
         size, two_torsion = _quotient_sizes(data, m)
+        coset = full // size
         if not with_involution:
-            total += size
+            sizes += [coset] * size
             continue
         pair = data.negate(m)
         if pair not in accepted:
@@ -322,49 +336,15 @@ def _orbit_total(data: _Gluing, mults, with_involution: bool) -> int:
                 " which carry no root class"
             )
         if pair == m:
-            total += (size + two_torsion) // 2
+            sizes += [coset] * two_torsion + [2 * coset] * ((size - two_torsion) // 2)
         elif m < pair:
-            total += size
+            sizes += [2 * coset] * size
     burnside = _burnside_orbits(data, mults, with_involution)
-    if burnside != total:
+    if burnside != len(sizes):
         raise OrbitError(
-            f"Burnside count {burnside} disagrees with {total} orbits by multiplicity"
+            f"Burnside count {burnside} disagrees with {len(sizes)} orbits by multiplicity"
         )
-    return total
-
-
-def _orbit_partition(
-    data: _Gluing, classes: list[RootClass], with_involution: bool
-) -> list[list[RootClass]]:
-    """The orbits of a class set, by walking the generators."""
-    r = data.r
-    keys = [(c.mult, tuple(c.gluing[k] for k, _, _ in data.free)) for c in classes]
-    index = {key: i for i, key in enumerate(keys)}
-    seen = [False] * len(classes)
-    orbits: list[list[RootClass]] = []
-    for i in range(len(classes)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        stack = [i]
-        orbit = []
-        while stack:
-            j = stack.pop()
-            orbit.append(classes[j])
-            m, x = keys[j]
-            images = [(m, tuple((a + b) % r for a, b in zip(x, t))) for t in data.twists(m)]
-            if with_involution:
-                images.append((data.negate(m), tuple(-a % r for a in x)))
-            for image in images:
-                n = index.get(image)
-                if n is None:
-                    raise OrbitError("the group action leaves the set of root classes")
-                if not seen[n]:
-                    seen[n] = True
-                    stack.append(n)
-        orbits.append(sorted(orbit, key=lambda c: (c.mult, c.gluing)))
-    orbits.sort(key=lambda orbit: (orbit[0].mult, orbit[0].gluing))
-    return orbits
+    return sizes
 
 
 def orbit_count(
@@ -373,44 +353,23 @@ def orbit_count(
     r: int,
     with_involution: bool = False,
     *,
-    classes: list[RootClass] | None = None,
+    nontrivial: bool = False,
     max_domain: int = DEFAULT_MAX_DOMAIN,
-) -> tuple[int, list[list[RootClass]]]:
+) -> tuple[int, list[int]]:
     """Orbits of the ghost group (plus, optionally, the involution) on the
-    r-th root classes of F.
+    r-th root classes of F: their number and their sizes, largest first.
 
-    The number of orbits is summed per multiplicity vector and checked
-    against a Burnside count; the returned orbit lists come from one walk
-    over all classes of F, which must find the same number.  With classes
-    given, only the orbits inside that list are counted and returned; a
-    list that splits an orbit, or holds a class that is not a root class
-    of F, raises OrbitError.
+    Counted per multiplicity vector, without building any class, and
+    checked against a Burnside count.  With nontrivial, the orbit of the
+    trivial class (multiplicities 0, gluing 0), a singleton, is left out
+    when that class is a root of F.  The root classes must fit max_domain.
     """
-    full = enumerate_root_classes(G, F, r, max_domain)
-    data = _gluing(G, r)
-    total = _orbit_total(data, list(dict.fromkeys(c.mult for c in full)), with_involution)
-    orbits = _orbit_partition(data, full, with_involution)
-    if len(orbits) != total:
-        raise OrbitError(
-            f"{len(orbits)} orbits by walking disagree with {total} by multiplicity"
-        )
-    if classes is None:
-        return total, orbits
-    wanted = set()
-    for c in classes:
-        if c.r != r or c.graph != G:
-            raise OrbitError("a class belongs to another graph or order")
-        wanted.add((c.mult, c.gluing))
-    kept = []
-    for orbit in orbits:
-        inside = sum((c.mult, c.gluing) in wanted for c in orbit)
-        if inside == len(orbit):
-            kept.append(orbit)
-        elif inside:
-            raise OrbitError("the classes split an orbit of the group")
-    if sum(map(len, kept)) != len(wanted):
-        raise OrbitError(f"a class is not a root class of the bundle for r={r}")
-    return len(kept), kept
+    mults, data = _root_mults(G, F, r, max_domain)
+    sizes = _orbit_sizes(data, mults, with_involution)
+    if nontrivial and (0,) * G.n_edges in mults:
+        sizes.remove(1)
+    sizes.sort(reverse=True)
+    return len(sizes), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +468,7 @@ def nr_report(r: int) -> NrReport:
     mults = _accepted_mults(fixture, omega_bundle(fixture, 1), r, DEFAULT_MAX_DOMAIN)
     if (0,) not in mults:
         raise OrbitError(f"the trivial class is not a root of omega on the cusp fixture, r={r}")
-    n_cusp = _orbit_total(_gluing(fixture, r), mults, with_involution=True) - 1
+    n_cusp = len(_orbit_sizes(_gluing(fixture, r), mults, with_involution=True)) - 1
     euler = riemann_hurwitz_chi(degree, [n_j1728, n_j0, n_cusp])
     if euler % 2:
         raise OrbitError(f"odd Euler characteristic {euler} for r={r}")

@@ -130,6 +130,11 @@ class TestCommands:
         code, out = run_cli(capsys, "lift", str(path), "-r", "2", "-t", "1,1")
         assert code == 0
         assert json.loads(out) == {"member": True, "lift": [1]}
+        # A graph without edges lifts every member to the empty tuple.
+        path.write_text('{"vertices":[{"genus":1,"legs":[1]}],"edges":[]}')
+        code, out = run_cli(capsys, "lift", str(path), "-r", "3", "-t", "0")
+        assert code == 0
+        assert json.loads(out) == {"member": True, "lift": []}
 
     def test_orbits(self, capsys, loop_path):
         code, out = run_cli(capsys, "orbits", loop_path, "-r", "2")
@@ -157,7 +162,8 @@ class TestCommands:
     def test_orbits_enumerate_classes_once(
         self, capsys, monkeypatch, tmp_path, graph, r, flags, payload
     ):
-        # --nontrivial drops the orbit of the trivial class, a singleton.
+        # --nontrivial drops the orbit of the trivial class, a singleton;
+        # sizes come from arithmetic, so no class is built.
         path = tmp_path / "graph.json"
         path.write_text(graph)
         calls = []
@@ -171,7 +177,28 @@ class TestCommands:
         code, out = run_cli(capsys, "orbits", str(path), "-r", str(r), *flags)
         assert code == 0
         assert out == payload
-        assert len(calls) == 1
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "max_domain, err",
+        [
+            ("3", "tc: error: 4 discrete roots exceed the cap 3\n"),
+            ("8", "tc: error: 16 root classes exceed the cap 8\n"),
+        ],
+        ids=["roots-cap", "classes-cap"],
+    )
+    def test_orbits_caps(self, capsys, monkeypatch, tmp_path, max_domain, err):
+        # The roots are capped before the classes, and both caps are
+        # checked by counting: no class is built on the way.
+        def refuse(*args, **kwargs):
+            raise AssertionError("tc orbits built root classes")
+
+        monkeypatch.setattr(orbits, "enumerate_root_classes", refuse)
+        path = tmp_path / "graph.json"
+        path.write_text(LOOP4)
+        code = main(["orbits", str(path), "-r", "4", "--max-domain", max_domain])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", err)
 
     def test_enumerate(self, capsys):
         code, out = run_cli(capsys, "enumerate", "-g", "2")

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from twistcount.graphs import (
+    MAX_ENUMERATION_GENUS,
     BadIndex,
     DisconnectedGraph,
     DualGraph,
@@ -182,6 +183,8 @@ class TestEnumeration:
             enumerate_stable_graphs(0, 0, [1])
         with pytest.raises(UnsupportedGenus):
             enumerate_stable_graphs(1, 0, [1])
+        with pytest.raises(UnsupportedGenus, match="enumeration cap"):
+            enumerate_stable_graphs(MAX_ENUMERATION_GENUS + 1, 0, [1])
 
     def test_all_outputs_stable_and_on_genus(self):
         for G in enumerate_stable_graphs(2, 0, [1, 2]):

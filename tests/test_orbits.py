@@ -109,6 +109,16 @@ def _orbit_count_by_sweep(G, F, r, with_involution=False, classes=None):
     return len(found), found
 
 
+def _sweep_sizes(G, F, r, with_involution=False, nontrivial=False):
+    """(number, sizes largest first) of the sweep's orbits, over all root
+    classes or over all but the trivial class."""
+    classes = enumerate_root_classes(G, F, r)
+    if nontrivial:
+        classes = _nontrivial(classes)
+    n, found = _orbit_count_by_sweep(G, F, r, with_involution, classes)
+    return n, sorted(map(len, found), reverse=True)
+
+
 def _nontrivial(classes):
     return [c for c in classes if any(c.mult) or any(c.gluing)]
 
@@ -246,32 +256,28 @@ class TestRootClasses:
 class TestOrbits:
     def test_pointed_loop_orbit_shape(self):
         G = pointed_loop(2)
-        n, orbits = orbit_count(G, trivial_bundle(G), 2)
-        assert n == 3
-        assert sorted(len(o) for o in orbits) == [1, 1, 2]
+        assert orbit_count(G, trivial_bundle(G), 2) == (3, [2, 1, 1])
 
     def test_orbit_sizes_partition_classes(self):
         G = pointed_loop(3)
         F = omega_bundle(G, 1)
-        n, orbits = orbit_count(G, F, 3)
-        assert sum(len(o) for o in orbits) == count_roots(G, F, 3)
+        n, sizes = orbit_count(G, F, 3)
+        assert len(sizes) == n
+        assert sum(sizes) == count_roots(G, F, 3)
 
     def test_all_pullbacks_fixed(self):
+        # The 4 pullbacks (multiplicities 0) among theta's 16 classes are
+        # fixed; the twists of each other multiplicity vector span all of
+        # (Z/2)^2, so its 4 classes form one orbit.
         G = theta(2)
-        F = trivial_bundle(G)
-        n, orbits = orbit_count(G, F, 2)
-        for orbit in orbits:
-            if all(m == 0 for m in orbit[0].mult):
-                assert len(orbit) == 1
+        assert orbit_count(G, trivial_bundle(G), 2) == (7, [4, 4, 4, 1, 1, 1, 1])
 
     def test_nodal_count_with_involution(self):
         for r in (5, 7, 11, 13):
             G = pointed_loop(r)
-            F = omega_bundle(G, 1)
-            classes = enumerate_root_classes(G, F, r)
-            nontrivial = [c for c in classes if any(c.mult) or any(c.gluing)]
-            n, _ = orbit_count(G, F, r, with_involution=True, classes=nontrivial)
+            n, sizes = orbit_count(G, omega_bundle(G, 1), r, True, nontrivial=True)
             assert n == r - 1
+            assert sum(sizes) == r * r - 1
 
     def test_involution_is_an_involution(self):
         G = pointed_loop(5)
@@ -281,10 +287,9 @@ class TestOrbits:
     def test_unique_class_single_orbit(self):
         G = UNIQUE
         F = trivial_bundle(G)
-        classes = enumerate_root_classes(G, F, 2)
-        assert len(classes) == 1
-        n, orbits = orbit_count(G, F, 2, classes=classes)
-        assert n == 1 and len(orbits[0]) == 1
+        assert len(enumerate_root_classes(G, F, 2)) == 1
+        assert orbit_count(G, F, 2) == (1, [1])
+        assert orbit_count(G, F, 2, nontrivial=True) == (0, [])
 
     @pytest.mark.parametrize("with_involution", [False, True])
     @pytest.mark.parametrize("nontrivial", [False, True])
@@ -300,13 +305,8 @@ class TestOrbits:
         + [(pointed_loop(r), omega_bundle(pointed_loop(r), 1), r) for r in (5, 7, 11, 13)],
     )
     def test_matches_sweep_on_fixtures(self, G, F, r, with_involution, nontrivial):
-        classes = enumerate_root_classes(G, F, r)
-        if nontrivial:
-            classes = _nontrivial(classes)
-        expected = _orbit_count_by_sweep(G, F, r, with_involution, classes)
-        assert orbit_count(G, F, r, with_involution, classes=classes) == expected
-        if not nontrivial:
-            assert orbit_count(G, F, r, with_involution) == expected
+        expected = _sweep_sizes(G, F, r, with_involution, nontrivial)
+        assert orbit_count(G, F, r, with_involution, nontrivial=nontrivial) == expected
 
     def test_involution_leaving_the_classes_raises(self):
         # The involution sends some cube roots of omega here to classes
@@ -319,18 +319,16 @@ class TestOrbits:
         with pytest.raises(OrbitError, match="involution"):
             orbit_count(G, F, 3, with_involution=True)
 
-    def test_classes_must_be_a_union_of_orbits(self):
-        G = pointed_loop(2)
-        F = trivial_bundle(G)
-        moved = [c for c in enumerate_root_classes(G, F, 2) if c.mult == (1,)]
-        assert orbit_count(G, F, 2, classes=moved)[0] == 1
-        with pytest.raises(OrbitError, match="split"):
-            orbit_count(G, F, 2, classes=moved[:1])
-        odd = line_bundle(G, [1], [0])  # odd degree: no square roots
-        with pytest.raises(OrbitError, match="not a root class"):
-            orbit_count(G, odd, 2, classes=moved)
-        with pytest.raises(OrbitError, match="another graph"):
-            orbit_count(G, F, 2, classes=[root_class(theta(2), 2, (0, 0, 0), (0, 0, 0))])
+    def test_builds_no_root_classes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbit_count built root classes")
+
+        G = theta(2)
+        F = omega_bundle(G, 1)
+        expected = _sweep_sizes(G, F, 2, with_involution=True)
+        monkeypatch.setattr(orbits, "RootClass", refuse)
+        monkeypatch.setattr(orbits, "enumerate_root_classes", refuse)
+        assert orbit_count(G, F, 2, with_involution=True) == expected
 
 
 @st.composite
@@ -351,14 +349,14 @@ def _rational_case(draw):
             [draw(st.integers(0, l - 1)) for l in stabs],
         )
         F = rth_power(L, r)
-    return G, F, r, draw(st.booleans())
+    return G, F, r, draw(st.booleans()), draw(st.booleans())
 
 
 class TestOrbitProperties:
     @settings(max_examples=150, deadline=None)
     @given(_rational_case())
     def test_matches_sweep(self, case):
-        G, F, r, with_involution = case
+        G, F, r, with_involution, nontrivial = case
         classes = enumerate_root_classes(G, F, r)
         # The sweep applies every group element to every class.
         assume(prod(G.edges[k].stabilizer for k in acting_edges(G, r)) * len(classes) <= 10**5)
@@ -367,10 +365,10 @@ class TestOrbitProperties:
             with pytest.raises(OrbitError):
                 _orbit_count_by_sweep(G, F, r, with_involution)
             with pytest.raises(OrbitError):
-                orbit_count(G, F, r, with_involution)
+                orbit_count(G, F, r, with_involution, nontrivial=nontrivial)
             return
-        assert orbit_count(G, F, r, with_involution) == _orbit_count_by_sweep(
-            G, F, r, with_involution
+        assert orbit_count(G, F, r, with_involution, nontrivial=nontrivial) == _sweep_sizes(
+            G, F, r, with_involution, nontrivial
         )
 
 
@@ -470,6 +468,12 @@ class TestNrReport:
         F = omega_bundle(G, 1)
         classes = _nontrivial(enumerate_root_classes(G, F, r))
         n, _ = _orbit_count_by_sweep(G, F, r, with_involution=True, classes=classes)
+        assert nr_report(r).n_cusp == n
+
+    @pytest.mark.parametrize("r", BENCH_PRIMES)
+    def test_cusp_matches_orbit_count(self, r):
+        G = orbits._cusp_fixture(r)
+        n, _ = orbit_count(G, omega_bundle(G, 1), r, True, nontrivial=True)
         assert nr_report(r).n_cusp == n
 
     def test_builds_no_root_classes(self, monkeypatch):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 __all__ = [
     "GraphError",
@@ -106,6 +106,13 @@ class DualGraph:
         return cached
 
     def __post_init__(self):
+        self._check_fields()
+        n = len(self.vertices)
+        if len(_component(n, [(e.tail, e.head) for e in self.edges])) != n:
+            raise DisconnectedGraph("underlying graph is not connected")
+
+    def _check_fields(self):
+        """Every construction check except connectivity."""
         if not self.vertices:
             raise GraphError("a dual graph needs at least one vertex")
         seen_legs = set()
@@ -122,8 +129,6 @@ class DualGraph:
                 raise BadIndex(f"edge {k}: endpoint out of range 0..{n - 1}")
             if e.stabilizer < 1:
                 raise GraphError(f"edge {k}: stabilizer {e.stabilizer} < 1")
-        if len(_component(n, [(e.tail, e.head) for e in self.edges])) != n:
-            raise DisconnectedGraph("underlying graph is not connected")
 
     @property
     def n_vertices(self) -> int:
@@ -174,6 +179,20 @@ def dual_graph(vertices, edges=()) -> DualGraph:
             t, h, l = spec
             es.append(Edge(t, h, l))
     return DualGraph(tuple(vs), tuple(es))
+
+
+def _redecorate(shape: DualGraph, edges: tuple[Edge, ...]) -> DualGraph:
+    """``DualGraph(shape.vertices, edges)`` for edges that join the shape's
+    vertex pairs in the shape's order.
+
+    Connectivity depends only on those pairs, and the shape has passed
+    that check, so only the search is skipped; every other check runs.
+    """
+    G = object.__new__(DualGraph)
+    object.__setattr__(G, "vertices", shape.vertices)
+    object.__setattr__(G, "edges", edges)
+    G._check_fields()
+    return G
 
 
 def _component(n: int, pairs, start: int = 0) -> set[int]:
@@ -418,31 +437,57 @@ def canonical_form(G: DualGraph, max_vertices: int = MAX_CANONICAL_VERTICES) -> 
     branch-and-bound over the labels 0, 1, ... (see ``_least_edge_list``),
     so it is exact but only meant for small graphs.
     """
-    if G.n_vertices > max_vertices:
-        raise SizeLimitExceeded(
-            f"{G.n_vertices} vertices exceeds the canonical-form bound {max_vertices}"
-        )
-    keys = _vertex_keys(G)
-    order = sorted(range(G.n_vertices), key=lambda v: (keys[v], v))
-    # Label s may go to any vertex of the class whose range covers s.
-    slot_members = [
-        tuple(w for w in order if keys[w] == keys[v]) for v in order
-    ]
-    best = _least_edge_list(
-        G.n_vertices, [(e.tail, e.head, e.stabilizer) for e in G.edges], slot_members
-    )
-    # Class layout sorts by the full invariant key; projecting to (genus,
-    # legs) is still sorted, so the vertex part is permutation-independent.
-    vert_part = sorted((k[0], k[1]) for k in keys)
-    return "V{};E{}".format(
-        ",".join(f"{g}:{n}" for g, n in vert_part),
-        ",".join(f"{u}-{v}:{l}" for u, v, l in best),
-    )
+    return _LabelPlan(G, max_vertices).label(G.stabilizers())
 
 
-def _least_edge_list(n: int, raw_edges, slot_members) -> list[tuple[int, int, int]]:
+class _LabelPlan:
+    """The part of ``canonical_form`` that ignores stabilizers.
+
+    The vertex keys, the class slots, the vertex part of the label and
+    the edge endpoints depend only on the underlying graph, so graphs
+    that differ only in their stabilizers share one plan and ``label``
+    runs only the search.
+    """
+
+    __slots__ = ("incidence", "slot_members", "head")
+
+    def __init__(self, G: DualGraph, max_vertices: int = MAX_CANONICAL_VERTICES):
+        if G.n_vertices > max_vertices:
+            raise SizeLimitExceeded(
+                f"{G.n_vertices} vertices exceeds the canonical-form bound {max_vertices}"
+            )
+        keys = _vertex_keys(G)
+        order = sorted(range(G.n_vertices), key=lambda v: (keys[v], v))
+        # Label s may go to any vertex of the class whose range covers s.
+        self.slot_members: list[tuple[int, ...]] = []
+        for _, group in itertools.groupby(order, key=keys.__getitem__):
+            members = tuple(group)
+            self.slot_members += [members] * len(members)
+        # Branches at each vertex as (far end, edge index); a loop once.
+        self.incidence: list[list[tuple[int, int]]] = [[] for _ in G.vertices]
+        for k, e in enumerate(G.edges):
+            self.incidence[e.tail].append((e.head, k))
+            if e.head != e.tail:
+                self.incidence[e.head].append((e.tail, k))
+        # Class layout sorts by the full invariant key; projecting to (genus,
+        # legs) is still sorted, so the vertex part is permutation-independent.
+        vert_part = sorted((k[0], k[1]) for k in keys)
+        self.head = "V{};E".format(",".join(f"{g}:{n}" for g, n in vert_part))
+
+    def label(self, stabilizers) -> str:
+        """Canonical label of the graph with these edge stabilizers."""
+        nbrs = [
+            sorted([(w, stabilizers[k]) for w, k in branches])
+            for branches in self.incidence
+        ]
+        best = _least_edge_list(nbrs, self.slot_members)
+        return self.head + ",".join(f"{u}-{v}:{l}" for u, v, l in best)
+
+
+def _least_edge_list(nbrs, slot_members) -> list[tuple[int, int, int]]:
     """Least sorted triple list over labellings that give slot s a vertex
-    of ``slot_members[s]``.
+    of ``slot_members[s]``; ``nbrs[x]`` lists x's branches as sorted
+    (far end, stabilizer) pairs.
 
     Labels are handed out in slot order.  Once labels 0..s are placed, the
     triples (u, v, l) with both ends labelled are fixed, and for each u they
@@ -452,126 +497,113 @@ def _least_edge_list(n: int, raw_edges, slot_members) -> list[tuple[int, int, in
     and that row's next triple is at least (u, s + 1, 0).  A branch whose
     prefix, with that bound appended, exceeds the best list so far cannot
     win and is cut.
+
+    The search keeps its stack explicitly (per slot, the vertex placed
+    and an iterator over the members still to try), so it leaves no
+    reference cycle for the garbage collector.
     """
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for t, h, l in raw_edges:
-        nbrs[t].append((h, l))
-        if h != t:
-            nbrs[h].append((t, l))
-    for branches in nbrs:
-        # Triples landing in one row during one step then come in l order.
-        branches.sort(key=lambda wl: wl[1])
+    n = len(nbrs)
     label = [-1] * n
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     open_ends = [0] * n
+    placed = [-1] * n  # the vertex holding label s, or -1
+    pending = [iter(slot_members[0])] + [None] * (n - 1)
     best: list[tuple[int, int, int]] | None = None
-
-    def place(s: int) -> None:
-        nonlocal best
-        for x in slot_members[s]:
-            if label[x] >= 0:
-                continue
-            label[x] = s
-            touched = []
-            for w, l in nbrs[x]:
+    s = 0
+    while s >= 0:
+        x = placed[s]
+        if x >= 0:
+            # Take label s back from x, with the triples it fixed.  Labels
+            # above s are free again, so x's labelled neighbours are those
+            # it had when placed.
+            for w, _ in nbrs[x]:
                 u = label[w]
-                if w == x:
-                    rows[s].append((s, s, l))
-                    touched.append(s)
-                elif u >= 0:
-                    rows[u].append((u, s, l))
-                    open_ends[u] -= 1
-                    touched.append(u)
-                else:
-                    open_ends[s] += 1
-            prefix: list[tuple[int, int, int]] = []
-            bound = None
-            for u in range(s + 1):
-                prefix += rows[u]
-                if open_ends[u]:
-                    bound = (u, s + 1, 0)
-                    break
-            if s == n - 1:
-                if best is None or prefix < best:
-                    best = prefix
-            elif best is None:
-                place(s + 1)
-            else:
-                if bound is not None:
-                    prefix.append(bound)
-                if prefix <= best[: len(prefix)]:
-                    place(s + 1)
-            for u in touched:
-                rows[u].pop()
-                if u != s:
-                    open_ends[u] += 1
+                if u >= 0:
+                    rows[u].pop()
+                    if u != s:
+                        open_ends[u] += 1
             open_ends[s] = 0
             label[x] = -1
-
-    place(0)
+        for x in pending[s]:
+            if label[x] < 0:
+                break
+        else:
+            placed[s] = -1
+            s -= 1
+            continue
+        placed[s] = x
+        label[x] = s
+        # Triples landing in one row during one step come in l order,
+        # because nbrs[x] is sorted.
+        for w, l in nbrs[x]:
+            u = label[w]
+            if u >= 0:
+                rows[u].append((u, s, l))
+                if u != s:
+                    open_ends[u] -= 1
+            else:
+                open_ends[s] += 1
+        if best is None and s < n - 1:
+            s += 1
+            pending[s] = iter(slot_members[s])
+            continue
+        prefix: list[tuple[int, int, int]] = []
+        for u in range(s + 1):
+            prefix += rows[u]
+            if open_ends[u]:
+                prefix.append((u, s + 1, 0))
+                break
+        if s == n - 1:
+            # Every end is labelled, so no bound was appended.
+            if best is None or prefix < best:
+                best = prefix
+        elif prefix <= best[: len(prefix)]:
+            s += 1
+            pending[s] = iter(slot_members[s])
     return best
 
 
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
+def _compositions(total: int, caps):
+    """Tuples c with sum ``total`` and 0 <= c[k] <= caps[k], in
+    lexicographic order."""
+    if not caps:
+        if total == 0:
+            yield ()
         return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
+    for first in range(min(total, caps[0]) + 1):
+        for rest in _compositions(total - first, caps[1:]):
             yield (first,) + rest
 
 
 def _degree_sequences(total: int, minima):
-    """Degree vectors d >= minima with sum(d) == total."""
-    n = len(minima)
-
-    def rec(i, remaining):
-        if i == n - 1:
-            if remaining >= minima[i]:
-                yield (remaining,)
-            return
-        tail_min = sum(minima[i + 1 :])
-        for d in range(minima[i], remaining - tail_min + 1):
-            for rest in rec(i + 1, remaining - d):
-                yield (d,) + rest
-
-    if total >= sum(minima):
-        yield from rec(0, total)
+    """Degree vectors d >= minima with sum(d) == total, in lexicographic order."""
+    slack = total - sum(minima)
+    for extra in _compositions(slack, (slack,) * len(minima)):
+        yield tuple(m + x for m, x in zip(minima, extra))
 
 
-def _realizations(degrees):
-    """All loopy multigraphs (as sorted (i, j) edge tuples) with the given degrees."""
+def _realizations(degrees, i: int = 0, acc: tuple = ()):
+    """All loopy multigraphs (as sorted (i, j) edge tuples) with the given degrees.
+
+    Vertices before ``i`` are already saturated by the edges in ``acc``;
+    vertex i takes its loops first, then its edges to later vertices.
+    """
     n = len(degrees)
-
-    def rec(remaining, i, acc):
-        while i < n and remaining[i] == 0:
-            i += 1
-        if i == n:
-            yield tuple(acc)
-            return
-        budget = remaining[i]
-        for nloops in range(budget // 2 + 1):
-            rest = budget - 2 * nloops
-
-            def spread(j, left, picked):
-                if j == n:
-                    if left == 0:
-                        yield picked
-                    return
-                cap = min(left, remaining[j])
-                for c in range(cap + 1):
-                    yield from spread(j + 1, left - c, picked + [(j, c)])
-
-            for picked in spread(i + 1, rest, []):
-                new_remaining = list(remaining)
-                new_remaining[i] = 0
-                edges_here = [(i, i)] * nloops
-                for j, c in picked:
-                    new_remaining[j] -= c
-                    edges_here += [(i, j)] * c
-                yield from rec(new_remaining, i + 1, acc + edges_here)
-
-    yield from rec(list(degrees), 0, [])
+    while i < n and degrees[i] == 0:
+        i += 1
+    if i == n:
+        yield acc
+        return
+    budget = degrees[i]
+    for nloops in range(budget // 2 + 1):
+        for picked in _compositions(budget - 2 * nloops, degrees[i + 1 :]):
+            remaining = list(degrees)
+            remaining[i] = 0
+            edges_here = [(i, i)] * nloops
+            for j, c in enumerate(picked, i + 1):
+                remaining[j] -= c
+                edges_here += [(i, j)] * c
+            yield from _realizations(remaining, i + 1, acc + tuple(edges_here))
 
 
 def _enumerate_shapes(g: int, n_legs: int, max_vertices: int) -> list[DualGraph]:
@@ -591,7 +623,7 @@ def _enumerate_shapes(g: int, n_legs: int, max_vertices: int) -> list[DualGraph]
                 continue
             b1 = g - total_genus
             m = b1 + nv - 1
-            for legs in _weak_compositions(n_legs, nv):
+            for legs in _compositions(n_legs, (n_legs,) * nv):
                 if not _sorted_within(legs, genera):
                     continue
                 minima = [
@@ -599,20 +631,19 @@ def _enumerate_shapes(g: int, n_legs: int, max_vertices: int) -> list[DualGraph]
                     for i in range(nv)
                 ]
                 runs = list(zip(genera, legs))
+                marks = iter(range(1, n_legs + 1))
+                verts = tuple(
+                    Vertex(genera[i], tuple(itertools.islice(marks, legs[i])))
+                    for i in range(nv)
+                )
                 for degrees in _degree_sequences(2 * m, minima):
                     if not _sorted_within(degrees, runs):
                         continue
                     for pairs in _realizations(degrees):
-                        if len(_component(nv, pairs)) != nv:
+                        try:
+                            G = DualGraph(verts, tuple(Edge(t, h) for t, h in pairs))
+                        except DisconnectedGraph:
                             continue
-                        marks = iter(range(1, n_legs + 1))
-                        verts = tuple(
-                            Vertex(genera[i], tuple(itertools.islice(marks, legs[i])))
-                            for i in range(nv)
-                        )
-                        G = DualGraph(
-                            verts, tuple(Edge(t, h) for t, h in pairs)
-                        )
                         shapes.setdefault(canonical_form(G), G)
     return [shapes[k] for k in sorted(shapes)]
 
@@ -716,7 +747,8 @@ def enumerate_stable_graphs(
     Every edge stabilizer is drawn from ``stabilizer_choices``.  Output
     order is deterministic (sorted canonical labels).  Each shape class is
     decorated once per orbit of stabilizer tuples, so no two outputs share
-    a label; ``canonical_form`` is computed once per output graph, to sort.
+    a label; each output is labelled once, to sort, through one labelling
+    plan per shape.
     A ``max_vertices`` below the 2g - 2 + n vertices a stable graph can
     have raises ``GraphError`` rather than return part of the family.
     """
@@ -735,16 +767,12 @@ def enumerate_stable_graphs(
         raise GraphError("stabilizer choices must be a non-empty set of positive integers")
     out: dict[str, DualGraph] = {}
     for shape in _enumerate_shapes(g, n_legs, max_vertices):
+        plan = _LabelPlan(shape)
+        # One Edge per (edge position, stabilizer), shared by every decoration.
+        edges = [{l: Edge(e.tail, e.head, l) for l in choices} for e in shape.edges]
         for assign in _stabilizer_assignments(shape, choices):
-            G = DualGraph(
-                shape.vertices,
-                tuple(
-                    Edge(e.tail, e.head, l)
-                    for e, l in zip(shape.edges, assign)
-                ),
-            )
-            label = canonical_form(G)
+            label = plan.label(assign)
             if label in out:
                 raise GraphError(f"isomorphism class {label} generated twice")
-            out[label] = G
+            out[label] = _redecorate(shape, tuple(map(getitem, edges, assign)))
     return [out[k] for k in sorted(out)]

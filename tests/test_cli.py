@@ -216,6 +216,15 @@ class TestCommands:
                 ("enumerate", "-g", "2", "-n", "2", "--stabilizers", "1,2", "--list"),
                 "8432ad89259931ee2e444b42ce00903d25b34f6806e88e84bc98d7904a5b219b",
             ),
+            # The two calls of the benchmark's enumerate workload.
+            (
+                ("enumerate", "-g", "3", "--stabilizers", "1,2,3,4,6", "--list"),
+                "a953b320eac625b77d63e13447d181ae9c0c481bb043d8eaae2a80bd344d6794",
+            ),
+            (
+                ("enumerate", "-g", "4", "--list"),
+                "8e817f51749b226ad508195ae36654eb8d17d3812e4e850e350f833c0b890315",
+            ),
         ],
     )
     def test_enumerate_output_pinned(self, capsys, argv, digest):
@@ -322,6 +331,15 @@ class TestCommands:
         )
         assert code == 0
         assert out == '{"graphs":42,"checked":2226,"discrepancies":[]}'
+
+    def test_verify_rootsnum_divisible_orders(self, capsys):
+        # r = 12 over stabilizers {4, 6, 12}: gcd(l_e, r) takes three values,
+        # so the criterion's divisibility side is least trivial here.
+        code, out = run_cli(
+            capsys, "verify-rootsnum", "-g", "3", "--stabilizers", "4,6,12", "-r", "12"
+        )
+        assert code == 0
+        assert out == '{"graphs":2638,"checked":139814,"discrepancies":[]}'
 
     def test_verify_rootsnum_discrepancies_replay(self, capsys, monkeypatch, tmp_path):
         # Force the criterion to pass everywhere, so every non-maximal count

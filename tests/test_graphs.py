@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from twistcount.graphs import (
 from twistcount.graphs import (  # internals compared with their oracles
     MAX_ENUMERATION_VERTICES,
     _enumerate_shapes,
+    _redecorate,
     _stabilizer_assignments,
 )
 
@@ -48,8 +50,18 @@ def one_pointed_loop(l=2):
 
 class TestConstruction:
     def test_disconnected_rejected(self):
+        # User input runs the connectivity search; only decorations of an
+        # enumerated shape skip it.
         with pytest.raises(DisconnectedGraph):
             dual_graph([1, 1], [])
+        with pytest.raises(DisconnectedGraph):
+            dual_graph([0, 0, 1], [(0, 1), (0, 1), (0, 1), (2, 2)])
+
+    def test_decorations_keep_field_checks(self):
+        with pytest.raises(GraphError, match="stabilizer 0 < 1"):
+            _redecorate(theta(), (Edge(0, 1, 2), Edge(0, 1, 0), Edge(0, 1, 2)))
+        with pytest.raises(BadIndex):
+            _redecorate(theta(), (Edge(0, 1), Edge(0, 1), Edge(0, 2)))
 
     def test_bad_edge_index(self):
         with pytest.raises(BadIndex):
@@ -154,6 +166,17 @@ class TestCanonicalForm:
                 rng.shuffle(perm)
                 assert canonical_form(relabel(G, perm)) == base
 
+    def test_edge_order_invariance(self):
+        # The label reads the edges as a multiset: listing parallel edges
+        # with their stabilizers out of order changes nothing.
+        rng = random.Random(17)
+        for G in enumerate_stable_graphs(2, 1, [1, 2, 3])[::7]:
+            base = canonical_form(G)
+            for _ in range(10):
+                edges = list(G.edges)
+                rng.shuffle(edges)
+                assert canonical_form(DualGraph(G.vertices, tuple(edges))) == base
+
     def test_flip_invariance(self):
         G = dumbbell()
         assert canonical_form(flip_edge(G, 1)) == canonical_form(G)
@@ -239,6 +262,33 @@ class TestEnumeration:
                 enumerate_stable_graphs(g, n, [1], max_vertices=cap)
         full = enumerate_stable_graphs(g, n, [1])
         assert enumerate_stable_graphs(g, n, [1], max_vertices=least) == full
+
+    def test_decorations_equal_checked_graphs(self):
+        # Decorations skip the connectivity search of their shape, and
+        # nothing else: each equals, and hashes like, the graph built
+        # through every check, and the plan's labels are canonical_form's.
+        found = enumerate_stable_graphs(2, 0, (1, 2, 3))
+        for G in found:
+            checked = DualGraph(G.vertices, G.edges)
+            assert G == checked
+            assert hash(G) == hash(checked)
+        labels = [canonical_form(G) for G in found]
+        assert labels == sorted(set(labels))
+
+    def test_no_cyclic_garbage(self):
+        # Labelling and enumeration free everything by reference counting;
+        # a reference cycle would wait for the cyclic collector.
+        sample = enumerate_stable_graphs(2, 1, (1, 2))[:60]
+        gc.collect()
+        gc.disable()
+        try:
+            for G in sample:
+                canonical_form(G)
+            enumerate_stable_graphs(3, 0, (1, 2))
+            _enumerate_shapes(3, 1, MAX_ENUMERATION_VERTICES)
+        finally:
+            gc.enable()
+        assert gc.collect() == 0
 
     def test_shape_layout_required(self):
         G = dual_graph([0, 0], [(0, 1), (0, 0), (0, 1), (1, 1)])

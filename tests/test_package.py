@@ -69,3 +69,25 @@ def test_library_caches_are_bounded():
                 found.append(where)
     assert found == []
     assert bounded
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def test_no_self_referencing_nested_functions():
+    # A nested function that calls itself holds itself through its closure
+    # cell, so every call of the enclosing function leaves a reference cycle
+    # that only the cyclic garbage collector frees.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, _FUNCTIONS):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, _FUNCTIONS):
+                    continue
+                names = (node.id for node in ast.walk(inner) if isinstance(node, ast.Name))
+                if inner.name in names:
+                    found.append(f"{path.name}:{inner.lineno} {inner.name}")
+    assert found == []

@@ -166,9 +166,6 @@ def _add_common(parser, suppress: bool) -> None:
         type=int,
         default=default(int(os.environ.get("TC_MAX_DOMAIN", picard.DEFAULT_MAX_DOMAIN))),
     )
-    parser.add_argument(
-        "--max-vertices", type=int, default=default(graphs.MAX_ENUMERATION_VERTICES)
-    )
     parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument("--jobs", type=int, default=default(1))
 
@@ -328,12 +325,7 @@ def run(args) -> dict:
         )
         return {"classes": sum(sizes), "orbits": n, "sizes": sizes}
     if args.command == "enumerate":
-        found = graphs.enumerate_stable_graphs(
-            args.g,
-            args.legs,
-            _csv_ints(args.stabilizers),
-            max_vertices=args.max_vertices,
-        )
+        found = graphs.enumerate_stable_graphs(args.g, args.legs, _csv_ints(args.stabilizers))
         out = {"count": len(found)}
         if args.list:
             out["graphs"] = [emit_graph(G) for G in found]
@@ -341,9 +333,7 @@ def run(args) -> dict:
     if args.command == "verify-rootsnum":
         if args.random_bundles < 0:
             raise ParseError(f"--random-bundles: {args.random_bundles} < 0")
-        family = graphs.enumerate_stable_graphs(
-            args.g, 0, _csv_ints(args.stabilizers), max_vertices=args.max_vertices
-        )
+        family = graphs.enumerate_stable_graphs(args.g, 0, _csv_ints(args.stabilizers))
         discrepancies, checked = picard.verify_rootsnum(
             family,
             _csv_ints(args.orders),

@@ -424,7 +424,7 @@ def _vertex_keys(G: DualGraph) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def canonical_form(G: DualGraph, max_vertices: int = MAX_CANONICAL_VERTICES) -> str:
+def canonical_form(G: DualGraph) -> str:
     """Canonical label: equal strings exactly for isomorphic decorated graphs.
 
     Isomorphism preserves vertex genera, per-vertex leg counts, and edge
@@ -435,9 +435,10 @@ def canonical_form(G: DualGraph, max_vertices: int = MAX_CANONICAL_VERTICES) -> 
     (min end, max end, stabilizer) over all vertex permutations that keep
     each vertex inside its class's range.  That minimum is found by a
     branch-and-bound over the labels 0, 1, ... (see ``_least_edge_list``),
-    so it is exact but only meant for small graphs.
+    so it is exact but only meant for graphs of at most
+    ``MAX_CANONICAL_VERTICES`` vertices.
     """
-    return _LabelPlan(G, max_vertices).label(G.stabilizers())
+    return _LabelPlan(G).label(G.stabilizers())
 
 
 class _LabelPlan:
@@ -451,10 +452,11 @@ class _LabelPlan:
 
     __slots__ = ("incidence", "slot_members", "head")
 
-    def __init__(self, G: DualGraph, max_vertices: int = MAX_CANONICAL_VERTICES):
-        if G.n_vertices > max_vertices:
+    def __init__(self, G: DualGraph):
+        if G.n_vertices > MAX_CANONICAL_VERTICES:
             raise SizeLimitExceeded(
-                f"{G.n_vertices} vertices exceeds the canonical-form bound {max_vertices}"
+                f"{G.n_vertices} vertices exceeds the canonical-form bound "
+                f"{MAX_CANONICAL_VERTICES}"
             )
         keys = _vertex_keys(G)
         order = sorted(range(G.n_vertices), key=lambda v: (keys[v], v))
@@ -480,14 +482,28 @@ class _LabelPlan:
             sorted([(w, stabilizers[k]) for w, k in branches])
             for branches in self.incidence
         ]
-        best = _least_edge_list(nbrs, self.slot_members)
+        best, _ = _least_edge_list(nbrs, self.slot_members)
         return self.head + ",".join(f"{u}-{v}:{l}" for u, v, l in best)
 
+    def automorphisms(self) -> list[list[int]]:
+        """Vertex permutations (perm[v] is the image of v) that preserve the
+        genera, the leg counts and the multiset of edge end pairs.
 
-def _least_edge_list(nbrs, slot_members) -> list[tuple[int, int, int]]:
+        The labellings that tie with the least edge list, every stabilizer
+        taken as 1, are one labelling composed with every automorphism, so
+        each tied labelling composed with the inverse of the first is an
+        automorphism, and all arise.
+        """
+        nbrs = [sorted([(w, 1) for w, _ in branches]) for branches in self.incidence]
+        _, ties = _least_edge_list(nbrs, self.slot_members)
+        return [[w for _, w in sorted(zip(placed, ties[0]))] for placed in ties]
+
+
+def _least_edge_list(nbrs, slot_members):
     """Least sorted triple list over labellings that give slot s a vertex
-    of ``slot_members[s]``; ``nbrs[x]`` lists x's branches as sorted
-    (far end, stabilizer) pairs.
+    of ``slot_members[s]``, and every labelling that gives it, each as the
+    tuple of vertices holding the labels 0, 1, ...; ``nbrs[x]`` lists x's
+    branches as sorted (far end, stabilizer) pairs.
 
     Labels are handed out in slot order.  Once labels 0..s are placed, the
     triples (u, v, l) with both ends labelled are fixed, and for each u they
@@ -496,7 +512,8 @@ def _least_edge_list(nbrs, slot_members) -> list[tuple[int, int, int]]:
     first row with an unlabelled far end form a prefix of every completion,
     and that row's next triple is at least (u, s + 1, 0).  A branch whose
     prefix, with that bound appended, exceeds the best list so far cannot
-    win and is cut.
+    win and is cut.  A prefix equal to the best one's is not cut, so every
+    labelling that ties with the least list is visited.
 
     The search keeps its stack explicitly (per slot, the vertex placed
     and an iterator over the members still to try), so it leaves no
@@ -509,6 +526,7 @@ def _least_edge_list(nbrs, slot_members) -> list[tuple[int, int, int]]:
     placed = [-1] * n  # the vertex holding label s, or -1
     pending = [iter(slot_members[0])] + [None] * (n - 1)
     best: list[tuple[int, int, int]] | None = None
+    ties: list[tuple[int, ...]] = []
     s = 0
     while s >= 0:
         x = placed[s]
@@ -557,10 +575,13 @@ def _least_edge_list(nbrs, slot_members) -> list[tuple[int, int, int]]:
             # Every end is labelled, so no bound was appended.
             if best is None or prefix < best:
                 best = prefix
+                ties = [tuple(placed)]
+            elif prefix == best:
+                ties.append(tuple(placed))
         elif prefix <= best[: len(prefix)]:
             s += 1
             pending[s] = iter(slot_members[s])
-    return best
+    return best, ties
 
 
 def _compositions(total: int, caps):
@@ -606,8 +627,11 @@ def _realizations(degrees, i: int = 0, acc: tuple = ()):
             yield from _realizations(remaining, i + 1, acc + tuple(edges_here))
 
 
-def _enumerate_shapes(g: int, n_legs: int, max_vertices: int) -> list[DualGraph]:
+def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
     """Connected stable shapes (stabilizer 1) of genus g with n unlabeled legs.
+
+    A stable graph has at most 2g - 2 + n vertices, so every such count
+    of vertices is searched.
 
     Labellings are visited with genera, then legs, then degrees in
     lexicographic order, so the first labelling met for each class has its
@@ -615,8 +639,7 @@ def _enumerate_shapes(g: int, n_legs: int, max_vertices: int) -> list[DualGraph]
     are skipped without changing which shape represents a class.
     """
     shapes: dict[str, DualGraph] = {}
-    nv_cap = min(max_vertices, max(1, 2 * g - 2 + n_legs))
-    for nv in range(1, nv_cap + 1):
+    for nv in range(1, 2 * g - 2 + n_legs + 1):
         for genera in itertools.combinations_with_replacement(range(g + 1), nv):
             total_genus = sum(genera)
             if total_genus > g:
@@ -656,41 +679,6 @@ def _sorted_within(values, runs) -> bool:
     )
 
 
-def _shape_automorphisms(G: DualGraph) -> list[list[int]]:
-    """Vertex permutations preserving genera, leg counts, and the edge multiset.
-
-    Only permutations moving each vertex within its invariant class are
-    candidates, but the permuted pair counts must be rechecked: the class
-    keys do not see *which* neighbours a vertex has.
-    """
-    keys = _vertex_keys(G)
-    pair_counts: dict[tuple[int, int], int] = {}
-    for e in G.edges:
-        key = (min(e.tail, e.head), max(e.tail, e.head))
-        pair_counts[key] = pair_counts.get(key, 0) + 1
-    groups: dict[tuple, list[int]] = {}
-    for v, key in enumerate(keys):
-        groups.setdefault(key, []).append(v)
-    members = list(groups.values())
-    autos = []
-    for images in itertools.product(*(itertools.permutations(g) for g in members)):
-        perm = [0] * len(keys)
-        for grp, placed in zip(members, images):
-            for v, target in zip(grp, placed):
-                perm[v] = target
-        if _renumber(pair_counts, perm) == pair_counts:
-            autos.append(perm)
-    return autos
-
-
-def _renumber(pair_counts, perm):
-    out: dict[tuple[int, int], int] = {}
-    for (u, v), c in pair_counts.items():
-        key = (min(perm[u], perm[v]), max(perm[u], perm[v]))
-        out[key] = out.get(key, 0) + c
-    return out
-
-
 def _stabilizer_assignments(shape: DualGraph, choices) -> list[tuple[int, ...]]:
     """Stabilizer tuples, one per orbit of the shape's automorphisms.
 
@@ -715,7 +703,7 @@ def _stabilizer_assignments(shape: DualGraph, choices) -> list[tuple[int, ...]]:
     class_keys = sorted(set(pairs))
     position = {key: i for i, key in enumerate(class_keys)}
     sources = set()
-    for perm in _shape_automorphisms(shape):
+    for perm in _LabelPlan(shape).automorphisms():
         source = [0] * len(class_keys)
         for i, (u, v) in enumerate(class_keys):
             source[position[(min(perm[u], perm[v]), max(perm[u], perm[v]))]] = i
@@ -739,8 +727,6 @@ def enumerate_stable_graphs(
     g: int,
     n_legs: int,
     stabilizer_choices,
-    *,
-    max_vertices: int = MAX_ENUMERATION_VERTICES,
 ) -> list[DualGraph]:
     """All stable decorated graphs of genus g with n legs, one per iso class.
 
@@ -749,24 +735,24 @@ def enumerate_stable_graphs(
     decorated once per orbit of stabilizer tuples, so no two outputs share
     a label; each output is labelled once, to sort, through one labelling
     plan per shape.
-    A ``max_vertices`` below the 2g - 2 + n vertices a stable graph can
-    have raises ``GraphError`` rather than return part of the family.
+    Families whose graphs may have more than ``MAX_ENUMERATION_VERTICES``
+    vertices (2g - 2 + n of them), or genus above ``MAX_ENUMERATION_GENUS``,
+    raise ``UnsupportedGenus`` before any search.
     """
     if g < 1 or (g == 1 and n_legs < 1):
         raise UnsupportedGenus(f"no stable graphs enumerated for (g, n) = ({g}, {n_legs})")
     if g > MAX_ENUMERATION_GENUS:
         raise UnsupportedGenus(f"genus {g} above the enumeration cap {MAX_ENUMERATION_GENUS}")
-    needed = max(1, 2 * g - 2 + n_legs)
-    if max_vertices < needed:
-        raise GraphError(
-            f"max_vertices {max_vertices} would truncate the family: stable graphs of "
-            f"(g, n) = ({g}, {n_legs}) have up to {needed} vertices"
+    if 2 * g - 2 + n_legs > MAX_ENUMERATION_VERTICES:
+        raise UnsupportedGenus(
+            f"stable graphs of (g, n) = ({g}, {n_legs}) have up to {2 * g - 2 + n_legs} "
+            f"vertices, above the enumeration cap {MAX_ENUMERATION_VERTICES}"
         )
     choices = sorted(set(int(l) for l in stabilizer_choices))
     if not choices or choices[0] < 1:
         raise GraphError("stabilizer choices must be a non-empty set of positive integers")
     out: dict[str, DualGraph] = {}
-    for shape in _enumerate_shapes(g, n_legs, max_vertices):
+    for shape in _enumerate_shapes(g, n_legs):
         plan = _LabelPlan(shape)
         # One Edge per (edge position, stabilizer), shared by every decoration.
         edges = [{l: Edge(e.tail, e.head, l) for l in choices} for e in shape.edges]

@@ -27,7 +27,6 @@ from functools import lru_cache
 from math import gcd, prod
 
 from . import picard
-from .exactalg import smith_normal_form
 from .graphs import (
     DualGraph,
     Edge,
@@ -264,17 +263,14 @@ def enumerate_root_classes(
 
 
 def _quotient_sizes(data: _Gluing, mult) -> tuple[int, int]:
-    """|Q| and |Q[2]| for Q = (Z/r)^{b1} / H, H spanned by the twists of
-    mult, from one Smith reduction of the twists stacked with r * I."""
-    b1 = len(data.free)
-    if not b1:
-        return 1, 1
-    r = data.r
-    rows = [list(t) for t in data.twists(mult)]
-    rows += [[r * (i == j) for j in range(b1)] for i in range(b1)]
-    _, D, _ = smith_normal_form(rows)
-    divisors = [D[i][i] for i in range(b1)]
-    return prod(divisors), prod(gcd(2, d) for d in divisors)
+    """|Q| and |Q[2]| for Q = (Z/r)^{b1} / H, H the image of the twists of
+    mult as a map prod_{acting} Z/l_k -> (Z/r)^{b1}.  Q is the sum of the
+    Z/m over the Smith moduli m of that map."""
+    twists = data.twists(mult)
+    matrix = [[t[i] for t in twists] for i in range(len(data.free))]
+    hs = [data.stabs[k] for k in data.acting]
+    mods = picard._SmithData(matrix, hs, data.r).mods
+    return prod(mods), prod(gcd(2, m) for m in mods)
 
 
 def _burnside_orbits(data: _Gluing, mults, with_involution: bool) -> int:

@@ -400,9 +400,11 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_usage_error_is_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["torsion"])
-        assert exc.value.code == 2
+        # The vertex cap is fixed, so --max-vertices is an unknown option.
+        for argv in (["torsion"], ["enumerate", "-g", "2", "--max-vertices", "8"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
         capsys.readouterr()
 
     def test_determinism(self, capsys, loop_path):
@@ -426,8 +428,8 @@ class TestExitCodes:
             ("criterion", "{loop}", "-r", "0"),
             ("verify-cond", "-g", "2", "-r", "0", "-l", "2,2"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--random-bundles", "-1"),
-            ("enumerate", "-g", "2", "--max-vertices", "0"),
-            ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--max-vertices", "1"),
+            ("enumerate", "-g", "4", "-n", "3"),
+            ("verify-rootsnum", "-g", "5", "--stabilizers", "1"),
             ("orbits", "{unpaired}", "-r", "3", "--involution"),
             ("lift", "{loop}", "-r", "0", "-t", "0"),
         ],
@@ -453,6 +455,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("tc: error: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_env_max_domain(self, capsys, monkeypatch, tmp_path):

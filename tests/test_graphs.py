@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from twistcount import graphs
 from twistcount.graphs import (
     MAX_ENUMERATION_GENUS,
     BadIndex,
@@ -31,6 +32,7 @@ from twistcount.graphs import (
 from twistcount.graphs import (  # internals compared with their oracles
     MAX_ENUMERATION_VERTICES,
     _enumerate_shapes,
+    _LabelPlan,
     _redecorate,
     _stabilizer_assignments,
 )
@@ -255,13 +257,18 @@ class TestEnumeration:
     def test_genus_three_decorated_count(self):
         assert len(enumerate_stable_graphs(3, 0, [1, 2, 3, 4, 6])) == 31156
 
-    @pytest.mark.parametrize("g, n, least", [(2, 0, 2), (3, 0, 4), (2, 2, 4), (1, 1, 1)])
-    def test_vertex_cap_below_family_raises(self, g, n, least):
-        for cap in range(least):
-            with pytest.raises(GraphError):
-                enumerate_stable_graphs(g, n, [1], max_vertices=cap)
-        full = enumerate_stable_graphs(g, n, [1])
-        assert enumerate_stable_graphs(g, n, [1], max_vertices=least) == full
+    @pytest.mark.parametrize("g, n", [(4, 3), (2, 7), (1, 9)])
+    def test_vertex_cap_raises_before_search(self, monkeypatch, g, n):
+        # Stable graphs of (g, n) have up to 2g - 2 + n vertices; families
+        # past the cap are refused without searching for a shape.
+        assert 2 * g - 2 + n > MAX_ENUMERATION_VERTICES
+
+        def no_search(*args):
+            raise AssertionError("shape search started")
+
+        monkeypatch.setattr(graphs, "_enumerate_shapes", no_search)
+        with pytest.raises(UnsupportedGenus, match="enumeration cap"):
+            enumerate_stable_graphs(g, n, [1])
 
     def test_decorations_equal_checked_graphs(self):
         # Decorations skip the connectivity search of their shape, and
@@ -285,7 +292,7 @@ class TestEnumeration:
             for G in sample:
                 canonical_form(G)
             enumerate_stable_graphs(3, 0, (1, 2))
-            _enumerate_shapes(3, 1, MAX_ENUMERATION_VERTICES)
+            _enumerate_shapes(3, 1)
         finally:
             gc.enable()
         assert gc.collect() == 0
@@ -319,7 +326,7 @@ class TestAgainstOracles:
     )
     def test_assignments_and_labels(self, g, n, choices):
         rng = random.Random(100 * g + 10 * n + len(choices))
-        for shape in _enumerate_shapes(g, n, MAX_ENUMERATION_VERTICES):
+        for shape in _enumerate_shapes(g, n):
             fast = _stabilizer_assignments(shape, choices)
             assert fast == sorted(fast)
             if len(choices) ** shape.n_edges <= self.ORACLE_TUPLES:
@@ -329,6 +336,16 @@ class TestAgainstOracles:
             for assign in fast:
                 G = _decorate(shape, assign)
                 assert canonical_form(G) == _brute_canonical_form(G)
+
+    @pytest.mark.parametrize(
+        "g, n", [(2, 0), (3, 0), (4, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+    )
+    def test_shape_automorphisms(self, g, n):
+        # At most 6 vertices, so the oracle tries at most 720 permutations.
+        for shape in _enumerate_shapes(g, n):
+            fast = _LabelPlan(shape).automorphisms()
+            assert len(set(map(tuple, fast))) == len(fast)
+            assert set(map(tuple, fast)) == set(map(tuple, _oracle_automorphisms(shape)))
 
     @pytest.mark.parametrize("g, choices", [(3, (1, 2, 3)), (4, (1,))])
     def test_random_relabellings_and_flips(self, g, choices):
@@ -418,14 +435,10 @@ def _brute_canonical_form(G):
     )
 
 
-def _oracle_assignments(shape, choices):
-    """One stabilizer tuple per automorphism orbit, by minimising an orbit
-    key over every automorphism for every tuple in choices^edges."""
+def _oracle_automorphisms(shape):
+    """Every vertex permutation that preserves genera, leg counts and the
+    multiset of edge end pairs, found by trying them all."""
     pair = [(min(e.tail, e.head), max(e.tail, e.head)) for e in shape.edges]
-    classes = {}
-    for k, key in enumerate(pair):
-        classes.setdefault(key, []).append(k)
-    class_keys = sorted(classes)
     autos = []
     for perm in itertools.permutations(range(shape.n_vertices)):
         if all(
@@ -436,6 +449,18 @@ def _oracle_assignments(shape, choices):
             (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in pair
         ) == sorted(pair):
             autos.append(perm)
+    return autos
+
+
+def _oracle_assignments(shape, choices):
+    """One stabilizer tuple per automorphism orbit, by minimising an orbit
+    key over every automorphism for every tuple in choices^edges."""
+    pair = [(min(e.tail, e.head), max(e.tail, e.head)) for e in shape.edges]
+    classes = {}
+    for k, key in enumerate(pair):
+        classes.setdefault(key, []).append(k)
+    class_keys = sorted(classes)
+    autos = _oracle_automorphisms(shape)
     out = []
     seen = set()
     for assign in itertools.product(choices, repeat=shape.n_edges):

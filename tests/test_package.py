@@ -45,6 +45,20 @@ def test_oracles_stay_out_of_library_paths():
     assert found == []
 
 
+def test_branch_and_bound_is_the_only_vertex_permutation_search():
+    # Canonical labels and shape automorphisms both come from the label
+    # search; trying every permutation stays in the tests' oracles.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node.func) == "permutations"
+        ]
+    assert found == []
+
+
 def _name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 

@@ -129,9 +129,9 @@ def parse_bundle_file(path: str, G: graphs.DualGraph) -> picard.LineBundleData:
 
 
 def load_bundle(args, G: graphs.DualGraph) -> picard.LineBundleData:
-    if getattr(args, "bundle_file", None):
+    if args.bundle_file:
         return parse_bundle_file(args.bundle_file, G)
-    return parse_bundle_spec(getattr(args, "bundle", None) or "omega:k=1", G)
+    return parse_bundle_spec(args.bundle, G)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -156,107 +156,81 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _add_common(parser, suppress: bool) -> None:
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument("--format", choices=("json", "tsv"), default=default("json"))
-    parser.add_argument(
-        "--max-domain",
-        type=int,
-        default=default(int(os.environ.get("TC_MAX_DOMAIN", picard.DEFAULT_MAX_DOMAIN))),
-    )
-    parser.add_argument("--seed", type=int, default=default(0))
-    parser.add_argument("--jobs", type=int, default=default(1))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tc",
         description="Exact computations on dual graphs of twisted nodal curves.",
     )
-    _add_common(parser, suppress=False)
-    # The same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed before it.
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common, suppress=True)
+    # Each option is declared once, on a parent shared by the subcommands
+    # that read it; any other subcommand rejects it as unknown.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "tsv"), default="json")
+    bundle = argparse.ArgumentParser(add_help=False)
+    group = bundle.add_mutually_exclusive_group()
+    group.add_argument("--bundle", default="omega:k=1")
+    group.add_argument("--bundle-file")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--max-domain", type=int, default=picard.DEFAULT_MAX_DOMAIN)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("genus", parents=[common], help="arithmetic genus of a graph")
+    def command(name, summary, *parents):
+        return sub.add_parser(name, parents=[fmt, *parents], help=summary)
+
+    p = command("genus", "arithmetic genus of a graph")
     p.add_argument("graph")
 
-    p = sub.add_parser("classify", parents=[common], help="node type of an edge")
+    p = command("classify", "node type of an edge")
     p.add_argument("graph")
     p.add_argument("-e", "--edge", type=int, required=True)
 
-    p = sub.add_parser("torsion", parents=[common], help="number of r-torsion classes")
+    p = command("torsion", "number of r-torsion classes")
     p.add_argument("graph")
     p.add_argument("-r", type=int, required=True)
 
-    p = sub.add_parser("roots", parents=[common], help="number of r-th roots of a bundle")
+    p = command("roots", "number of r-th roots of a bundle", bundle, cap)
     p.add_argument("graph")
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--bundle")
-    p.add_argument("--bundle-file")
     p.add_argument("--list", action="store_true", help="include the discrete roots, not just the count")
 
-    p = sub.add_parser(
-        "criterion", parents=[common], help="edge criterion for the maximal root count"
-    )
+    p = command("criterion", "edge criterion for the maximal root count", bundle)
     p.add_argument("graph")
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--bundle")
-    p.add_argument("--bundle-file")
 
-    p = sub.add_parser(
-        "lift", parents=[common], help="membership and lift through the boundary map"
-    )
+    p = command("lift", "membership and lift through the boundary map")
     p.add_argument("graph")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-t", "--target", required=True, help="comma-separated residues, one per vertex")
 
-    p = sub.add_parser("orbits", parents=[common], help="ghost orbits on root classes")
+    p = command("orbits", "ghost orbits on root classes", bundle, cap)
     p.add_argument("graph")
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--bundle")
-    p.add_argument("--bundle-file")
     p.add_argument("--involution", action="store_true")
     p.add_argument("--nontrivial", action="store_true")
 
-    p = sub.add_parser(
-        "enumerate", parents=[common], help="stable decorated graphs up to isomorphism"
-    )
+    p = command("enumerate", "stable decorated graphs up to isomorphism")
     p.add_argument("-g", type=int, required=True)
     p.add_argument("-n", "--legs", type=int, default=0)
     p.add_argument("--stabilizers", default="1", help="comma-separated choices")
     p.add_argument("--list", action="store_true", help="include the graphs, not just the count")
 
-    p = sub.add_parser(
-        "verify-rootsnum",
-        parents=[common],
-        help="criterion vs counted roots over a family",
-    )
+    p = command("verify-rootsnum", "criterion vs counted roots over a family")
     p.add_argument("-g", type=int, required=True)
     p.add_argument("--stabilizers", default="1,2,3,4,6")
     p.add_argument("-r", "--orders", default="2,3,4,6")
     p.add_argument("--random-bundles", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
-    p = sub.add_parser(
-        "verify-cond", parents=[common], help="stability-profile equivalence sweep"
-    )
+    p = command("verify-cond", "stability-profile equivalence sweep")
     p.add_argument("-g", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-l", "--profile", required=True, help="comma-separated multiindex")
     p.add_argument("-k", type=int, default=1)
 
-    p = sub.add_parser(
-        "nr", parents=[common], help="profile of the nontrivial genus-1 spin cover"
-    )
+    p = command("nr", "profile of the nontrivial genus-1 spin cover")
     p.add_argument("-r", type=int, required=True)
 
-    p = sub.add_parser(
-        "ratio", parents=[common], help="automorphism order ratio r^m / prod(d_i)"
-    )
+    p = command("ratio", "automorphism order ratio r^m / prod(d_i)")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-d", "--stabilizers", default="", help="comma-separated d_i")
 
@@ -333,6 +307,8 @@ def run(args) -> dict:
     if args.command == "verify-rootsnum":
         if args.random_bundles < 0:
             raise ParseError(f"--random-bundles: {args.random_bundles} < 0")
+        if args.jobs < 1:
+            raise ParseError(f"--jobs: {args.jobs} < 1")
         family = graphs.enumerate_stable_graphs(args.g, 0, _csv_ints(args.stabilizers))
         discrepancies, checked = picard.verify_rootsnum(
             family,
@@ -402,14 +378,20 @@ DOMAIN_ERRORS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload = run(args)
     except DOMAIN_ERRORS as exc:
         print(f"tc: error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args.format)
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device so that
+        # the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

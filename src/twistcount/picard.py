@@ -302,11 +302,7 @@ def random_bundle(G: DualGraph, rng: random.Random, r: int | None = None) -> Lin
     mult = tuple(rng.randrange(e.stabilizer) for e in G.edges)
     int_part = [rng.randrange(-3, 4) for _ in range(G.n_vertices)]
     L = LineBundleData(G, tuple(int_part), mult)
-    if r is not None:
-        excess = total_degree(L) % r
-        int_part[0] -= excess
-        L = LineBundleData(G, tuple(int_part), mult)
-    return L
+    return L if r is None else _pad_degree(L, r)
 
 
 # ---------------------------------------------------------------------------
@@ -787,22 +783,9 @@ def combine_coprime(
         raise GraphMismatch("roots live on different graphs")
     if rth_power(L1, r1) != rth_power(L2, r2):
         raise RootMismatch("the two roots do not power to a common class")
-    h1, h2 = _bezout(r1, r2)
+    h1 = pow(r1, -1, r2)
+    h2 = (1 - h1 * r1) // r2
     return tensor(power(L1, h2), power(L2, h1))
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, rr = a, b
-    old_s, s = 1, 0
-    old_t, tt = 0, 1
-    while rr:
-        q = old_r // rr
-        old_r, rr = rr, old_r - q * rr
-        old_s, s = s, old_s - q * s
-        old_t, tt = tt, old_t - q * tt
-    if old_r != 1:
-        raise NotCoprime(f"{a} and {b} are not coprime")
-    return old_s, old_t
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +808,6 @@ def check_rootsnum_graph(
     *,
     n_random: int = 50,
     seed: int = 0,
-    omega_powers=(1, 2),
 ):
     """Criterion-versus-count checks for one graph; see verify_rootsnum.
 
@@ -838,8 +820,7 @@ def check_rootsnum_graph(
     """
     rng = random.Random(f"{seed}:{G!r}")
     g = genus(G)
-    bundles = [omega_bundle(G, k) for k in omega_powers]
-    bundles.append(trivial_bundle(G))
+    bundles = [omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G)]
     bundles += [random_bundle(G, rng) for _ in range(n_random)]
     geo = _geometry(G)
     S = geo.scale

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -323,6 +326,13 @@ class TestCommands:
         assert code == 0
         assert out == '{"graphs":22,"checked":264,"discrepancies":[]}'
 
+    def test_verify_rootsnum_jobs_output_identical(self, capsys):
+        argv = ("verify-rootsnum", "-g", "2", "--stabilizers", "1,2", "-r", "2,4")
+        argv += ("--random-bundles", "5")
+        outputs = [run_cli(capsys, *argv, "--jobs", jobs) for jobs in ("1", "2")]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
     def test_verify_rootsnum_wide_domains(self, capsys):
         # Solution domains up to 12^6, beyond the listing cap: counts never
         # sweep the domain, so the family is checked in full.
@@ -381,7 +391,7 @@ class TestCommands:
         assert json.loads(out) == {"genus": 1}
 
     def test_tsv_format(self, capsys, loop_path):
-        code, out = run_cli(capsys, "--format", "tsv", "genus", loop_path)
+        code, out = run_cli(capsys, "genus", "--format", "tsv", loop_path)
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "genus" and lines[1] == "1"
@@ -401,11 +411,38 @@ class TestExitCodes:
 
     def test_usage_error_is_two(self, capsys):
         # The vertex cap is fixed, so --max-vertices is an unknown option.
-        for argv in (["torsion"], ["enumerate", "-g", "2", "--max-vertices", "8"]):
+        # Every other option is accepted only after a subcommand that reads
+        # it, and a bundle comes from a builder string or a file, not both.
+        for argv in (
+            ["torsion"],
+            ["enumerate", "-g", "2", "--max-vertices", "8"],
+            ["--format", "tsv", "genus", "F"],
+            ["genus", "F", "--jobs", "2"],
+            ["verify-cond", "-g", "2", "-r", "2", "-l", "2,2", "--seed", "1"],
+            ["nr", "-r", "5", "--max-domain", "9"],
+            ["roots", "F", "-r", "2", "--bundle", "omega:k=1", "--bundle-file", "B"],
+        ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_closed_stdout_exits_quietly(self):
+        # The reader stops after 10 of about 119 kB, so the write fails.
+        argv = ["enumerate", "-g", "3", "--stabilizers", "1,2", "--list"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twistcount.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(10) == b'{"count":4'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b"", "no traceback, no message"
 
     def test_determinism(self, capsys, loop_path):
         outputs = set()
@@ -432,6 +469,8 @@ class TestExitCodes:
             ("verify-rootsnum", "-g", "5", "--stabilizers", "1"),
             ("orbits", "{unpaired}", "-r", "3", "--involution"),
             ("lift", "{loop}", "-r", "0", "-t", "0"),
+            ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--jobs", "0"),
+            ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--jobs", "-3"),
         ],
     )
     def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):
@@ -458,7 +497,7 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
-    def test_env_max_domain(self, capsys, monkeypatch, tmp_path):
+    def test_max_domain_caps_list_only(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(
             '{"vertices":[{"genus":0,"legs":[1,2]}],'
@@ -466,11 +505,11 @@ class TestExitCodes:
         )
         bundle = tmp_path / "trivial.json"
         bundle.write_text('{"int_part": [0], "mult": [0, 0]}')
-        monkeypatch.setenv("TC_MAX_DOMAIN", "3")
+        argv = ["roots", str(path), "-r", "5", "--bundle-file", str(bundle), "--max-domain", "3"]
         # 25 discrete roots: the count is not capped, the list is.
-        code, out = run_cli(capsys, "roots", str(path), "-r", "5", "--bundle-file", str(bundle))
+        code, out = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out) == {"count": 5**4}
-        code = main(["roots", str(path), "-r", "5", "--bundle-file", str(bundle), "--list"])
+        code = main([*argv, "--list"])
         assert code == 1
         assert capsys.readouterr().err.startswith("tc: error: ")

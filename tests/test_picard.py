@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twistcount import orbits, picard
 from twistcount.exactalg import (
+    _match_count,
     hom_image_contains,
     kernel_size_by_enumeration,
     solve_congruence,
@@ -56,6 +57,7 @@ from twistcount.picard import (
     torsion_count,
     total_degree,
     trivial_bundle,
+    verify_rootsnum,
     vertex_degree,
 )
 
@@ -675,37 +677,9 @@ def _count_by_base_solution(G, F, r):
 
 
 def _solution_count_by_tables(G, r, t):
-    """Number of x in prod Z/h_e with M x = t (mod r), by a meet-in-the-middle
-    sweep: the images of two halves of the domain are tabulated and matched."""
-    hs = [gcd(e.stabilizer, r) for e in G.edges]
-    left, right = [], []
-    size_l = size_r = 1
-    for k in sorted(range(G.n_edges), key=lambda k: -hs[k]):
-        if size_l <= size_r:
-            left.append(k)
-            size_l *= hs[k]
-        else:
-            right.append(k)
-            size_r *= hs[k]
-
-    def table(indices):
-        out = {}
-        for xs in itertools.product(*(range(hs[k]) for k in indices)):
-            s = [0] * G.n_vertices
-            for k, x in zip(indices, xs):
-                e, w = G.edges[k], r // hs[k]
-                s[e.head] = (s[e.head] + w * x) % r
-                s[e.tail] = (s[e.tail] - w * x) % r
-            key = tuple(s)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    table_l, table_r = table(left), table(right)
-    total = 0
-    for key, count in table_l.items():
-        complement = tuple((a - b) % r for a, b in zip(t, key))
-        total += count * table_r.get(complement, 0)
-    return total
+    """Number of x in prod Z/h_e with M x = t (mod r), by the library's
+    meet-in-the-middle sweep of the boundary map, not its Smith path."""
+    return _match_count(delta_embed(G, r), t)
 
 
 def _count_by_tables(G, F, r):
@@ -841,6 +815,12 @@ class TestRootsnumPlan:
                     F.mult for F in raw
                 }
         assert padded
+
+    def test_worker_pool_matches_serial_sweep(self):
+        family = enumerate_stable_graphs(2, 0, (1, 2))
+        serial = verify_rootsnum(family, (2, 4), n_random=5, seed=3, jobs=1)
+        assert serial[1] == len(family) * 2 * 8
+        assert verify_rootsnum(family, (2, 4), n_random=5, seed=3, jobs=2) == serial
 
     def test_cache_sizes_stay_bounded(self):
         shape = dual_graph([0, 0, 0, 0], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])

@@ -3,7 +3,7 @@
 Graphs come in as JSON ({"vertices": [{"genus": 0, "legs": [1]}, ...],
 "edges": [{"tail": 0, "head": 0, "stabilizer": 2}, ...]}, 0-based), from a
 file or stdin ("-").  Output is JSON by default, TSV on request.  Exit
-codes: 0 success, 1 domain error, 2 usage error.
+codes: 0 success, 1 domain error, 2 usage error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -309,10 +309,13 @@ def run(args) -> dict:
             raise ParseError(f"--random-bundles: {args.random_bundles} < 0")
         if args.jobs < 1:
             raise ParseError(f"--jobs: {args.jobs} < 1")
+        orders = _csv_ints(args.orders)
+        if not orders:
+            raise ParseError("--orders: expected at least one order")
         family = graphs.enumerate_stable_graphs(args.g, 0, _csv_ints(args.stabilizers))
         discrepancies, checked = picard.verify_rootsnum(
             family,
-            _csv_ints(args.orders),
+            orders,
             n_random=args.random_bundles,
             seed=args.seed,
             jobs=args.jobs,
@@ -384,6 +387,9 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"tc: error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("tc: interrupted", file=sys.stderr)
+        return 130
     try:
         _emit(payload, args.format)
         sys.stdout.flush()

@@ -22,7 +22,9 @@ Counts never sweep the domain, so only listing roots is capped.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -116,28 +118,25 @@ class _Geometry:
     orders, so the hot paths never touch rational arithmetic.
     """
 
-    __slots__ = ("scale", "incidences", "stabs", "units")
+    __slots__ = ("scale", "stabs", "units", "branches")
 
     def __init__(self, G: DualGraph):
         self.scale = lcm(1, *(e.stabilizer for e in G.edges))
-        self.incidences = tuple(tuple(G.incidences(v)) for v in range(G.n_vertices))
         self.stabs = tuple(e.stabilizer for e in G.edges)
         self.units = tuple(self.scale // l for l in self.stabs)
+        self.branches = tuple(
+            (e.head, e.tail, l, u) for e, l, u in zip(G.edges, self.stabs, self.units)
+        )
 
     def scaled_degrees(self, int_part, mult) -> list[int]:
-        """S * deg_v of the class (int_part, mult): S * int_part[v] plus S
-        times the branch fractions mu/l at v, where a tail branch carries
-        (l - mu) mod l."""
-        S, stabs, units = self.scale, self.stabs, self.units
-        out = []
-        for a, incidences in zip(int_part, self.incidences):
-            acc = S * a
-            for e, is_head in incidences:
-                m = mult[e]
-                if not is_head:
-                    m = (stabs[e] - m) % stabs[e]
-                acc += units[e] * m
-            out.append(acc)
+        """S * deg_v of the class (int_part, mult) for every vertex v:
+        S * int_part[v] plus, edge by edge, S * mu/l at the head and
+        S * ((l - mu) mod l)/l at the tail (a loop gets both)."""
+        S = self.scale
+        out = [S * a for a in int_part]
+        for (head, tail, l, u), m in zip(self.branches, mult):
+            out[head] += u * m
+            out[tail] += u * ((l - m) % l)
         return out
 
 
@@ -207,12 +206,17 @@ def total_degree(L: LineBundleData) -> int:
     Opposite branches carry inverse characters, so each edge contributes
     mu/l + ((l-mu) mod l)/l, which is 1 for mu != 0 and 0 otherwise.
     """
-    total = sum(L.int_part) + sum(1 for m in L.mult if m)
     geo = _geometry(L.graph)
-    scaled = sum(_scaled_degrees(L, geo))
-    if scaled != total * geo.scale:
+    return _checked_total(geo, L.int_part, L.mult, _scaled_degrees(L, geo))
+
+
+def _checked_total(geo: _Geometry, int_part, mult, scaled) -> int:
+    """Total degree of the class (int_part, mult) with S * degrees scaled,
+    checked against the sum of the scaled degrees."""
+    total = sum(int_part) + len(mult) - mult.count(0)
+    if sum(scaled) != total * geo.scale:
         raise NonIntegralTotal(
-            f"degree sum {Fraction(scaled, geo.scale)} is not the integer {total}"
+            f"degree sum {Fraction(sum(scaled), geo.scale)} is not the integer {total}"
         )
     return total
 
@@ -299,10 +303,27 @@ def flip_bundle_edge(L: LineBundleData, e: int) -> LineBundleData:
 def random_bundle(G: DualGraph, rng: random.Random, r: int | None = None) -> LineBundleData:
     """Random discrete class; with r given, the total degree is padded to a
     multiple of r on vertex 0."""
-    mult = tuple(rng.randrange(e.stabilizer) for e in G.edges)
-    int_part = [rng.randrange(-3, 4) for _ in range(G.n_vertices)]
-    L = LineBundleData(G, tuple(int_part), mult)
+    L = LineBundleData(G, *_draw(rng, G.stabilizers(), G.n_vertices))
     return L if r is None else _pad_degree(L, r)
+
+
+def _draw(rng: random.Random, stabs, n_vertices: int):
+    """(int_part, mult) of a random class: each multiplicity uniform in
+    [0, l), edge by edge, then each integer part uniform in [-3, 3]."""
+    getrandbits = rng.getrandbits
+    mult = tuple([_below(getrandbits, l) for l in stabs])
+    return tuple([_below(getrandbits, 7) - 3 for _ in range(n_vertices)]), mult
+
+
+def _below(getrandbits, n: int) -> int:
+    """Uniform in [0, n) for n >= 1, by the same rejection loop on
+    getrandbits(n.bit_length()) as random.Random.randrange(n), so a seeded
+    generator gives the same numbers and is left in the same state."""
+    k = n.bit_length()
+    x = getrandbits(k)
+    while x >= n:
+        x = getrandbits(k)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +376,12 @@ class RootCounter:
     witness and the kernel generators (the columns of V scaled by r/m_i),
     so its cost scales with the number of roots, not with the domain.
     Per edge, the base solution mu0 of each multiplicity and the shifts it
-    makes to the scaled degrees are memoized on first use, so counts and
-    lifts work on the bundle's scaled degrees and multiplicities as plain
-    integers and build no bundle.  One counter serves every bundle on
-    (G, r): _counter keeps the recent ones for torsion, counts, root lists,
-    constructed roots and lifts, and check_rootsnum_graph builds one per r.
+    makes to the scaled degrees are memoized in a list indexed by the
+    multiplicity, filled on first use, so counts and lifts work on the
+    bundle's scaled degrees and multiplicities as plain integers and build
+    no bundle.  One counter serves every bundle on (G, r): _counter keeps
+    the recent ones for torsion, counts, root lists, constructed roots and
+    lifts, and check_rootsnum_graph builds one per r for its integer rows.
     """
 
     def __init__(self, G: DualGraph, r: int):
@@ -371,11 +393,13 @@ class RootCounter:
         self.domain_size = prod(self.hs)
         self.free_factor = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
         self._geo = _geometry(G)
-        # Per edge: (index, head, tail, memo) where memo maps a multiplicity
-        # m to (mu0, head shift, tail shift), the shifts being r * S times
-        # the branch fractions of mu0, or to () when r*mu = m (mod l) has no
-        # solution.
-        self._shifts = tuple((k, e.head, e.tail, {}) for k, e in enumerate(G.edges))
+        # Per edge: (index, head, tail, memo) where memo[m] is filled on
+        # first use with (mu0, head shift, tail shift), the shifts being
+        # r * S times the branch fractions of mu0, or with () when
+        # r*mu = m (mod l) has no solution.
+        self._shifts = tuple(
+            (k, e.head, e.tail, [None] * e.stabilizer) for k, e in enumerate(G.edges)
+        )
 
     @cached_property
     def smith(self) -> _SmithData:
@@ -393,7 +417,7 @@ class RootCounter:
         """
         defect = list(scaled)
         for (k, head, tail, memo), m in zip(self._shifts, mult):
-            shift = memo.get(m)
+            shift = memo[m]
             if shift is None:
                 shift = memo[m] = self._shift(k, m)
             if not shift:
@@ -812,27 +836,35 @@ def check_rootsnum_graph(
     """Criterion-versus-count checks for one graph; see verify_rootsnum.
 
     The random bundles are seeded from (seed, graph), so the result does
-    not depend on how a family sweep is chunked.  Each bundle's scaled
-    degrees and total degree are computed once; per r one RootCounter and
-    one edge criterion serve every bundle, which is padded by lowering the
-    scaled degree of vertex 0, so a check handles integer tuples only.  A
-    LineBundleData for the padded bundle is built only for a discrepancy.
+    not depend on how a family sweep is chunked; they are the classes that
+    random_bundle draws from the same generator.  Every bundle is a row
+    (int_part, mult, scaled, total) of integers: the dualizing class, its
+    square and the trivial class come from their LineBundleData, the
+    random classes straight from the generator, and each row's total is
+    checked against its scaled degrees.  Per r one RootCounter and one
+    edge criterion serve every row, which is padded by lowering the scaled
+    degree of vertex 0.  A LineBundleData for a random class is built only
+    for a discrepancy's record.
     """
     rng = random.Random(f"{seed}:{G!r}")
     g = genus(G)
-    bundles = [omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G)]
-    bundles += [random_bundle(G, rng) for _ in range(n_random)]
     geo = _geometry(G)
     S = geo.scale
-    prepared = [(F, _scaled_degrees(F, geo), total_degree(F)) for F in bundles]
+    fixed = (omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G))
+    drawn = [(F.int_part, F.mult) for F in fixed]
+    drawn += [_draw(rng, geo.stabs, G.n_vertices) for _ in range(n_random)]
+    rows = []
+    for int_part, mult in drawn:
+        scaled = tuple(geo.scaled_degrees(int_part, mult))
+        rows.append((int_part, mult, scaled, _checked_total(geo, int_part, mult, scaled)))
     discrepancies: list[RootsnumRecord] = []
     checked = 0
     for r in r_values:
         counter = RootCounter(G, r)
         criterion = _Criterion(G, r)
         expected = r ** (2 * g)
-        for F, scaled, total in prepared:
-            t = counter._targets(scaled, F.mult)
+        for int_part, mult, scaled, total in rows:
+            t = counter._targets(scaled, mult)
             excess = total % r
             if excess:
                 # No roots at all off the hypothesis; pad the degree on
@@ -840,18 +872,22 @@ def check_rootsnum_graph(
                 # S * deg_0 by a multiple of S, so only t_0 changes.
                 count = counter._count(t)
                 if count != 0:
+                    F = LineBundleData(G, int_part, mult)
                     discrepancies.append(RootsnumRecord(G, r, F, False, count, 0))
                 scaled = (scaled[0] - S * excess,) + scaled[1:]
                 if t is not None:
                     t = ((t[0] - excess) % r,) + t[1:]
             count = counter._count(t)
-            passed = criterion.holds(scaled, F.mult)
+            passed = criterion.holds(scaled, mult)
             checked += 1
             if passed != (count == expected):
-                discrepancies.append(
-                    RootsnumRecord(G, r, _pad_degree(F, r), passed, count, expected)
-                )
+                F = LineBundleData(G, (int_part[0] - excess,) + int_part[1:], mult)
+                discrepancies.append(RootsnumRecord(G, r, F, passed, count, expected))
     return discrepancies, checked
+
+
+def _ignore_interrupt():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _rootsnum_worker(args):
@@ -873,15 +909,19 @@ def verify_rootsnum(
     class, the trivial class, and random classes padded to total degree
     0 mod r) the edge criterion must hold exactly when the number of
     roots is r^(2g).  Returns (discrepancies, checked) where any
-    discrepancy is a RootsnumRecord.  With jobs > 1 the graphs are
-    distributed over a worker pool; results merge in input order.
+    discrepancy is a RootsnumRecord.  The graphs are distributed over
+    min(jobs, number of graphs, CPU count) worker processes, which ignore
+    SIGINT so that an interrupt reaches the caller alone; results merge in
+    input order, and with one worker the sweep runs in this process.
     """
     r_values = tuple(r_values)
-    if jobs > 1:
+    graphs_to_check = list(graphs_to_check)
+    workers = min(jobs, len(graphs_to_check), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
         work = [(G, r_values, n_random, seed) for G in graphs_to_check]
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers, _ignore_interrupt) as pool:
             results = pool.map(_rootsnum_worker, work, chunksize=64)
     else:
         results = [

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -444,6 +446,37 @@ class TestExitCodes:
         assert proc.wait(timeout=60) == 1
         assert err == b"", "no traceback, no message"
 
+    def test_interrupt_exits_quietly(self, capsys, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(picard, "verify_rootsnum", interrupt)
+        code = main(["verify-rootsnum", "-g", "2", "--stabilizers", "1"])
+        captured = capsys.readouterr()
+        assert code == 130
+        assert captured.err == "tc: interrupted\n"
+        assert captured.out == ""
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+    def test_interrupt_under_jobs_exits_quietly(self):
+        # Ctrl-C signals the whole process group, workers included; the
+        # genus-3 sweep runs for about a minute, so it is still going after
+        # 3 s.
+        argv = ["verify-rootsnum", "-g", "3", "--jobs", "2"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twistcount.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+        )
+        time.sleep(3)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert (out, err) == (b"", b"tc: interrupted\n")
+
     def test_determinism(self, capsys, loop_path):
         outputs = set()
         for _ in range(3):
@@ -471,6 +504,7 @@ class TestExitCodes:
             ("lift", "{loop}", "-r", "0", "-t", "0"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--jobs", "0"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--jobs", "-3"),
+            ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "-r", ""),
         ],
     )
     def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):

@@ -70,6 +70,23 @@ def two_bridge(g, l=1):
     return dual_graph([g - 1, 1], [(0, 1, l)])
 
 
+class TestRandomDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, "2:x"])
+    def test_draws_match_randrange(self, seed):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            for n in range(1, 13):
+                assert picard._below(ours.getrandbits, n) == reference.randrange(n)
+            assert picard._below(ours.getrandbits, 7) - 3 == reference.randrange(-3, 4)
+        assert ours.getstate() == reference.getstate()
+
+    def test_random_bundle_stream_unchanged(self):
+        ours, reference = random.Random(11), random.Random(11)
+        for G in enumerate_stable_graphs(2, 0, [1, 2, 3, 4, 6])[::7]:
+            assert random_bundle(G, ours) == _randrange_bundle(G, reference)
+        assert ours.getstate() == reference.getstate()
+
+
 class TestDegrees:
     def test_omega_on_pointed_loop(self):
         G = pointed_loop(2)
@@ -735,13 +752,19 @@ def _solutions_by_product(G, F, r):
     return out
 
 
+def _randrange_bundle(G, rng):
+    """The random class of random_bundle, drawn with rng.randrange."""
+    mult = [rng.randrange(e.stabilizer) for e in G.edges]
+    return line_bundle(G, [rng.randrange(-3, 4) for _ in G.vertices], mult)
+
+
 def _rootsnum_oracle(G, r_values, n_random, seed, criterion=None):
     """The per-bundle sweep: a LineBundleData per padded bundle, degrees
     recomputed per r, the criterion with witnesses on every check."""
     rng = random.Random(f"{seed}:{G!r}")
     g = genus(G)
     bundles = [omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G)]
-    bundles += [random_bundle(G, rng) for _ in range(n_random)]
+    bundles += [_randrange_bundle(G, rng) for _ in range(n_random)]
     discrepancies = []
     checked = 0
     for r in r_values:
@@ -821,6 +844,55 @@ class TestRootsnumPlan:
         serial = verify_rootsnum(family, (2, 4), n_random=5, seed=3, jobs=1)
         assert serial[1] == len(family) * 2 * 8
         assert verify_rootsnum(family, (2, 4), n_random=5, seed=3, jobs=2) == serial
+
+    @pytest.mark.parametrize(
+        "jobs, n_graphs, cpus, workers",
+        [(8, 3, 4, 3), (8, 10, 4, 4), (2, 10, 4, 2), (8, 10, 1, None), (8, 10, None, None),
+         (4, 1, 4, None), (1, 10, 4, None)],
+    )
+    def test_worker_pool_is_capped(self, monkeypatch, jobs, n_graphs, cpus, workers):
+        # No process starts: the fake pool records its size and maps here.
+        import multiprocessing
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, processes, initializer=None):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, iterable, chunksize=1):
+                return list(map(func, iterable))
+
+        monkeypatch.setattr(multiprocessing, "Pool", Pool)
+        monkeypatch.setattr(picard.os, "cpu_count", lambda: cpus)
+        family = enumerate_stable_graphs(2, 0, (1, 2))[:n_graphs]
+        got = verify_rootsnum(family, (2, 3), n_random=2, seed=4, jobs=jobs)
+        assert got == verify_rootsnum(family, (2, 3), n_random=2, seed=4, jobs=1)
+        assert sizes == ([] if workers is None else [workers])
+
+    def test_sweep_builds_only_the_fixed_bundles(self, monkeypatch):
+        # Random classes stay integer rows; a LineBundleData is built for the
+        # dualizing class, its square and the trivial class, and otherwise
+        # only for a discrepancy's record.
+        built = []
+        post_init = LineBundleData.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 3), (1, 2, 6)])
+        fixed = [omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G)]
+        monkeypatch.setattr(LineBundleData, "__post_init__", counted)
+        discrepancies, checked = check_rootsnum_graph(G, self.ORDERS, n_random=50, seed=9)
+        assert discrepancies == [] and checked == 4 * 53
+        assert built == fixed
 
     def test_cache_sizes_stay_bounded(self):
         shape = dual_graph([0, 0, 0, 0], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])

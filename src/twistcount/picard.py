@@ -376,12 +376,12 @@ class RootCounter:
     witness and the kernel generators (the columns of V scaled by r/m_i),
     so its cost scales with the number of roots, not with the domain.
     Per edge, the base solution mu0 of each multiplicity and the shifts it
-    makes to the scaled degrees are memoized in a list indexed by the
-    multiplicity, filled on first use, so counts and lifts work on the
-    bundle's scaled degrees and multiplicities as plain integers and build
-    no bundle.  One counter serves every bundle on (G, r): _counter keeps
-    the recent ones for torsion, counts, root lists, constructed roots and
-    lifts, and check_rootsnum_graph builds one per r for its integer rows.
+    makes to the scaled degrees are memoized on first use, so counts and
+    lifts work on the bundle's scaled degrees and multiplicities as plain
+    integers and build no bundle.  One counter serves every bundle on
+    (G, r): _counter keeps the recent ones for torsion, counts, root lists,
+    constructed roots and lifts, and check_rootsnum_graph builds one per r
+    for its integer rows.
     """
 
     def __init__(self, G: DualGraph, r: int):
@@ -393,13 +393,11 @@ class RootCounter:
         self.domain_size = prod(self.hs)
         self.free_factor = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
         self._geo = _geometry(G)
-        # Per edge: (index, head, tail, memo) where memo[m] is filled on
-        # first use with (mu0, head shift, tail shift), the shifts being
-        # r * S times the branch fractions of mu0, or with () when
-        # r*mu = m (mod l) has no solution.
-        self._shifts = tuple(
-            (k, e.head, e.tail, [None] * e.stabilizer) for k, e in enumerate(G.edges)
-        )
+        # Per edge: (index, head, tail, memo) where memo maps a multiplicity
+        # m to (mu0, head shift, tail shift), the shifts being r * S times
+        # the branch fractions of mu0, or to () when r*mu = m (mod l) has no
+        # solution.
+        self._shifts = tuple((k, e.head, e.tail, {}) for k, e in enumerate(G.edges))
 
     @cached_property
     def smith(self) -> _SmithData:
@@ -417,7 +415,7 @@ class RootCounter:
         """
         defect = list(scaled)
         for (k, head, tail, memo), m in zip(self._shifts, mult):
-            shift = memo[m]
+            shift = memo.get(m)
             if shift is None:
                 shift = memo[m] = self._shift(k, m)
             if not shift:
@@ -881,13 +879,9 @@ def check_rootsnum_graph(
             passed = criterion.holds(scaled, mult)
             checked += 1
             if passed != (count == expected):
-                F = LineBundleData(G, (int_part[0] - excess,) + int_part[1:], mult)
+                F = _pad_degree(LineBundleData(G, int_part, mult), r)
                 discrepancies.append(RootsnumRecord(G, r, F, passed, count, expected))
     return discrepancies, checked
-
-
-def _ignore_interrupt():
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _rootsnum_worker(args):
@@ -911,8 +905,9 @@ def verify_rootsnum(
     roots is r^(2g).  Returns (discrepancies, checked) where any
     discrepancy is a RootsnumRecord.  The graphs are distributed over
     min(jobs, number of graphs, CPU count) worker processes, which ignore
-    SIGINT so that an interrupt reaches the caller alone; results merge in
-    input order, and with one worker the sweep runs in this process.
+    SIGINT so that an interrupt reaches the caller alone (one that arrives
+    while they start is lost); results merge in input order, and with one
+    worker the sweep runs in this process.
     """
     r_values = tuple(r_values)
     graphs_to_check = list(graphs_to_check)
@@ -921,7 +916,14 @@ def verify_rootsnum(
         import multiprocessing
 
         work = [(G, r_values, n_random, seed) for G in graphs_to_check]
-        with multiprocessing.Pool(workers, _ignore_interrupt) as pool:
+        # Workers started while SIGINT is ignored inherit SIG_IGN, so an
+        # interrupt reaches this process alone, which then ends the pool.
+        handler = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            pool = multiprocessing.Pool(workers)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        with pool:
             results = pool.map(_rootsnum_worker, work, chunksize=64)
     else:
         results = [

@@ -42,6 +42,17 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _child_count(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        return len(f.read().split())
+
+
+def _ignores_sigint(pid):
+    with open(f"/proc/{pid}/status") as f:
+        mask = next(line for line in f if line.startswith("SigIgn:")).split()[1]
+    return int(mask, 16) >> (signal.SIGINT - 1) & 1
+
+
 class TestParsing:
     def test_round_trip(self):
         for G in enumerate_stable_graphs(2, 0, [1, 2]):
@@ -457,11 +468,15 @@ class TestExitCodes:
         assert captured.err == "tc: interrupted\n"
         assert captured.out == ""
 
-    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+        or (os.cpu_count() or 1) < 2,
+        reason="reads child processes and signal masks from /proc; needs 2 CPUs",
+    )
     def test_interrupt_under_jobs_exits_quietly(self):
-        # Ctrl-C signals the whole process group, workers included; the
-        # genus-3 sweep runs for about a minute, so it is still going after
-        # 3 s.
+        # Ctrl-C signals the whole process group, workers included.  It is
+        # sent once both workers run and tc catches SIGINT again, well
+        # inside the genus-3 sweep, which runs for about a minute.
         argv = ["verify-rootsnum", "-g", "3", "--jobs", "2"]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.Popen(
@@ -471,7 +486,10 @@ class TestExitCodes:
             env=env,
             start_new_session=True,
         )
-        time.sleep(3)
+        deadline = time.monotonic() + 60
+        while _child_count(proc.pid) < 2 or _ignores_sigint(proc.pid):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
         os.killpg(proc.pid, signal.SIGINT)
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 130

@@ -251,6 +251,15 @@ class TestCountRoots:
             G = pointed_loop(r)
             assert count_roots(G, omega_bundle(G, 1), r) == r * r
 
+    def test_huge_stabilizer_costs_nothing_per_unit(self):
+        # Counts never sweep Z/l: a loop with l = 10^12 answers at once, as
+        # the same loop with l = 4 does (gcd(l, r) = 2 for both).
+        small = dual_graph([1], [(0, 0, 4)])
+        huge = dual_graph([1], [(0, 0, 10**12)])
+        assert torsion_count(huge, 6) == torsion_count(small, 6) == 432
+        for G in (small, huge):
+            assert count_roots(G, omega_bundle(G, 1), 2) == 16
+
     def test_torsor_contract(self):
         rng = random.Random(9)
         for G in enumerate_stable_graphs(2, 0, [1, 2, 4])[:60]:
@@ -851,13 +860,16 @@ class TestRootsnumPlan:
          (4, 1, 4, None), (1, 10, 4, None)],
     )
     def test_worker_pool_is_capped(self, monkeypatch, jobs, n_graphs, cpus, workers):
-        # No process starts: the fake pool records its size and maps here.
+        # No process starts: the fake pool records its size and whether
+        # SIGINT is ignored while it starts, and maps here.
         import multiprocessing
+        import signal
 
         sizes = []
 
         class Pool:
-            def __init__(self, processes, initializer=None):
+            def __init__(self, processes):
+                assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
                 sizes.append(processes)
 
             def __enter__(self):
@@ -872,7 +884,9 @@ class TestRootsnumPlan:
         monkeypatch.setattr(multiprocessing, "Pool", Pool)
         monkeypatch.setattr(picard.os, "cpu_count", lambda: cpus)
         family = enumerate_stable_graphs(2, 0, (1, 2))[:n_graphs]
+        handler = signal.getsignal(signal.SIGINT)
         got = verify_rootsnum(family, (2, 3), n_random=2, seed=4, jobs=jobs)
+        assert signal.getsignal(signal.SIGINT) is handler
         assert got == verify_rootsnum(family, (2, 3), n_random=2, seed=4, jobs=1)
         assert sizes == ([] if workers is None else [workers])
 

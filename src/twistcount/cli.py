@@ -398,6 +398,10 @@ def main(argv=None) -> int:
         # the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:
+        # Part of the output may already be written.
+        print("tc: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

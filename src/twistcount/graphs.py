@@ -608,6 +608,10 @@ def _realizations(degrees, i: int = 0, acc: tuple = ()):
 
     Vertices before ``i`` are already saturated by the edges in ``acc``;
     vertex i takes its loops first, then its edges to later vertices.
+    Loop counts rise and the edges to later vertices run through their
+    compositions in lexicographic order, so the multigraphs come in
+    lexicographic order of their adjacency counts' upper triangle, read
+    row by row.
     """
     n = len(degrees)
     while i < n and degrees[i] == 0:
@@ -634,9 +638,15 @@ def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
     of vertices is searched.
 
     Labellings are visited with genera, then legs, then degrees in
-    lexicographic order, so the first labelling met for each class has its
-    vertex keys (genus, legs, degree) sorted; labellings with unsorted keys
-    are skipped without changing which shape represents a class.
+    lexicographic order, and those with unsorted vertex keys (genus, legs,
+    degree) are skipped, so each class is met in one block of equal keys
+    only.  Inside a block ``_realizations`` visits in lexicographic order
+    of the key K: the upper triangle of the adjacency-count matrix, loops
+    on the diagonal, read row by row.  Two realizations of a class in one
+    block differ by a permutation of positions inside runs of equal keys,
+    so a realization is the first of its class met exactly when no such
+    permutation gives a smaller K (``_has_smaller_relabelling``).  Only
+    those realizations are built and labelled; the labels sort the output.
     """
     shapes: dict[str, DualGraph] = {}
     for nv in range(1, 2 * g - 2 + n_legs + 1):
@@ -662,13 +672,78 @@ def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
                 for degrees in _degree_sequences(2 * m, minima):
                     if not _sorted_within(degrees, runs):
                         continue
+                    keys = list(zip(runs, degrees))
+                    slot_members = [
+                        tuple(q for q in range(nv) if keys[q] == keys[p]) for p in range(nv)
+                    ]
                     for pairs in _realizations(degrees):
+                        counts = [[0] * nv for _ in range(nv)]
+                        for t, h in pairs:
+                            counts[t][h] += 1
+                            if t != h:
+                                counts[h][t] += 1
+                        if _has_smaller_relabelling(counts, slot_members):
+                            continue
                         try:
                             G = DualGraph(verts, tuple(Edge(t, h) for t, h in pairs))
                         except DisconnectedGraph:
                             continue
-                        shapes.setdefault(canonical_form(G), G)
+                        label = canonical_form(G)
+                        if label in shapes:
+                            raise GraphError(f"shape {label} generated twice")
+                        shapes[label] = G
     return [shapes[k] for k in sorted(shapes)]
+
+
+def _has_smaller_relabelling(counts, slot_members) -> bool:
+    """Whether a relabelling that gives label p a vertex of
+    ``slot_members[p]`` makes the key smaller; ``counts`` is the
+    symmetric matrix of edge counts, loops on the diagonal, and the key
+    is its upper triangle read row by row.
+
+    Labels are placed in order 0, 1, ...; once labels 0..s are placed,
+    row 0 of the relabelled key is fixed up to column s.  A candidate
+    whose entry there exceeds the graph's own is cut, one below it ends
+    the search, and on a tie the next label is placed.  When every label
+    is placed, row 0 ties and the remaining rows decide.  The stack is
+    kept explicitly (per label, the vertex placed and an iterator over
+    the members still to try), so no reference cycle is left behind.
+    """
+    n = len(counts)
+    later_rows = [(p, q) for p in range(1, n) for q in range(p, n)]
+    used = [False] * n
+    placed = [-1] * n
+    pending = [iter(slot_members[0])] + [None] * (n - 1)
+    s = 0
+    while s >= 0:
+        x = placed[s]
+        if x >= 0:
+            used[x] = False
+            placed[s] = -1
+        own = counts[0][s]
+        for x in pending[s]:
+            if not used[x]:
+                entry = counts[placed[0] if s else x][x]
+                if entry < own:
+                    return True
+                if entry == own:
+                    break
+        else:
+            s -= 1
+            continue
+        placed[s] = x
+        used[x] = True
+        if s < n - 1:
+            s += 1
+            pending[s] = iter(slot_members[s])
+            continue
+        for p, q in later_rows:
+            entry = counts[placed[p]][placed[q]]
+            if entry != counts[p][q]:
+                if entry < counts[p][q]:
+                    return True
+                break
+    return False
 
 
 def _sorted_within(values, runs) -> bool:

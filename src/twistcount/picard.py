@@ -907,9 +907,12 @@ def verify_rootsnum(
     min(jobs, number of graphs, CPU count) worker processes, which ignore
     SIGINT so that an interrupt reaches the caller alone (one that arrives
     while they start is lost); results merge in input order, and with one
-    worker the sweep runs in this process.
+    worker the sweep runs in this process.  Repeated orders raise
+    PicardError: they would count the same checks twice.
     """
     r_values = tuple(r_values)
+    if len(set(r_values)) != len(r_values):
+        raise PicardError(f"repeated orders in {list(r_values)}")
     graphs_to_check = list(graphs_to_check)
     workers = min(jobs, len(graphs_to_check), os.cpu_count() or 1)
     if workers > 1:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from twistcount import orbits, picard
+from twistcount import cli, orbits, picard
 from twistcount.cli import ParseError, emit_graph, main, parse_graph_data
 from twistcount.graphs import enumerate_stable_graphs
 
@@ -468,6 +468,19 @@ class TestExitCodes:
         assert captured.err == "tc: interrupted\n"
         assert captured.out == ""
 
+    def test_interrupt_during_output_exits_quietly(self, capsys, monkeypatch):
+        # A Ctrl-C while a long --list is written: what was written stays.
+        def interrupted_emit(payload, fmt):
+            sys.stdout.write('{"count":')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_emit", interrupted_emit)
+        code = main(["enumerate", "-g", "2", "--list"])
+        captured = capsys.readouterr()
+        assert code == 130
+        assert captured.err == "tc: interrupted\n"
+        assert captured.out == '{"count":'
+
     @pytest.mark.skipif(
         not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
         or (os.cpu_count() or 1) < 2,
@@ -523,6 +536,7 @@ class TestExitCodes:
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--jobs", "0"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--jobs", "-3"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "-r", ""),
+            ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "-r", "2,2"),
         ],
     )
     def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):

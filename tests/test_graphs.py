@@ -31,9 +31,13 @@ from twistcount.graphs import (
 )
 from twistcount.graphs import (  # internals compared with their oracles
     MAX_ENUMERATION_VERTICES,
+    _compositions,
+    _degree_sequences,
     _enumerate_shapes,
     _LabelPlan,
+    _realizations,
     _redecorate,
+    _sorted_within,
     _stabilizer_assignments,
 )
 
@@ -293,9 +297,33 @@ class TestEnumeration:
                 canonical_form(G)
             enumerate_stable_graphs(3, 0, (1, 2))
             _enumerate_shapes(3, 1)
+            _enumerate_shapes(4, 0)
         finally:
             gc.enable()
         assert gc.collect() == 0
+
+    @pytest.mark.parametrize("g, n, count", [(4, 1, 2666), (3, 3, 4041), (2, 5, 2325)])
+    def test_larger_shape_counts(self, g, n, count):
+        assert len(_enumerate_shapes(g, n)) == count
+
+    def test_one_label_per_shape(self, monkeypatch):
+        # Only the first realization of each class is labelled.
+        calls = []
+        search = graphs._least_edge_list
+
+        def counted(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(graphs, "_least_edge_list", counted)
+        assert len(_enumerate_shapes(4, 0)) == 379
+        assert len(calls) == 379
+
+    def test_shape_generated_twice_raises(self, monkeypatch):
+        # Keeping every realization labels some class twice.
+        monkeypatch.setattr(graphs, "_has_smaller_relabelling", lambda *args: False)
+        with pytest.raises(GraphError, match="generated twice"):
+            _enumerate_shapes(3, 0)
 
     def test_shape_layout_required(self):
         G = dual_graph([0, 0], [(0, 1), (0, 0), (0, 1), (1, 1)])
@@ -336,6 +364,14 @@ class TestAgainstOracles:
             for assign in fast:
                 G = _decorate(shape, assign)
                 assert canonical_form(G) == _brute_canonical_form(G)
+
+    @pytest.mark.parametrize(
+        "g, n",
+        [(2, 0), (3, 0), (4, 0), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (3, 1)],
+    )
+    def test_shapes_match_labelling_every_realization(self, g, n):
+        # Same representatives, in the same order.
+        assert _enumerate_shapes(g, n) == _oracle_shapes(g, n)
 
     @pytest.mark.parametrize(
         "g, n", [(2, 0), (3, 0), (4, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
@@ -488,6 +524,39 @@ def _oracle_assignments(shape, choices):
             seen.add(best)
             out.append(assign)
     return out
+
+
+def _oracle_shapes(g, n_legs):
+    """The shape search that labels every realization and keeps the first
+    one met with each label, in ``_enumerate_shapes``' visiting order."""
+    shapes = {}
+    for nv in range(1, 2 * g - 2 + n_legs + 1):
+        for genera in itertools.combinations_with_replacement(range(g + 1), nv):
+            if sum(genera) > g:
+                continue
+            m = g - sum(genera) + nv - 1
+            for legs in _compositions(n_legs, (n_legs,) * nv):
+                if not _sorted_within(legs, genera):
+                    continue
+                minima = [
+                    max(3 - 2 * genera[i] - legs[i], 1 if nv > 1 else 0)
+                    for i in range(nv)
+                ]
+                marks = iter(range(1, n_legs + 1))
+                verts = tuple(
+                    Vertex(genera[i], tuple(itertools.islice(marks, legs[i])))
+                    for i in range(nv)
+                )
+                for degrees in _degree_sequences(2 * m, minima):
+                    if not _sorted_within(degrees, list(zip(genera, legs))):
+                        continue
+                    for pairs in _realizations(degrees):
+                        try:
+                            G = DualGraph(verts, tuple(Edge(t, h) for t, h in pairs))
+                        except DisconnectedGraph:
+                            continue
+                        shapes.setdefault(canonical_form(G), G)
+    return [shapes[k] for k in sorted(shapes)]
 
 
 def _oracle_count(g, choices):

@@ -854,6 +854,12 @@ class TestRootsnumPlan:
         assert serial[1] == len(family) * 2 * 8
         assert verify_rootsnum(family, (2, 4), n_random=5, seed=3, jobs=2) == serial
 
+    @pytest.mark.parametrize("orders", [(2, 2), (3, 2, 3)])
+    def test_repeated_orders_refused(self, orders):
+        family = enumerate_stable_graphs(2, 0, (1,))
+        with pytest.raises(picard.PicardError, match="repeated orders"):
+            verify_rootsnum(family, orders, n_random=1)
+
     @pytest.mark.parametrize(
         "jobs, n_graphs, cpus, workers",
         [(8, 3, 4, 3), (8, 10, 4, 4), (2, 10, 4, 2), (8, 10, 1, None), (8, 10, None, None),

@@ -241,6 +241,14 @@ class TestCommands:
                 ("enumerate", "-g", "4", "--list"),
                 "8e817f51749b226ad508195ae36654eb8d17d3812e4e850e350f833c0b890315",
             ),
+            (
+                ("enumerate", "-g", "2", "--stabilizers", "1,2,3", "--list", "--format", "tsv"),
+                "cd298fe504beeeffc53c01fe935d45f785bcdab103b4548fa60c3e10662031f4",
+            ),
+            (
+                ("enumerate", "-g", "3", "--stabilizers", "1,2", "--list", "--format", "tsv"),
+                "8193282a8883495c96e89e2ca3f39f4a74b7779ec5655290cf4ab464a19e5b50",
+            ),
         ],
     )
     def test_enumerate_output_pinned(self, capsys, argv, digest):
@@ -441,21 +449,23 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_closed_stdout_exits_quietly(self):
-        # The reader stops after 10 of about 119 kB, so the write fails.
-        argv = ["enumerate", "-g", "3", "--stabilizers", "1,2", "--list"]
+        # The reader stops after 10 of about 119 kB (139 kB as TSV), so the
+        # write fails.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "twistcount.cli", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        assert proc.stdout.read(10) == b'{"count":4'
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 1
-        assert err == b"", "no traceback, no message"
+        for fmt, head in (("json", b'{"count":4'), ("tsv", b"count\tgrap")):
+            argv = ["enumerate", "-g", "3", "--stabilizers", "1,2", "--list", "--format", fmt]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "twistcount.cli", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            assert proc.stdout.read(10) == head
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 1
+            assert err == b"", "no traceback, no message"
 
     def test_interrupt_exits_quietly(self, capsys, monkeypatch):
         def interrupt(*args, **kwargs):

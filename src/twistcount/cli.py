@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import exactalg, graphs, orbits, picard
@@ -134,26 +135,57 @@ def load_bundle(args, G: graphs.DualGraph) -> picard.LineBundleData:
     return parse_bundle_spec(args.bundle, G)
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, separators=(",", ":"), default=_json_default))
-    else:
-        keys = list(payload)
-        print("\t".join(keys))
-        print("\t".join(_tsv_cell(payload[k]) for k in keys))
-
-
-def _tsv_cell(value) -> str:
-    if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, default=_json_default)
-    return str(value)
-
-
 def _json_default(value):
     """Exact rationals are written as strings such as "3/2"."""
     if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# json.dumps(value, separators=(",", ":"), default=_json_default) and
+# json.dumps(value, default=_json_default), with the encoder built once.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), default=_json_default).encode
+_SPACED = json.JSONEncoder(default=_json_default).encode
+
+
+def _emit(payload: dict, fmt: str) -> None:
+    """Write payload to stdout as one JSON object, or as a TSV line of keys
+    and a line of cells.  A member that is a list or an iterator is written
+    one item at a time, so a --list holds one item's dicts at a time; the
+    bytes are those of one json.dumps of the whole payload."""
+    write = sys.stdout.write
+    if fmt == "json":
+        write("{")
+        sep = ""
+        for key, value in payload.items():
+            write(f"{sep}{_COMPACT(key)}:")
+            _write_value(write, value, _COMPACT, ",")
+            sep = ","
+        write("}\n")
+    else:
+        write("\t".join(payload) + "\n")
+        sep = ""
+        for value in payload.values():
+            write(sep)
+            if isinstance(value, (list, tuple, dict, Iterator)):
+                _write_value(write, value, _SPACED, ", ")
+            else:
+                write(str(value))
+            sep = "\t"
+        write("\n")
+
+
+def _write_value(write, value, encode, sep: str) -> None:
+    if not isinstance(value, (list, Iterator)):
+        write(encode(value))
+        return
+    write("[")
+    between = ""
+    # map drops each item once it is encoded, before it makes the next one.
+    for text in map(encode, value):
+        write(between + text)
+        between = sep
+    write("]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +303,7 @@ def run(args) -> dict:
         out = {"count": picard.count_roots(G, F, args.r)}
         if args.list:
             roots = picard.enumerate_discrete_roots(G, F, args.r, args.max_domain)
-            out["roots"] = [emit_bundle(R) for R in roots]
+            out["roots"] = map(emit_bundle, roots)
         return out
     if args.command == "criterion":
         G = parse_graph(args.graph)
@@ -302,7 +334,7 @@ def run(args) -> dict:
         found = graphs.enumerate_stable_graphs(args.g, args.legs, _csv_ints(args.stabilizers))
         out = {"count": len(found)}
         if args.list:
-            out["graphs"] = [emit_graph(G) for G in found]
+            out["graphs"] = map(emit_graph, found)
         return out
     if args.command == "verify-rootsnum":
         if args.random_bundles < 0:
@@ -312,6 +344,7 @@ def run(args) -> dict:
         orders = _csv_ints(args.orders)
         if not orders:
             raise ParseError("--orders: expected at least one order")
+        picard.checked_orders(orders)
         family = graphs.enumerate_stable_graphs(args.g, 0, _csv_ints(args.stabilizers))
         discrepancies, checked = picard.verify_rootsnum(
             family,
@@ -323,7 +356,7 @@ def run(args) -> dict:
         return {
             "graphs": len(family),
             "checked": checked,
-            "discrepancies": [
+            "discrepancies": (
                 {
                     "graph": emit_graph(rec.graph),
                     "r": rec.r,
@@ -333,7 +366,7 @@ def run(args) -> dict:
                     "expected": rec.expected,
                 }
                 for rec in discrepancies
-            ],
+            ),
         }
     if args.command == "verify-cond":
         report = orbits.verify_cond(
@@ -347,9 +380,9 @@ def run(args) -> dict:
             "condition": report.condition,
             "all_maximal": report.all_maximal,
             "hypothesis_ok": report.hypothesis_ok,
-            "witnesses": [
+            "witnesses": (
                 {"graph": emit_graph(G), "count": n} for G, n in report.witnesses
-            ],
+            ),
         }
     if args.command == "nr":
         rep = orbits.nr_report(args.r)

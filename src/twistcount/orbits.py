@@ -562,6 +562,8 @@ def verify_cond(
 def aut_order_ratio(r: int, node_stabilizers) -> Fraction:
     """Ratio r^m / (d_1 * ... * d_m) of automorphism-group orders between a
     fully r-stabilized spin curve and its image with stabilizers d_i."""
+    if r < 1:
+        raise OrbitError(f"order {r} < 1")
     ds = [int(d) for d in node_stabilizers]
     if any(d < 1 for d in ds):
         raise OrbitError("node stabilizers must be >= 1")

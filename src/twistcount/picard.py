@@ -66,6 +66,7 @@ __all__ = [
     "split_coprime",
     "combine_coprime",
     "check_rootsnum_graph",
+    "checked_orders",
     "verify_rootsnum",
     "DEFAULT_MAX_DOMAIN",
     "GRAPH_CACHE_SIZE",
@@ -889,6 +890,19 @@ def _rootsnum_worker(args):
     return check_rootsnum_graph(G, r_values, n_random=n_random, seed=seed)
 
 
+def checked_orders(r_values) -> tuple:
+    """The orders of a sweep as a tuple.  Raises PicardError unless every
+    order is at least 1 and none repeats: a repeated order would count the
+    same checks twice."""
+    r_values = tuple(r_values)
+    for r in r_values:
+        if r < 1:
+            raise PicardError(f"order {r} < 1")
+    if len(set(r_values)) != len(r_values):
+        raise PicardError(f"repeated orders in {list(r_values)}")
+    return r_values
+
+
 def verify_rootsnum(
     graphs_to_check,
     r_values,
@@ -907,12 +921,10 @@ def verify_rootsnum(
     min(jobs, number of graphs, CPU count) worker processes, which ignore
     SIGINT so that an interrupt reaches the caller alone (one that arrives
     while they start is lost); results merge in input order, and with one
-    worker the sweep runs in this process.  Repeated orders raise
-    PicardError: they would count the same checks twice.
+    worker the sweep runs in this process.  The orders must pass
+    checked_orders.
     """
-    r_values = tuple(r_values)
-    if len(set(r_values)) != len(r_values):
-        raise PicardError(f"repeated orders in {list(r_values)}")
+    r_values = checked_orders(r_values)
     graphs_to_check = list(graphs_to_check)
     workers = min(jobs, len(graphs_to_check), os.cpu_count() or 1)
     if workers > 1:

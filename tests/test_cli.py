@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from twistcount import cli, orbits, picard
+from twistcount import cli, graphs, orbits, picard
 from twistcount.cli import ParseError, emit_graph, main, parse_graph_data
 from twistcount.graphs import enumerate_stable_graphs
 
@@ -418,6 +418,92 @@ class TestCommands:
         assert lines[0] == "genus" and lines[1] == "1"
 
 
+def _live_dicts():
+    """A dict subclass that counts its live instances and their peak."""
+
+    class Live(dict):
+        alive = peak = 0
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            Live.alive += 1
+            Live.peak = max(Live.peak, Live.alive)
+
+        def __del__(self):
+            Live.alive -= 1
+
+    return Live
+
+
+# Runs tc in a child that reports its own peak RSS in KiB on stderr.  That
+# is VmHWM, not ru_maxrss: exec keeps ru_maxrss from the parent's memory at
+# the fork, so under a large test process both runs would read the same.
+RSS_CHILD = (
+    "import sys\n"
+    "from twistcount.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "with open('/proc/self/status') as f:\n"
+    "    print(next(l for l in f if l.startswith('VmHWM:')).split()[1], file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize(
+        "emitter, argv, items",
+        [
+            ("emit_graph", ("enumerate", "-g", "3", "--stabilizers", "1,2", "--list"), 463),
+            (
+                "emit_bundle",
+                ("roots", "{graph}", "-r", "5", "--bundle-file", "{bundle}", "--list"),
+                25,
+            ),
+        ],
+        ids=["enumerate", "roots"],
+    )
+    def test_list_holds_one_item_at_a_time(
+        self, capsys, monkeypatch, tmp_path, fmt, emitter, argv, items
+    ):
+        graph = tmp_path / "graph.json"
+        graph.write_text(
+            '{"vertices":[{"genus":0,"legs":[1,2]}],'
+            '"edges":[{"tail":0,"head":0,"stabilizer":5},{"tail":0,"head":0,"stabilizer":5}]}'
+        )
+        bundle = tmp_path / "trivial.json"
+        bundle.write_text('{"int_part": [0], "mult": [0, 0]}')
+        Live = _live_dicts()
+        emit = getattr(cli, emitter)
+        monkeypatch.setattr(cli, emitter, lambda item: Live(emit(item)))
+        argv = [a.format(graph=graph, bundle=bundle) for a in argv]
+        assert main([*argv, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert (Live.peak, Live.alive) == (1, 0)
+        assert out.count('"vertices"' if emitter == "emit_graph" else '"int_part"') == items
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
+    )
+    def test_list_runs_in_count_only_memory(self):
+        # 31,156 graphs, 8 MB of JSON: listing them may not cost more than
+        # a few MiB over counting them.
+        argv = ["enumerate", "-g", "3", "--stabilizers", "1,2,3,4,6"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        peaks = []
+        for extra in ([], ["--list"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", RSS_CHILD, *argv, *extra],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode == 0
+            peaks.append(int(proc.stderr))
+        assert peaks[1] - peaks[0] <= 8 * 1024, peaks
+
+
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -547,6 +633,8 @@ class TestExitCodes:
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--jobs", "-3"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "-r", ""),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "-r", "2,2"),
+            ("ratio", "-r", "-3", "-d", "2"),
+            ("ratio", "-r", "0", "-d", "2"),
         ],
     )
     def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):
@@ -572,6 +660,21 @@ class TestExitCodes:
         assert captured.err.startswith("tc: error: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "orders, err",
+        [("2,2", "tc: error: repeated orders in [2, 2]\n"), ("0", "tc: error: order 0 < 1\n")],
+    )
+    def test_orders_checked_before_enumeration(self, capsys, monkeypatch, orders, err):
+        # At genus 4 the family takes seconds to build; bad orders are
+        # refused before any of it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the family was enumerated")
+
+        monkeypatch.setattr(graphs, "enumerate_stable_graphs", refuse)
+        code = main(["verify-rootsnum", "-g", "4", "--stabilizers", "1,2", "-r", orders])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", err)
 
     def test_max_domain_caps_list_only(self, capsys, tmp_path):
         path = tmp_path / "big.json"

@@ -545,3 +545,10 @@ class TestAutOrderRatio:
     def test_bad_stabilizer(self):
         with pytest.raises(OrbitError):
             aut_order_ratio(2, [0])
+
+    @pytest.mark.parametrize("r", [0, -3])
+    def test_bad_order(self, r):
+        # Checked even without nodes, where r^0 / 1 = 1 would hide it.
+        for ds in ([2], []):
+            with pytest.raises(OrbitError, match=f"order {r} < 1"):
+                aut_order_ratio(r, ds)

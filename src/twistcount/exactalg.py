@@ -197,9 +197,10 @@ class CyclicHom:
             )
         if any(n < 1 for n in self.domain_moduli + self.codomain_moduli):
             raise AlgebraError("moduli must be positive")
-        for i in range(rows):
-            for j in range(cols):
-                if (self.matrix[i][j] * self.domain_moduli[j]) % self.codomain_moduli[i]:
+        ns = self.domain_moduli
+        for i, (row, m) in enumerate(zip(self.matrix, self.codomain_moduli)):
+            for j, n in enumerate(ns):
+                if row[j] * n % m:
                     raise IllDefinedHom(
                         f"entry ({i}, {j}) does not send n_j-torsion to m_i-torsion"
                     )
@@ -291,18 +292,45 @@ def _relations(h: CyclicHom) -> list[list[int]]:
 def kernel_size_by_smith(h: CyclicHom) -> int:
     """Kernel size via the relation lattice.
 
-    |ker h| = prod(n_j) * |coker [A | diag(m)]| / prod(m_i): the image of h
-    equals the image of Z^c -> prod Z/m_i, whose cokernel is cut out by the
-    columns of A together with the moduli relations.
+    |ker h| = prod(n_j) * |coker| / prod(m_i), where the cokernel is that of
+    the lattice L in Z^rows spanned by the nonzero columns of A and the
+    vectors m_i e_i: the image of h is L / span(m_i e_i).  |coker| is the
+    determinant of L, read off a triangular basis.  At coordinate i, Euclid
+    runs among the generators nonzero there, each step subtracting multiples
+    of the one with least |entry| from the others, until one is left; its
+    pivot is a diagonal entry of the basis, and it is dropped.  This route
+    builds no unimodular transform and deliberately does not call
+    smith_normal_form, so it stays an independent check of the Smith
+    reduction that the library counts go through.
     """
-    rows = len(h.codomain_moduli)
+    mods = h.codomain_moduli
+    rows = len(mods)
     if rows == 0:
         return h.domain_size
-    _, D, _ = smith_normal_form(_relations(h))
-    coker = prod(D[i][i] for i in range(rows))
-    if coker == 0:
-        raise AlgebraError("infinite cokernel: the moduli block must have full rank")
-    return h.domain_size * coker // prod(h.codomain_moduli)
+    gens = [col for col in zip(*h.matrix) if any(col)]
+    gens += [[m if k == i else 0 for k in range(rows)] for i, m in enumerate(mods)]
+    coker = 1
+    for i in range(rows):
+        active = [v for v in gens if v[i]]
+        gens = [v for v in gens if not v[i]]
+        while len(active) > 1:
+            pivot = min(active, key=lambda v: abs(v[i]))
+            p = pivot[i]
+            left = [pivot]
+            for v in active:
+                if v is pivot:
+                    continue
+                q = v[i] // p
+                w = [a - q * b for a, b in zip(v, pivot)]
+                if w[i]:
+                    left.append(w)
+                elif any(w):
+                    gens.append(w)
+            active = left
+        if not active:
+            raise AlgebraError("infinite cokernel: the moduli block must have full rank")
+        coker *= abs(active[0][i])
+    return h.domain_size * coker // prod(mods)
 
 
 def image_size_by_enumeration(h: CyclicHom) -> int:

@@ -812,10 +812,15 @@ def enumerate_stable_graphs(
     plan per shape.
     Families whose graphs may have more than ``MAX_ENUMERATION_VERTICES``
     vertices (2g - 2 + n of them), or genus above ``MAX_ENUMERATION_GENUS``,
-    raise ``UnsupportedGenus`` before any search.
+    raise ``UnsupportedGenus`` before any search, as do genus 0 and the
+    empty families (2g - 2 + n <= 0).
     """
-    if g < 1 or (g == 1 and n_legs < 1):
-        raise UnsupportedGenus(f"no stable graphs enumerated for (g, n) = ({g}, {n_legs})")
+    if g < 0 or n_legs < 0:
+        raise UnsupportedGenus(f"(g, n) = ({g}, {n_legs}) must be non-negative")
+    if 2 * g - 2 + n_legs <= 0:
+        raise UnsupportedGenus(f"no stable graphs for (g, n) = ({g}, {n_legs}): 2g - 2 + n <= 0")
+    if g == 0:
+        raise UnsupportedGenus(f"genus 0 is not supported by the enumeration (n = {n_legs})")
     if g > MAX_ENUMERATION_GENUS:
         raise UnsupportedGenus(f"genus {g} above the enumeration cap {MAX_ENUMERATION_GENUS}")
     if 2 * g - 2 + n_legs > MAX_ENUMERATION_VERTICES:

@@ -339,8 +339,9 @@ def delta_embed(G: DualGraph, r: int) -> CyclicHom:
     """
     if r < 1:
         raise PicardError(f"order {r} < 1")
-    hs = [gcd(e.stabilizer, r) for e in G.edges]
-    return CyclicHom.of(_boundary_matrix(G, hs, r), hs, [r] * G.n_vertices)
+    hs = tuple([gcd(e.stabilizer, r) for e in G.edges])
+    matrix = tuple(map(tuple, _boundary_matrix(G, hs, r)))
+    return CyclicHom(matrix, hs, (r,) * G.n_vertices)
 
 
 def _boundary_matrix(G: DualGraph, hs, r: int) -> list[list[int]]:

@@ -112,6 +112,7 @@ def _boundary_hom(n_vertices, edges, r):
 
 
 def test_c04_kernel_laws(decorated_family):
+    start = time.monotonic()
     cache = {}
 
     def kernel(n_vertices, edges, r):
@@ -143,6 +144,8 @@ def test_c04_kernel_laws(decorated_family):
                         assert size == sub * factor
                     else:
                         assert size <= sub * factor
+    elapsed = time.monotonic() - start
+    assert elapsed < 120.0
 
 
 def test_c05_stability_profile_sweeps():

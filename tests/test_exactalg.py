@@ -81,19 +81,28 @@ class TestCyclicHom:
         with pytest.raises(DimensionMismatch):
             CyclicHom.of([[1, 1]], [2], [2])
 
+    def test_ill_defined_entry_is_named(self):
+        # Row 0 is zero; in row 1 only entry 2 fails: 1 * 2 is not 0 mod 4.
+        with pytest.raises(IllDefinedHom, match=r"entry \(1, 2\)"):
+            CyclicHom(((0, 0, 0), (2, 2, 1)), (2, 2, 2), (2, 4))
 
-def random_hom(rng, max_side=3, max_mod=6):
-    c = rng.randint(1, max_side)
-    r = rng.randint(1, max_side)
+
+def random_hom(rng, max_side=3, max_mod=6, max_cols=None, min_rows=1, zero_cols=False):
+    """A random well-defined hom with 1..max_cols columns (default
+    max_side) and min_rows..max_side rows; with zero_cols, each column is
+    zero with probability 1/3, as a loop's column of the boundary map."""
+    c = rng.randint(1, max_cols or max_side)
+    r = rng.randint(min_rows, max_side)
     ns = [rng.randint(1, max_mod) for _ in range(c)]
     ms = [rng.randint(1, max_mod) for _ in range(r)]
+    zero = [zero_cols and rng.randrange(3) == 0 for _ in range(c)]
     matrix = []
     for i in range(r):
         row = []
         for j in range(c):
             # force well-definedness: entry must be a multiple of m/gcd(m, n)
             step = ms[i] // gcd(ms[i], ns[j])
-            row.append(step * rng.randint(-3, 3))
+            row.append(0 if zero[j] else step * rng.randint(-3, 3))
         matrix.append(row)
     return CyclicHom.of(matrix, ns, ms)
 
@@ -122,6 +131,20 @@ class TestKernelSize:
                 continue
             count += 1
             assert kernel_size_by_enumeration(h) == kernel_size_by_smith(h)
+        # Up to 4 x 6, the largest genus-3 boundary shape, with zero columns
+        # as loops make and 0-row codomains.
+        shapes = set()
+        zero_columns = 0
+        while count < 600:
+            h = random_hom(rng, max_side=4, max_cols=6, min_rows=0, zero_cols=True)
+            if h.domain_size > 10**4:
+                continue
+            count += 1
+            shapes.add((len(h.codomain_moduli), len(h.domain_moduli)))
+            zero_columns += any(not any(col) for col in zip(*h.matrix))
+            assert kernel_size_by_enumeration(h) == kernel_size_by_smith(h)
+        assert {(0, 1), (4, 6)} <= shapes
+        assert zero_columns > 50
 
     def test_orbit_stabilizer(self):
         rng = random.Random(23)

@@ -208,10 +208,15 @@ class TestEnumeration:
         assert len(enumerate_stable_graphs(1, 1, [1])) == 2
 
     def test_bad_genus(self):
-        with pytest.raises(UnsupportedGenus):
-            enumerate_stable_graphs(0, 0, [1])
-        with pytest.raises(UnsupportedGenus):
-            enumerate_stable_graphs(1, 0, [1])
+        for g, n in ((0, 0), (0, 2), (1, 0)):
+            with pytest.raises(UnsupportedGenus, match="no stable graphs"):
+                enumerate_stable_graphs(g, n, [1])
+        for n in (3, 4):
+            with pytest.raises(UnsupportedGenus, match="genus 0 is not supported"):
+                enumerate_stable_graphs(0, n, [1])
+        for g, n in ((-1, 5), (2, -1)):
+            with pytest.raises(UnsupportedGenus, match="must be non-negative"):
+                enumerate_stable_graphs(g, n, [1])
         with pytest.raises(UnsupportedGenus, match="enumeration cap"):
             enumerate_stable_graphs(MAX_ENUMERATION_GENUS + 1, 0, [1])
 

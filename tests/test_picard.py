@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcount import orbits, picard
+from twistcount import exactalg, orbits, picard
 from twistcount.exactalg import (
     _match_count,
     hom_image_contains,
     kernel_size_by_enumeration,
+    kernel_size_by_smith,
     solve_congruence,
 )
 from twistcount.graphs import (
@@ -203,6 +204,40 @@ class TestDeltaEmbed:
         h = delta_embed(G, 4)
         assert h.domain_moduli == (2,)
         assert [row[0] for row in h.matrix] == [-2, 2]
+
+    def test_matches_cyclic_hom_of(self):
+        for G, r in _decorated_shapes_and_orders():
+            assert delta_embed(G, r) == _delta_embed_raw(G, r)
+
+    def test_kernel_oracle_independent_of_smith_normal_form(self, monkeypatch):
+        # The oracle must not share the Smith reduction behind torsion_count:
+        # with exactalg's smith_normal_form broken it still agrees with the
+        # torsion count, which picard reads through its own import.
+        def broken(A):
+            raise AssertionError("the kernel oracle called smith_normal_form")
+
+        monkeypatch.setattr(exactalg, "smith_normal_form", broken)
+        for G, r in _decorated_shapes_and_orders():
+            free = r ** (2 * genus(G) - 1 + G.n_vertices - G.n_edges)
+            assert free * kernel_size_by_smith(delta_embed(G, r)) == torsion_count(G, r)
+
+
+def _decorated_shapes_and_orders():
+    """Every genus-2/3 shape, decorated with each uniform stabilizer and two
+    seeded mixed ones, paired with each order in {2, 3, 4, 6, 12}."""
+    rng = random.Random(5)
+    stabs = (1, 2, 3, 4, 6, 12)
+    for g in (2, 3):
+        for shape in enumerate_stable_graphs(g, 0, [1]):
+            decorations = [(l,) * shape.n_edges for l in stabs]
+            decorations += [
+                tuple(rng.choice(stabs) for _ in shape.edges) for _ in range(2)
+            ]
+            for ls in decorations:
+                edges = tuple(Edge(e.tail, e.head, l) for e, l in zip(shape.edges, ls))
+                G = DualGraph(shape.vertices, edges)
+                for r in (2, 3, 4, 6, 12):
+                    yield G, r
 
 
 class TestTorsionCount:

@@ -61,20 +61,29 @@ def parse_graph_data(data) -> graphs.DualGraph:
     return graphs.DualGraph(tuple(vs), tuple(es))
 
 
-def parse_graph(path: str) -> graphs.DualGraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"{path}: {exc.strerror}") from exc
+def _read_json(path: str):
+    """The JSON value in the UTF-8 file at path, or on stdin for "-".
+    Every way the file can fail to give one raises a ParseError naming it."""
     try:
-        data = json.loads(text)
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return parse_graph_data(data)
+    except RecursionError as exc:
+        raise ParseError(f"{path}: arrays or objects nested too deeply") from exc
+
+
+def parse_graph(path: str) -> graphs.DualGraph:
+    return parse_graph_data(_read_json(path))
 
 
 def emit_graph(G: graphs.DualGraph) -> dict:
@@ -113,13 +122,7 @@ def parse_bundle_spec(spec: str, G: graphs.DualGraph) -> picard.LineBundleData:
 
 
 def parse_bundle_file(path: str, G: graphs.DualGraph) -> picard.LineBundleData:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or "int_part" not in data or "mult" not in data:
         raise ParseError(f"{path}: expected an object with int_part and mult")
     for field in ("int_part", "mult"):

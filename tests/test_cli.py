@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import signal
@@ -20,6 +21,10 @@ THETA2 = (
     + ",".join(['{"tail":0,"head":1,"stabilizer":2}'] * 3)
     + "]}"
 )
+# Not UTF-8: a UTF-16 byte-order mark before "{".
+NOT_UTF8 = b"\xff\xfe{"
+# Deeper than json's recursion limit.
+DEEP = "[" * 5000
 
 
 @pytest.fixture
@@ -640,9 +645,15 @@ class TestExitCodes:
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "-r", "2,2"),
             ("ratio", "-r", "-3", "-d", "2"),
             ("ratio", "-r", "0", "-d", "2"),
+            ("genus", "{not_utf8}"),
+            ("roots", "{loop}", "-r", "2", "--bundle-file", "{not_utf8}"),
+            ("genus", "{deep}"),
+            ("genus", "-"),
+            ("roots", "{loop}", "-r", "2", "--bundle-file", "{deep}"),
         ],
     )
-    def test_malformed_input_is_one(self, capsys, tmp_path, loop_path, argv):
+    def test_malformed_input_is_one(self, capsys, monkeypatch, tmp_path, loop_path, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP))
         files = {
             "loop": loop_path,
             "unpaired": tmp_path / "unpaired.json",
@@ -650,7 +661,11 @@ class TestExitCodes:
             "garbled": tmp_path / "garbled.json",
             "boolean": tmp_path / "boolean.json",
             "bool_genus": tmp_path / "bool_genus.json",
+            "not_utf8": tmp_path / "not_utf8.json",
+            "deep": tmp_path / "deep.json",
         }
+        files["not_utf8"].write_bytes(NOT_UTF8)
+        files["deep"].write_text(DEEP)
         files["garbled"].write_text('{"int_part": [0],')
         files["boolean"].write_text('{"int_part": [true], "mult": [0]}')
         files["bool_genus"].write_text('{"vertices": [{"genus": true}], "edges": []}')
@@ -665,6 +680,18 @@ class TestExitCodes:
         assert captured.err.startswith("tc: error: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "content, err",
+        [(NOT_UTF8, "byte 0: not UTF-8 text"), (DEEP.encode(), "arrays or objects nested too deeply")],
+        ids=["not_utf8", "deep"],
+    )
+    def test_unreadable_json_names_file(self, capsys, tmp_path, loop_path, content, err):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        for argv in (["genus", str(path)], ["roots", loop_path, "-r", "2", "--bundle-file", str(path)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"tc: error: {path}: {err}\n"
 
     @pytest.mark.parametrize(
         "orders, err",

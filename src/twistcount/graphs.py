@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem, itemgetter
+from operator import add, getitem, itemgetter
 
 __all__ = [
     "GraphError",
@@ -446,8 +446,12 @@ class _LabelPlan:
 
     The vertex keys, the class slots, the vertex part of the label and
     the edge endpoints depend only on the underlying graph, so graphs
-    that differ only in their stabilizers share one plan and ``label``
-    runs only the search.
+    that differ only in their stabilizers share one plan.  The plan's
+    ``_least_edge_list`` search answers three questions: the label of one
+    decoration (``label``, used by ``canonical_form``, by the shape search
+    and for a shape's first decorations), the shape's automorphisms
+    (``automorphisms``) and its layouts (``layouts``), from which a
+    ``_LayoutTable`` labels the rest of an enumerated family.
     """
 
     __slots__ = ("incidence", "slot_members", "head")
@@ -482,7 +486,7 @@ class _LabelPlan:
             sorted([(w, stabilizers[k]) for w, k in branches])
             for branches in self.incidence
         ]
-        best, _ = _least_edge_list(nbrs, self.slot_members)
+        ((best, _),) = _least_edge_list(nbrs, self.slot_members)
         return self.head + ",".join(f"{u}-{v}:{l}" for u, v, l in best)
 
     def automorphisms(self) -> list[list[int]]:
@@ -495,15 +499,90 @@ class _LabelPlan:
         automorphism, and all arise.
         """
         nbrs = [sorted([(w, 1) for w, _ in branches]) for branches in self.incidence]
-        _, ties = _least_edge_list(nbrs, self.slot_members)
+        ((_, ties),) = _least_edge_list(nbrs, self.slot_members)
         return [[w for _, w in sorted(zip(placed, ties[0]))] for placed in ties]
 
+    def layouts(self) -> list[tuple[tuple[int, int, tuple[int, ...]], ...]]:
+        """The layouts that no other layout beats, each as its blocks
+        (u, v, edges of the class).
 
-def _least_edge_list(nbrs, slot_members):
-    """Least sorted triple list over labellings that give slot s a vertex
-    of ``slot_members[s]``, and every labelling that gives it, each as the
-    tuple of vertices holding the labels 0, 1, ...; ``nbrs[x]`` lists x's
-    branches as sorted (far end, stabilizer) pairs.
+        A labelling sends each parallel class (the edges on one vertex
+        pair) to a label pair; sorted by pair, the classes form a layout.
+        When every class carries a non-decreasing run of stabilizers, the
+        sorted edge list under that labelling is the blocks in order, each
+        expanded to its class's run.  A layout beats another when the two
+        agree block for block up to a block where it has the smaller pair:
+        its edge list is then smaller for every decoration, so the least
+        edge list comes from a layout that no other beats.  The search is
+        ``_least_edge_list`` at width 2, with each branch's entry naming its
+        class (by the class's first edge) instead of a stabilizer.
+        """
+        classes: dict[tuple[int, int], list[int]] = {}
+        for x, branches in enumerate(self.incidence):
+            for w, k in branches:
+                if x <= w:
+                    classes.setdefault((x, w), []).append(k)
+        edges = {ks[0]: tuple(ks) for ks in classes.values()}
+        name = {k: ks[0] for ks in classes.values() for k in ks}
+        nbrs = [sorted({(w, name[k]) for w, k in branches}) for branches in self.incidence]
+        return [
+            tuple((u, v, edges[c]) for u, v, c in layout)
+            for layout, _ in _least_edge_list(nbrs, self.slot_members, width=2)
+        ]
+
+
+class _LayoutTable:
+    """Labels of a shape's decorations from its layouts (``_LabelPlan.layouts``),
+    for decorations whose stabilizers run non-decreasing along each
+    parallel class, as ``_stabilizer_assignments`` gives them, and stay
+    below ``bound``.
+
+    The least edge list is the least over the layouts, each expanded to
+    the decoration's runs.  Per layout the table keeps an itemgetter that
+    reads the runs in block order, the code (u * n + v) * bound of each
+    edge's pair and the text "u-v:" of each edge's pair.  Adding the
+    stabilizers to the codes gives the edge list as integers in the same
+    order, so the least sum names the winning layout, and only its text
+    is formatted.
+    """
+
+    __slots__ = ("head", "rows")
+
+    def __init__(self, plan: _LabelPlan, bound: int):
+        n = len(plan.incidence)
+        self.head = plan.head
+        self.rows = []
+        for layout in plan.layouts():
+            positions = [k for _, _, ks in layout for k in ks]
+            # itemgetter of one index returns the bare item; a slice keeps
+            # the tuple.
+            if len(positions) > 1:
+                get = itemgetter(*positions)
+            else:
+                get = itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+            bases = tuple((u * n + v) * bound for u, v, ks in layout for _ in ks)
+            pairs = tuple(f"{u}-{v}:" for u, v, ks in layout for _ in ks)
+            self.rows.append((get, bases, pairs))
+
+    def label(self, stabilizers) -> str:
+        """Canonical label of the graph with these edge stabilizers."""
+        lists = [tuple(map(add, bases, get(stabilizers))) for get, bases, _ in self.rows]
+        get, _, pairs = self.rows[lists.index(min(lists))]
+        return self.head + ",".join(map(add, pairs, map(str, get(stabilizers))))
+
+
+def _least_edge_list(nbrs, slot_members, width=3):
+    """The least sorted triple lists over labellings that give slot s a
+    vertex of ``slot_members[s]``, as (list, labellings) pairs holding
+    every labelling that gives the list; a labelling is the tuple of
+    vertices holding the labels 0, 1, ...  ``nbrs[x]`` lists x's branches
+    as sorted (far end, entry) pairs.
+
+    One list beats another when, at the first triple where they differ,
+    its first ``width`` entries are smaller; beating is transitive.  With
+    width 3 that is the lexicographic order, so the result is the one
+    least list.  With width 2 triples that differ only in the entry are
+    not comparable, and the result is every list that no other beats.
 
     Labels are handed out in slot order.  Once labels 0..s are placed, the
     triples (u, v, l) with both ends labelled are fixed, and for each u they
@@ -511,9 +590,9 @@ def _least_edge_list(nbrs, slot_members):
     (v' > s).  So the fixed rows u = 0, 1, ... up to and including the
     first row with an unlabelled far end form a prefix of every completion,
     and that row's next triple is at least (u, s + 1, 0).  A branch whose
-    prefix, with that bound appended, exceeds the best list so far cannot
-    win and is cut.  A prefix equal to the best one's is not cut, so every
-    labelling that ties with the least list is visited.
+    prefix, with that bound appended, is beaten by a list found so far
+    cannot give a result and is cut.  A prefix that ties with a found list
+    is not cut, so every labelling that gives a result is visited.
 
     The search keeps its stack explicitly (per slot, the vertex placed
     and an iterator over the members still to try), so it leaves no
@@ -525,8 +604,7 @@ def _least_edge_list(nbrs, slot_members):
     open_ends = [0] * n
     placed = [-1] * n  # the vertex holding label s, or -1
     pending = [iter(slot_members[0])] + [None] * (n - 1)
-    best: list[tuple[int, int, int]] | None = None
-    ties: list[tuple[int, ...]] = []
+    front: list[tuple[list[tuple[int, int, int]], list[tuple[int, ...]]]] = []
     s = 0
     while s >= 0:
         x = placed[s]
@@ -561,7 +639,7 @@ def _least_edge_list(nbrs, slot_members):
                     open_ends[u] -= 1
             else:
                 open_ends[s] += 1
-        if best is None and s < n - 1:
+        if not front and s < n - 1:
             s += 1
             pending[s] = iter(slot_members[s])
             continue
@@ -573,15 +651,38 @@ def _least_edge_list(nbrs, slot_members):
                 break
         if s == n - 1:
             # Every end is labelled, so no bound was appended.
-            if best is None or prefix < best:
-                best = prefix
-                ties = [tuple(placed)]
-            elif prefix == best:
-                ties.append(tuple(placed))
-        elif prefix <= best[: len(prefix)]:
+            for other, ties in front:
+                if other == prefix:
+                    ties.append(tuple(placed))
+                    break
+            else:
+                if not _beaten(prefix, front, width):
+                    front = [item for item in front if not _beats(prefix, item[0], width)]
+                    front.append((prefix, [tuple(placed)]))
+        elif not _beaten(prefix, front, width):
             s += 1
             pending[s] = iter(slot_members[s])
-    return best, ties
+    return front
+
+
+def _beaten(prefix, front, width) -> bool:
+    """Whether a list in the front beats the prefix."""
+    for other, _ in front:
+        if _beats(other, prefix, width):
+            return True
+    return False
+
+
+def _beats(a, b, width) -> bool:
+    """Whether triple list a beats b, which is no longer: at the first
+    triple where they differ, a's first ``width`` entries are smaller."""
+    if not b > a[: len(b)]:
+        return False
+    if width == 3:
+        return True
+    for x, y in zip(a, b):
+        if x != y:
+            return x[:width] < y[:width]
 
 
 def _compositions(total: int, caps):
@@ -775,6 +876,9 @@ def _stabilizer_assignments(shape: DualGraph, choices) -> list[tuple[int, ...]]:
         raise GraphError(
             "stabilizer assignments need the edges grouped by vertex pair in sorted order"
         )
+    if len(choices) == 1:
+        # One run per class, fixed by every automorphism.
+        return [tuple(choices) * len(pairs)]
     class_keys = sorted(set(pairs))
     position = {key: i for i, key in enumerate(class_keys)}
     sources = set()
@@ -808,8 +912,10 @@ def enumerate_stable_graphs(
     Every edge stabilizer is drawn from ``stabilizer_choices``.  Output
     order is deterministic (sorted canonical labels).  Each shape class is
     decorated once per orbit of stabilizer tuples, so no two outputs share
-    a label; each output is labelled once, to sort, through one labelling
-    plan per shape.
+    a label.  A shape with one decoration has it labelled by the search;
+    a shape with more builds one ``_LayoutTable`` and labels every
+    decoration from it, after checking the table against the search on
+    the first two decorations (``GraphError`` if they differ).
     Families whose graphs may have more than ``MAX_ENUMERATION_VERTICES``
     vertices (2g - 2 + n of them), or genus above ``MAX_ENUMERATION_GENUS``,
     raise ``UnsupportedGenus`` before any search, as do genus 0 and the
@@ -836,8 +942,19 @@ def enumerate_stable_graphs(
         plan = _LabelPlan(shape)
         # One Edge per (edge position, stabilizer), shared by every decoration.
         edges = [{l: Edge(e.tail, e.head, l) for l in choices} for e in shape.edges]
-        for assign in _stabilizer_assignments(shape, choices):
-            label = plan.label(assign)
+        assigns = _stabilizer_assignments(shape, choices)
+        label_of = plan.label
+        if len(assigns) > 1:
+            table = _LayoutTable(plan, choices[-1] + 1)
+            # The first decoration has equal stabilizers, so it checks the
+            # layouts' pairs only; the second also checks their classes.
+            for assign in assigns[:2]:
+                expected = plan.label(assign)
+                if table.label(assign) != expected:
+                    raise GraphError(f"layout table misses the label {expected}")
+            label_of = table.label
+        for assign in assigns:
+            label = label_of(assign)
             if label in out:
                 raise GraphError(f"isomorphism class {label} generated twice")
             out[label] = _redecorate(shape, tuple(map(getitem, edges, assign)))

@@ -35,6 +35,7 @@ from twistcount.graphs import (  # internals compared with their oracles
     _degree_sequences,
     _enumerate_shapes,
     _LabelPlan,
+    _LayoutTable,
     _realizations,
     _redecorate,
     _sorted_within,
@@ -335,6 +336,43 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             _stabilizer_assignments(G, [1, 2])
 
+    def test_one_search_per_shape_and_table(self, monkeypatch):
+        # Each of the 42 shapes is searched to label it, for its
+        # automorphisms and for its first decoration; the 41 with more
+        # than one decoration search for their layouts and for their
+        # second decoration.  The other 31,073 decorations are labelled
+        # from the tables alone.
+        calls = []
+        search = graphs._least_edge_list
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "_least_edge_list", counted)
+        assert len(enumerate_stable_graphs(3, 0, (1, 2, 3, 4, 6))) == 31156
+        assert len(calls) == 42 * 3 + 41 * 2
+
+    def test_single_choice_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("layout table built")
+
+        monkeypatch.setattr(graphs, "_LayoutTable", refuse)
+        assert len(enumerate_stable_graphs(4, 0, (1,))) == 379
+
+    def test_table_checked_against_search(self, monkeypatch):
+        # A table that lost its least layout mislabels the second
+        # decoration of some shape, and the cross-check catches it.
+        layouts = _LabelPlan.layouts
+
+        def drop_least(plan):
+            found = sorted(layouts(plan))
+            return found[1:] if len(found) > 1 else found
+
+        monkeypatch.setattr(_LabelPlan, "layouts", drop_least)
+        with pytest.raises(GraphError, match="layout table misses"):
+            enumerate_stable_graphs(3, 0, (1, 2))
+
 
 class TestAgainstOracles:
     """The fast enumeration against the brute-force algorithms it replaced.
@@ -377,6 +415,37 @@ class TestAgainstOracles:
     def test_shapes_match_labelling_every_realization(self, g, n):
         # Same representatives, in the same order.
         assert _enumerate_shapes(g, n) == _oracle_shapes(g, n)
+
+    @pytest.mark.parametrize("g, n", [(2, 0), (3, 0), (3, 1), (2, 2), (4, 0)])
+    def test_layouts(self, g, n):
+        for shape in _enumerate_shapes(g, n):
+            fast = _LabelPlan(shape).layouts()
+            assert len(set(fast)) == len(fast)
+            assert set(fast) == _oracle_layouts(shape)
+
+    @pytest.mark.parametrize(
+        "g, n, choices, sample",
+        [
+            (2, 0, (1, 2, 3), None),
+            (2, 2, (1, 2, 3, 4, 6, 12), None),
+            (3, 0, (1, 2, 3, 4, 6), None),
+            (4, 0, (1, 2), 3000),
+        ],
+    )
+    def test_table_labels(self, g, n, choices, sample):
+        # Every decoration, or a seeded sample, labelled from the table
+        # and by the search.
+        decorations = [
+            (plan, table, assign)
+            for shape in _enumerate_shapes(g, n)
+            for plan in [_LabelPlan(shape)]
+            for table in [_LayoutTable(plan, max(choices) + 1)]
+            for assign in _stabilizer_assignments(shape, choices)
+        ]
+        if sample is not None:
+            decorations = random.Random(7).sample(decorations, sample)
+        for plan, table, assign in decorations:
+            assert table.label(assign) == plan.label(assign)
 
     @pytest.mark.parametrize(
         "g, n", [(2, 0), (3, 0), (4, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
@@ -451,17 +520,47 @@ def _class_permutations(keys):
         yield perm
 
 
-def _brute_canonical_form(G):
-    """canonical_form by its definition: the least sorted edge list over
-    every class-preserving vertex permutation."""
+def _oracle_keys(G):
+    """Per-vertex (genus, legs, valence, loops), the keys labels keep."""
     loops = [0] * G.n_vertices
     for e in G.edges:
         if e.tail == e.head:
             loops[e.tail] += 1
-    keys = [
+    return [
         (v.genus, len(v.legs), G.valence(i), loops[i])
         for i, v in enumerate(G.vertices)
     ]
+
+
+def _oracle_layouts(shape):
+    """The layouts that no other beats, found by sorting the parallel
+    classes under every class-preserving vertex permutation."""
+    classes = {}
+    for k, e in enumerate(shape.edges):
+        classes.setdefault((min(e.tail, e.head), max(e.tail, e.head)), []).append(k)
+    layouts = {
+        tuple(
+            sorted(
+                (min(perm[u], perm[v]), max(perm[u], perm[v]), tuple(ks))
+                for (u, v), ks in classes.items()
+            )
+        )
+        for perm in _class_permutations(_oracle_keys(shape))
+    }
+
+    def beats(a, b):
+        for x, y in zip(a, b):
+            if x != y:
+                return x[:2] < y[:2]
+        return False
+
+    return {a for a in layouts if not any(beats(b, a) for b in layouts)}
+
+
+def _brute_canonical_form(G):
+    """canonical_form by its definition: the least sorted edge list over
+    every class-preserving vertex permutation."""
+    keys = _oracle_keys(G)
     best = min(
         sorted(
             (min(perm[e.tail], perm[e.head]), max(perm[e.tail], perm[e.head]), e.stabilizer)

@@ -80,6 +80,10 @@ def _read_json(path: str):
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: arrays or objects nested too deeply") from exc
+    except ValueError as exc:
+        # The interpreter's int-from-str digit limit guards the parser.
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: an integer has more than {limit} digits") from exc
 
 
 def parse_graph(path: str) -> graphs.DualGraph:
@@ -426,6 +430,12 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("tc: interrupted", file=sys.stderr)
         return 130
+    # Results are exact, so they are written in full, past the int-to-str
+    # digit limit that guards the input.  Interpreters before 3.10.7 have
+    # no limit, and 0 means none.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         _emit(payload, args.format)
         sys.stdout.flush()
@@ -438,6 +448,9 @@ def main(argv=None) -> int:
         # Part of the output may already be written.
         print("tc: interrupted", file=sys.stderr)
         return 130
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -448,13 +448,14 @@ class _LabelPlan:
     the edge endpoints depend only on the underlying graph, so graphs
     that differ only in their stabilizers share one plan.  The plan's
     ``_least_edge_list`` search answers three questions: the label of one
-    decoration (``label``, used by ``canonical_form``, by the shape search
-    and for a shape's first decorations), the shape's automorphisms
-    (``automorphisms``) and its layouts (``layouts``), from which a
-    ``_LayoutTable`` labels the rest of an enumerated family.
+    decoration (``label``, used by ``canonical_form`` and for a shape's
+    first decorations), the shape's automorphisms (``automorphisms``) and
+    its layouts (``layouts``), from which a ``_LayoutTable`` labels the
+    rest of an enumerated family.  ``classes`` maps each vertex pair
+    (u <= v) that carries edges to the indices of its parallel class.
     """
 
-    __slots__ = ("incidence", "slot_members", "head")
+    __slots__ = ("incidence", "slot_members", "head", "classes")
 
     def __init__(self, G: DualGraph):
         if G.n_vertices > MAX_CANONICAL_VERTICES:
@@ -471,10 +472,12 @@ class _LabelPlan:
             self.slot_members += [members] * len(members)
         # Branches at each vertex as (far end, edge index); a loop once.
         self.incidence: list[list[tuple[int, int]]] = [[] for _ in G.vertices]
+        self.classes: dict[tuple[int, int], list[int]] = {}
         for k, e in enumerate(G.edges):
             self.incidence[e.tail].append((e.head, k))
             if e.head != e.tail:
                 self.incidence[e.head].append((e.tail, k))
+            self.classes.setdefault((min(e.tail, e.head), max(e.tail, e.head)), []).append(k)
         # Class layout sorts by the full invariant key; projecting to (genus,
         # legs) is still sorted, so the vertex part is permutation-independent.
         vert_part = sorted((k[0], k[1]) for k in keys)
@@ -517,13 +520,8 @@ class _LabelPlan:
         ``_least_edge_list`` at width 2, with each branch's entry naming its
         class (by the class's first edge) instead of a stabilizer.
         """
-        classes: dict[tuple[int, int], list[int]] = {}
-        for x, branches in enumerate(self.incidence):
-            for w, k in branches:
-                if x <= w:
-                    classes.setdefault((x, w), []).append(k)
-        edges = {ks[0]: tuple(ks) for ks in classes.values()}
-        name = {k: ks[0] for ks in classes.values() for k in ks}
+        edges = {ks[0]: tuple(ks) for ks in self.classes.values()}
+        name = {k: ks[0] for ks in self.classes.values() for k in ks}
         nbrs = [sorted({(w, name[k]) for w, k in branches}) for branches in self.incidence]
         return [
             tuple((u, v, edges[c]) for u, v, c in layout)
@@ -747,9 +745,10 @@ def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
     block differ by a permutation of positions inside runs of equal keys,
     so a realization is the first of its class met exactly when no such
     permutation gives a smaller K (``_has_smaller_relabelling``).  Only
-    those realizations are built and labelled; the labels sort the output.
+    those realizations are built; they are returned unlabelled, in
+    visiting order.
     """
-    shapes: dict[str, DualGraph] = {}
+    shapes: list[DualGraph] = []
     for nv in range(1, 2 * g - 2 + n_legs + 1):
         for genera in itertools.combinations_with_replacement(range(g + 1), nv):
             total_genus = sum(genera)
@@ -786,14 +785,10 @@ def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
                         if _has_smaller_relabelling(counts, slot_members):
                             continue
                         try:
-                            G = DualGraph(verts, tuple(Edge(t, h) for t, h in pairs))
+                            shapes.append(DualGraph(verts, tuple(Edge(t, h) for t, h in pairs)))
                         except DisconnectedGraph:
-                            continue
-                        label = canonical_form(G)
-                        if label in shapes:
-                            raise GraphError(f"shape {label} generated twice")
-                        shapes[label] = G
-    return [shapes[k] for k in sorted(shapes)]
+                            pass
+    return shapes
 
 
 def _has_smaller_relabelling(counts, slot_members) -> bool:
@@ -855,8 +850,8 @@ def _sorted_within(values, runs) -> bool:
     )
 
 
-def _stabilizer_assignments(shape: DualGraph, choices) -> list[tuple[int, ...]]:
-    """Stabilizer tuples, one per orbit of the shape's automorphisms.
+def _stabilizer_assignments(plan: _LabelPlan, choices) -> list[tuple[int, ...]]:
+    """Stabilizer tuples, one per orbit of the automorphisms of plan's shape.
 
     Two tuples share an orbit when a vertex automorphism, together with any
     reordering of the edges inside each parallel class, carries one to the
@@ -871,18 +866,18 @@ def _stabilizer_assignments(shape: DualGraph, choices) -> list[tuple[int, ...]]:
     sorted pair order (the layout ``_realizations`` produces); other
     layouts raise GraphError.
     """
-    pairs = [(min(e.tail, e.head), max(e.tail, e.head)) for e in shape.edges]
-    if pairs != sorted(pairs):
+    class_keys = sorted(plan.classes)
+    flat = [k for key in class_keys for k in plan.classes[key]]
+    if flat != list(range(len(flat))):
         raise GraphError(
             "stabilizer assignments need the edges grouped by vertex pair in sorted order"
         )
     if len(choices) == 1:
         # One run per class, fixed by every automorphism.
-        return [tuple(choices) * len(pairs)]
-    class_keys = sorted(set(pairs))
+        return [tuple(choices) * len(flat)]
     position = {key: i for i, key in enumerate(class_keys)}
     sources = set()
-    for perm in _LabelPlan(shape).automorphisms():
+    for perm in plan.automorphisms():
         source = [0] * len(class_keys)
         for i, (u, v) in enumerate(class_keys):
             source[position[(min(perm[u], perm[v]), max(perm[u], perm[v]))]] = i
@@ -893,7 +888,7 @@ def _stabilizer_assignments(shape: DualGraph, choices) -> list[tuple[int, ...]]:
     images = [itemgetter(*source) for source in sources]
     out = []
     runs = (
-        itertools.combinations_with_replacement(choices, pairs.count(key))
+        itertools.combinations_with_replacement(choices, len(plan.classes[key]))
         for key in class_keys
     )
     for combo in itertools.product(*runs):
@@ -912,10 +907,13 @@ def enumerate_stable_graphs(
     Every edge stabilizer is drawn from ``stabilizer_choices``.  Output
     order is deterministic (sorted canonical labels).  Each shape class is
     decorated once per orbit of stabilizer tuples, so no two outputs share
-    a label.  A shape with one decoration has it labelled by the search;
-    a shape with more builds one ``_LayoutTable`` and labels every
-    decoration from it, after checking the table against the search on
-    the first two decorations (``GraphError`` if they differ).
+    a label; shapes are labelled only through their decorations, so a
+    shape met twice raises ``GraphError`` here.  One ``_LabelPlan`` per
+    shape serves its assignments, layouts and labels: a shape with one
+    decoration has it labelled by the search; a shape with more builds
+    one ``_LayoutTable`` and labels every decoration from it, after
+    checking the table against the search on the first two decorations
+    (``GraphError`` if they differ).
     Families whose graphs may have more than ``MAX_ENUMERATION_VERTICES``
     vertices (2g - 2 + n of them), or genus above ``MAX_ENUMERATION_GENUS``,
     raise ``UnsupportedGenus`` before any search, as do genus 0 and the
@@ -942,7 +940,7 @@ def enumerate_stable_graphs(
         plan = _LabelPlan(shape)
         # One Edge per (edge position, stabilizer), shared by every decoration.
         edges = [{l: Edge(e.tail, e.head, l) for l in choices} for e in shape.edges]
-        assigns = _stabilizer_assignments(shape, choices)
+        assigns = _stabilizer_assignments(plan, choices)
         label_of = plan.label
         if len(assigns) > 1:
             table = _LayoutTable(plan, choices[-1] + 1)

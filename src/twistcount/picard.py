@@ -73,10 +73,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DOMAIN = 10**6
-# Bound on each per-graph cache (about 3.3 KB per genus-3 graph for both).
-# A family sweep visits every graph once, so the caches only need to hold
-# the graphs in flight; unbounded, they grew to about 100 MB on the
-# decorated genus-3 family.
+# Bound on each of the four per-graph caches (_geometry, _node_types and
+# _counter here, orbits._gluing).  A family sweep visits every graph once,
+# so the caches only need to hold the graphs in flight; unbounded, they
+# grew to about 100 MB on the decorated genus-3 family.
 GRAPH_CACHE_SIZE = 128
 
 

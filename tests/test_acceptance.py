@@ -287,3 +287,15 @@ def test_c11_orientation_independence(decorated_family, stable_shapes):
         passed_flip, _ = root_count_criterion(flipped, R_flip, r)
         assert passed == passed_flip
     assert flips == 100
+
+
+def test_c12_rootsnum_equivalence_genus_four():
+    # The c03 check over the genus-4 family with stabilizers {1, 2}, as
+    # `tc verify-rootsnum -g 4 --stabilizers 1,2` runs it, on two workers
+    # where the machine has two CPUs.
+    start = time.monotonic()
+    family = enumerate_stable_graphs(4, 0, (1, 2))
+    discrepancies, checked = verify_rootsnum(family, ORDERS, n_random=50, seed=0, jobs=2)
+    elapsed = time.monotonic() - start
+    assert (len(family), checked, discrepancies) == (18505, 3_923_060, [])
+    assert elapsed < 120.0

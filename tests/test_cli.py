@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -6,8 +7,11 @@ import signal
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from twistcount import cli, graphs, orbits, picard
 from twistcount.cli import ParseError, emit_graph, main, parse_graph_data
@@ -25,6 +29,8 @@ THETA2 = (
 NOT_UTF8 = b"\xff\xfe{"
 # Deeper than json's recursion limit.
 DEEP = "[" * 5000
+# An integer literal past the interpreter's int-from-str digit limit.
+HUGE = LOOP.replace('"stabilizer":2', '"stabilizer":' + "1" * 5000)
 
 
 @pytest.fixture
@@ -650,9 +656,14 @@ class TestExitCodes:
             ("genus", "{deep}"),
             ("genus", "-"),
             ("roots", "{loop}", "-r", "2", "--bundle-file", "{deep}"),
+            ("genus", "{huge}"),
+            ("genus", "<{huge}"),
+            ("roots", "{loop}", "-r", "2", "--bundle-file", "{huge}"),
         ],
     )
     def test_malformed_input_is_one(self, capsys, monkeypatch, tmp_path, loop_path, argv):
+        # stdin holds DEEP, or the file named by an argument "<path",
+        # which is passed on as "-".
         monkeypatch.setattr("sys.stdin", io.StringIO(DEEP))
         files = {
             "loop": loop_path,
@@ -663,9 +674,11 @@ class TestExitCodes:
             "bool_genus": tmp_path / "bool_genus.json",
             "not_utf8": tmp_path / "not_utf8.json",
             "deep": tmp_path / "deep.json",
+            "huge": tmp_path / "huge.json",
         }
         files["not_utf8"].write_bytes(NOT_UTF8)
         files["deep"].write_text(DEEP)
+        files["huge"].write_text(HUGE)
         files["garbled"].write_text('{"int_part": [0],')
         files["boolean"].write_text('{"int_part": [true], "mult": [0]}')
         files["bool_genus"].write_text('{"vertices": [{"genus": true}], "edges": []}')
@@ -674,7 +687,12 @@ class TestExitCodes:
             '{"vertices":[{"genus":0},{"genus":0,"legs":[1,2]}],"edges":'
             '[{"tail":0,"head":0,"stabilizer":1},{"tail":0,"head":1,"stabilizer":3}]}'
         )
-        code = main([arg.format(**files) for arg in argv])
+        argv = [arg.format(**files) for arg in argv]
+        for i, arg in enumerate(argv):
+            if arg.startswith("<"):
+                monkeypatch.setattr("sys.stdin", io.StringIO(open(arg[1:]).read()))
+                argv[i] = "-"
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("tc: error: ")
@@ -683,8 +701,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "content, err",
-        [(NOT_UTF8, "byte 0: not UTF-8 text"), (DEEP.encode(), "arrays or objects nested too deeply")],
-        ids=["not_utf8", "deep"],
+        [
+            (NOT_UTF8, "byte 0: not UTF-8 text"),
+            (DEEP.encode(), "arrays or objects nested too deeply"),
+            (HUGE.encode(), "an integer has more than 4300 digits"),
+        ],
+        ids=["not_utf8", "deep", "huge"],
     )
     def test_unreadable_json_names_file(self, capsys, tmp_path, loop_path, content, err):
         path = tmp_path / "input.json"
@@ -692,6 +714,27 @@ class TestExitCodes:
         for argv in (["genus", str(path)], ["roots", loop_path, "-r", "2", "--bundle-file", str(path)]):
             assert main(argv) == 1
             assert capsys.readouterr().err == f"tc: error: {path}: {err}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_huge_counts_written_in_full(self, capsys, tmp_path, fmt):
+        # 2**20000 has 6,021 digits, past the int-to-str digit limit, which
+        # is back in place for the input afterwards.  Decimal reads digit
+        # strings of any length.
+        path = tmp_path / "genus10000.json"
+        path.write_text('{"vertices":[{"genus":10000}],"edges":[]}')
+        limit = sys.get_int_max_str_digits()
+        assert main(["torsion", str(path), "-r", "2", "--format", fmt]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            assert captured.out.startswith('{"torsion_count":') and captured.out.endswith("}\n")
+            digits = captured.out[len('{"torsion_count":') : -2]
+        else:
+            head, digits = captured.out.splitlines()
+            assert head == "torsion_count"
+        assert len(digits) == 6021
+        assert Decimal(digits) == 2**20000
 
     @pytest.mark.parametrize(
         "orders, err",
@@ -724,3 +767,125 @@ class TestExitCodes:
         code = main([*argv, "--list"])
         assert code == 1
         assert capsys.readouterr().err.startswith("tc: error: ")
+
+
+# Placeholders that _mutated_text replaces with a 4,301-digit literal and
+# with JSON nested past the parser's recursion limit.
+_HUGE_MARK = "@huge@"
+_DEEP_MARK = "@deep@"
+
+
+@st.composite
+def _graph_value(draw):
+    """Connected graph JSON: up to 3 vertices on a path, and up to 2 more
+    edges, each with a stabilizer of at most 6."""
+    n = draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    marks = iter(range(1, 10))
+    vertices = []
+    for _ in range(n):
+        legs = [next(marks) for _ in range(draw(st.integers(0, 2)))]
+        vertices.append({"genus": draw(st.integers(0, 2)), "legs": legs})
+    ends = [(v - 1, v) for v in range(1, n)]
+    ends += [(draw(vertex), draw(vertex)) for _ in range(draw(st.integers(0, 2)))]
+    edges = [{"tail": t, "head": h, "stabilizer": draw(st.integers(1, 6))} for t, h in ends]
+    return {"vertices": vertices, "edges": edges}
+
+
+def _bundle_value(graph, draw):
+    def entries(n):
+        return draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+
+    return {"int_part": entries(len(graph["vertices"])), "mult": entries(len(graph["edges"]))}
+
+
+def _slots(value):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = range(len(value))
+    else:
+        return
+    for key in keys:
+        yield value, key
+        yield from _slots(value[key])
+
+
+# What a mutation puts in place of a field; None drops it.
+_MUTATIONS = {
+    "none": None,
+    "drop": None,
+    "retype": st.sampled_from([None, True, "2", "", [], {}]),
+    "negative": st.integers(-5, -1),
+    "non-integer": st.sampled_from([2.5, -0.5, 1e300]),
+    "huge": st.just(_HUGE_MARK),
+    "deep": st.just(_DEEP_MARK),
+}
+
+
+def _mutated_text(value, draw) -> bytes:
+    """value as JSON with at most one field dropped or replaced, and
+    maybe with bytes that are not UTF-8 inserted."""
+    doc = {"top": value}
+    mutation = draw(st.sampled_from(sorted(_MUTATIONS)))
+    if mutation != "none":
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        if _MUTATIONS[mutation] is not None:
+            container[key] = draw(_MUTATIONS[mutation])
+        elif container is not doc:
+            del container[key]
+    text = json.dumps(doc["top"])
+    text = text.replace(json.dumps(_HUGE_MARK), "7" * 4301)
+    text = text.replace(json.dumps(_DEEP_MARK), "[" * 5000 + "]" * 5000)
+    data = text.encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+_COMMANDS = [
+    ["genus"],
+    ["classify", "-e", "0"],
+    ["torsion", "-r", "2"],
+    ["roots", "-r", "2"],
+    ["criterion", "-r", "2"],
+    ["roots", "-r", "2", "--bundle-file"],
+]
+
+
+class TestNoTraceback:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_mutated_input_ends_cleanly(self, tmp_path_factory, data):
+        # Every input ends in a result, one "tc: error:" line or a usage
+        # error; an exception escaping main would be a traceback.
+        command = data.draw(st.sampled_from(_COMMANDS))
+        graph = data.draw(_graph_value())
+        directory = tmp_path_factory.getbasetemp()
+        graph_path = directory / "graph.json"
+        argv = [command[0], str(graph_path), *command[1:]]
+        if command[-1] == "--bundle-file":
+            graph_path.write_text(json.dumps(graph))
+            bundle_path = directory / "bundle.json"
+            bundle_path.write_bytes(_mutated_text(_bundle_value(graph, data.draw), data.draw))
+            argv.append(str(bundle_path))
+        else:
+            graph_path.write_bytes(_mutated_text(graph, data.draw))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        event(f"exit status {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue())
+        elif code == 1:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("tc: error: ")
+            assert err.getvalue().count("\n") == 1

@@ -267,6 +267,9 @@ class TestEnumeration:
     def test_genus_three_decorated_count(self):
         assert len(enumerate_stable_graphs(3, 0, [1, 2, 3, 4, 6])) == 31156
 
+    def test_genus_four_decorated_count(self):
+        assert len(enumerate_stable_graphs(4, 0, (1, 2))) == 18505
+
     @pytest.mark.parametrize("g, n", [(4, 3), (2, 7), (1, 9)])
     def test_vertex_cap_raises_before_search(self, monkeypatch, g, n):
         # Stable graphs of (g, n) have up to 2g - 2 + n vertices; families
@@ -313,45 +316,35 @@ class TestEnumeration:
         assert len(_enumerate_shapes(g, n)) == count
 
     def test_one_label_per_shape(self, monkeypatch):
-        # Only the first realization of each class is labelled.
-        calls = []
-        search = graphs._least_edge_list
-
-        def counted(*args):
-            calls.append(1)
-            return search(*args)
-
-        monkeypatch.setattr(graphs, "_least_edge_list", counted)
+        # The shape search labels nothing; each of the 379 shapes gets one
+        # plan and one search, for its only decoration.
+        searches, plans = _count_searches_and_plans(monkeypatch)
         assert len(_enumerate_shapes(4, 0)) == 379
-        assert len(calls) == 379
+        assert (len(searches), len(plans)) == (0, 0)
+        assert len(enumerate_stable_graphs(4, 0, (1,))) == 379
+        assert (len(searches), len(plans)) == (379, 379)
 
     def test_shape_generated_twice_raises(self, monkeypatch):
-        # Keeping every realization labels some class twice.
+        # Keeping every realization decorates some class twice.
         monkeypatch.setattr(graphs, "_has_smaller_relabelling", lambda *args: False)
         with pytest.raises(GraphError, match="generated twice"):
-            _enumerate_shapes(3, 0)
+            enumerate_stable_graphs(3, 0, (1,))
 
     def test_shape_layout_required(self):
         G = dual_graph([0, 0], [(0, 1), (0, 0), (0, 1), (1, 1)])
         with pytest.raises(GraphError):
-            _stabilizer_assignments(G, [1, 2])
+            _stabilizer_assignments(_LabelPlan(G), [1, 2])
 
     def test_one_search_per_shape_and_table(self, monkeypatch):
-        # Each of the 42 shapes is searched to label it, for its
+        # Each of the 42 shapes gets one plan, searched for its
         # automorphisms and for its first decoration; the 41 with more
         # than one decoration search for their layouts and for their
         # second decoration.  The other 31,073 decorations are labelled
         # from the tables alone.
-        calls = []
-        search = graphs._least_edge_list
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(graphs, "_least_edge_list", counted)
+        searches, plans = _count_searches_and_plans(monkeypatch)
         assert len(enumerate_stable_graphs(3, 0, (1, 2, 3, 4, 6))) == 31156
-        assert len(calls) == 42 * 3 + 41 * 2
+        assert len(searches) == 42 * 2 + 41 * 2
+        assert len(plans) == 42
 
     def test_single_choice_builds_no_table(self, monkeypatch):
         def refuse(*args):
@@ -372,6 +365,25 @@ class TestEnumeration:
         monkeypatch.setattr(_LabelPlan, "layouts", drop_least)
         with pytest.raises(GraphError, match="layout table misses"):
             enumerate_stable_graphs(3, 0, (1, 2))
+
+
+def _count_searches_and_plans(monkeypatch):
+    """Lists that grow by one per label search and per ``_LabelPlan`` built."""
+    searches, plans = [], []
+    search = graphs._least_edge_list
+    build = _LabelPlan.__init__
+
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    def counted_build(plan, G):
+        plans.append(1)
+        build(plan, G)
+
+    monkeypatch.setattr(graphs, "_least_edge_list", counted_search)
+    monkeypatch.setattr(_LabelPlan, "__init__", counted_build)
+    return searches, plans
 
 
 class TestAgainstOracles:
@@ -398,7 +410,7 @@ class TestAgainstOracles:
     def test_assignments_and_labels(self, g, n, choices):
         rng = random.Random(100 * g + 10 * n + len(choices))
         for shape in _enumerate_shapes(g, n):
-            fast = _stabilizer_assignments(shape, choices)
+            fast = _stabilizer_assignments(_LabelPlan(shape), choices)
             assert fast == sorted(fast)
             if len(choices) ** shape.n_edges <= self.ORACLE_TUPLES:
                 assert set(fast) == set(_oracle_assignments(shape, choices))
@@ -440,7 +452,7 @@ class TestAgainstOracles:
             for shape in _enumerate_shapes(g, n)
             for plan in [_LabelPlan(shape)]
             for table in [_LayoutTable(plan, max(choices) + 1)]
-            for assign in _stabilizer_assignments(shape, choices)
+            for assign in _stabilizer_assignments(plan, choices)
         ]
         if sample is not None:
             decorations = random.Random(7).sample(decorations, sample)
@@ -632,7 +644,7 @@ def _oracle_assignments(shape, choices):
 
 def _oracle_shapes(g, n_legs):
     """The shape search that labels every realization and keeps the first
-    one met with each label, in ``_enumerate_shapes``' visiting order."""
+    one met with each label, in the order first met."""
     shapes = {}
     for nv in range(1, 2 * g - 2 + n_legs + 1):
         for genera in itertools.combinations_with_replacement(range(g + 1), nv):
@@ -660,7 +672,7 @@ def _oracle_shapes(g, n_legs):
                         except DisconnectedGraph:
                             continue
                         shapes.setdefault(canonical_form(G), G)
-    return [shapes[k] for k in sorted(shapes)]
+    return list(shapes.values())
 
 
 def _oracle_count(g, choices):

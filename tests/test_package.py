@@ -105,3 +105,29 @@ def test_no_self_referencing_nested_functions():
                 if inner.name in names:
                     found.append(f"{path.name}:{inner.lineno} {inner.name}")
     assert found == []
+
+
+PLAN_BUILDERS = {"canonical_form", "enumerate_stable_graphs"}
+
+
+def test_label_plans_built_only_by_canonical_form_and_enumeration():
+    # The enumeration builds one _LabelPlan per shape and hands it to
+    # everything that reads the shape's parallel classes, automorphisms,
+    # layouts or labels; canonical_form builds one per graph it labels.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, _FUNCTIONS) and func.name in PLAN_BUILDERS
+            for node in ast.walk(func)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _name(node.func) == "_LabelPlan"
+            and id(node) not in allowed
+        ]
+    assert found == []

@@ -228,22 +228,23 @@ def involution_act(c: RootClass) -> RootClass:
     return RootClass(G, r, mult, _normalize_gluing(G, r, beta))
 
 
-def _accepted_mults(G: DualGraph, F: LineBundleData, r: int, max_domain: int):
-    """Multiplicity vectors of the r-th roots of F, one per discrete root."""
+def _root_mults(G: DualGraph, F: LineBundleData, r: int, max_domain: int):
+    """Multiplicity vectors of the r-th roots of F, once the roots and
+    their classes are known to fit the cap.
+
+    Both caps are checked on counts, before the roots are listed: on an
+    all-rational graph the root count is the number of classes, r^{b1}
+    gluings for each of the |ker M| roots.
+    """
     if any(v.genus for v in G.vertices):
         raise NotRational("root classes require an all-rational graph")
-    return picard._counter(G, r).solutions(F, max_domain)
-
-
-def _root_mults(G: DualGraph, F: LineBundleData, r: int, max_domain: int):
-    """Multiplicity vectors of the r-th roots of F and the gluing data of
-    (G, r), once the roots and their classes are known to fit the cap."""
-    mults = _accepted_mults(G, F, r, max_domain)
-    data = _gluing(G, r)
-    classes = len(mults) * r ** len(data.free)
-    if mults and classes > max_domain:
-        raise picard.DomainTooLarge(f"{classes} root classes exceed the cap {max_domain}")
-    return mults, data
+    counter = picard._counter(G, r)
+    classes = counter.count(F)
+    if counter.smith.kernel_size <= max_domain < classes:
+        raise picard.DomainTooLarge(
+            f"{picard._decimal(classes)} root classes exceed the cap {max_domain}"
+        )
+    return counter.solutions(F, max_domain)
 
 
 def enumerate_root_classes(
@@ -257,7 +258,10 @@ def enumerate_root_classes(
     One class per accepted multiplicity vector and per gluing residue on
     the non-tree edges; their number is exactly count_roots(G, F, r).
     """
-    mults, data = _root_mults(G, F, r, max_domain)
+    mults = _root_mults(G, F, r, max_domain)
+    if not mults:
+        return []
+    data = _gluing(G, r)
     gluings = [data.gluing(x) for x in itertools.product(range(r), repeat=len(data.free))]
     return [RootClass(G, r, mult, beta) for mult in mults for beta in gluings]
 
@@ -360,8 +364,10 @@ def orbit_count(
     trivial class (multiplicities 0, gluing 0), a singleton, is left out
     when that class is a root of F.  The root classes must fit max_domain.
     """
-    mults, data = _root_mults(G, F, r, max_domain)
-    sizes = _orbit_sizes(data, mults, with_involution)
+    mults = _root_mults(G, F, r, max_domain)
+    if not mults:
+        return 0, []
+    sizes = _orbit_sizes(_gluing(G, r), mults, with_involution)
     if nontrivial and (0,) * G.n_edges in mults:
         sizes.remove(1)
     sizes.sort(reverse=True)
@@ -461,7 +467,7 @@ def nr_report(r: int) -> NrReport:
     n_j1728 = elliptic_torsion_orbits(r, 4)
     n_j0 = elliptic_torsion_orbits(r, 6)
     fixture = _cusp_fixture(r)
-    mults = _accepted_mults(fixture, omega_bundle(fixture, 1), r, DEFAULT_MAX_DOMAIN)
+    mults = picard._counter(fixture, r).solutions(omega_bundle(fixture, 1))
     if (0,) not in mults:
         raise OrbitError(f"the trivial class is not a root of omega on the cusp fixture, r={r}")
     n_cusp = len(_orbit_sizes(_gluing(fixture, r), mults, with_involution=True)) - 1

@@ -16,7 +16,10 @@ RootCounter per (graph, r), kept in a bounded cache, holds one Smith
 reduction of that map and answers all of it: its kernel gives the
 torsion count, its image decides whether roots exist and whether a
 target lifts, and its witness and kernel build the roots themselves.
-Counts never sweep the domain, so only listing roots is capped.
+Counts never sweep the domain, so only listing roots is capped, and they
+need no degrees: a target is the class's integer parts plus, edge by
+edge, integer deltas of the base solution of r*mu = m (mod l), memoized
+per (l, r) and shared by every graph.
 """
 
 from __future__ import annotations
@@ -73,10 +76,11 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DOMAIN = 10**6
-# Bound on each of the four per-graph caches (_geometry, _node_types and
-# _counter here, orbits._gluing).  A family sweep visits every graph once,
-# so the caches only need to hold the graphs in flight; unbounded, they
-# grew to about 100 MB on the decorated genus-3 family.
+# Bound on each of the per-graph caches (_geometry, _node_types,
+# _edge_sides and _counter here, orbits._gluing) and on the per-(l, r) edge
+# memos of _edge_memo.  A family sweep visits every graph once, so the
+# caches only need to hold the graphs in flight; unbounded, they grew to
+# about 100 MB on the decorated genus-3 family.
 GRAPH_CACHE_SIZE = 128
 
 
@@ -110,6 +114,15 @@ class GraphMismatch(PicardError):
 
 class RootMismatch(PicardError):
     pass
+
+
+def _decimal(n: int) -> str:
+    """n in decimal for a message, or the bound "at least 2^k" when n has
+    more digits than the interpreter converts to a string."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
 
 
 class _Geometry:
@@ -310,21 +323,27 @@ def random_bundle(G: DualGraph, rng: random.Random, r: int | None = None) -> Lin
 
 def _draw(rng: random.Random, stabs, n_vertices: int):
     """(int_part, mult) of a random class: each multiplicity uniform in
-    [0, l), edge by edge, then each integer part uniform in [-3, 3]."""
+    [0, l), edge by edge, then each integer part uniform in [-3, 3].
+
+    Each number comes from the rejection loop on getrandbits(n.bit_length())
+    that random.Random.randrange(n) runs, so a seeded generator gives the
+    same numbers and is left in the same state.
+    """
     getrandbits = rng.getrandbits
-    mult = tuple([_below(getrandbits, l) for l in stabs])
-    return tuple([_below(getrandbits, 7) - 3 for _ in range(n_vertices)]), mult
-
-
-def _below(getrandbits, n: int) -> int:
-    """Uniform in [0, n) for n >= 1, by the same rejection loop on
-    getrandbits(n.bit_length()) as random.Random.randrange(n), so a seeded
-    generator gives the same numbers and is left in the same state."""
-    k = n.bit_length()
-    x = getrandbits(k)
-    while x >= n:
+    mult = []
+    for l in stabs:
+        k = l.bit_length()
         x = getrandbits(k)
-    return x
+        while x >= l:
+            x = getrandbits(k)
+        mult.append(x)
+    int_part = []
+    for _ in range(n_vertices):
+        x = getrandbits(3)
+        while x >= 7:
+            x = getrandbits(3)
+        int_part.append(x - 3)
+    return tuple(int_part), tuple(mult)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +383,34 @@ def torsion_count(G: DualGraph, r: int) -> int:
 # Root counting
 
 
+def _edge_entry(l: int, r: int, m: int):
+    """(mu0, head delta, tail delta) for an edge with stabilizer l carrying
+    multiplicity m, or () when r*mu = m (mod l) has no solution.
+
+    mu0 is the base solution.  A root with multiplicity mu0 on the edge
+    leaves the defect r*(deg(F)/r - deg(root)) of its head changed by
+    (m - r*mu0)/l and that of its tail by ((l-m) mod l - r*((l-mu0) mod
+    l))/l, integers because r*mu0 = m (mod l).
+    """
+    sol = solve_congruence(r, m, l)
+    if sol is None:
+        return ()
+    mu0 = sol[0]
+    head, rem = divmod(m - r * mu0, l)
+    tail, rem_tail = divmod((l - m) % l - r * ((l - mu0) % l), l)
+    if rem or rem_tail:
+        raise PicardError(f"base solution {mu0} of {r}*mu = {m} (mod {l}) is wrong")
+    return mu0, head, tail
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _edge_memo(l: int, r: int) -> dict:
+    """The _edge_entry of each multiplicity m on an edge of stabilizer l,
+    shared by every counter of order r and filled on first use of m, so a
+    huge stabilizer costs nothing until its multiplicities are met."""
+    return {}
+
+
 class RootCounter:
     """Root counting on a fixed graph for a fixed r.
 
@@ -377,13 +424,13 @@ class RootCounter:
     |ker M| = prod h_e * prod m_i / r^V.  solutions builds the coset from a
     witness and the kernel generators (the columns of V scaled by r/m_i),
     so its cost scales with the number of roots, not with the domain.
-    Per edge, the base solution mu0 of each multiplicity and the shifts it
-    makes to the scaled degrees are memoized on first use, so counts and
-    lifts work on the bundle's scaled degrees and multiplicities as plain
-    integers and build no bundle.  One counter serves every bundle on
-    (G, r): _counter keeps the recent ones for torsion, counts, root lists,
-    constructed roots and lifts, and check_rootsnum_graph builds one per r
-    for its integer rows.
+    The target t is the bundle's integer part plus, edge by edge, the
+    integer deltas of the edge's base solution (_edge_entry), read from a
+    memo shared by every counter of order r, so counts and lifts work on
+    (int_part, mult) as plain integers, with no degree and no bundle.  One
+    counter serves every bundle on (G, r): _counter keeps the recent ones
+    for torsion, counts, root lists, constructed roots and lifts, and
+    check_rootsnum_graph builds one per r for its integer rows.
     """
 
     def __init__(self, G: DualGraph, r: int):
@@ -394,53 +441,34 @@ class RootCounter:
         self.hs = [gcd(e.stabilizer, r) for e in G.edges]
         self.domain_size = prod(self.hs)
         self.free_factor = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
-        self._geo = _geometry(G)
-        # Per edge: (index, head, tail, memo) where memo maps a multiplicity
-        # m to (mu0, head shift, tail shift), the shifts being r * S times
-        # the branch fractions of mu0, or to () when r*mu = m (mod l) has no
-        # solution.
-        self._shifts = tuple((k, e.head, e.tail, {}) for k, e in enumerate(G.edges))
+        # Per edge: (head, tail, stabilizer, memo of _edge_entry).
+        self._edges = tuple(
+            (e.head, e.tail, e.stabilizer, _edge_memo(e.stabilizer, r)) for e in G.edges
+        )
 
     @cached_property
     def smith(self) -> _SmithData:
         """The Smith reduction of the boundary map, built on first use."""
         return _SmithData(_boundary_matrix(self.graph, self.hs, self.r), self.hs, self.r)
 
-    def _targets(self, scaled, mult):
-        """Defect vector t with acceptance condition M x = t (mod r) for the
-        base solutions, from S * degrees and the multiplicities alone; None
-        when some edge has no base solution or t is not integral.
-
-        At vertex v the root must have degree deg_v(F)/r; with the base
-        multiplicities in place the remaining defect r*(deg_v(F)/r -
-        frac_v(mu0)) has to be an integer in the image of M.
-        """
-        defect = list(scaled)
-        for (k, head, tail, memo), m in zip(self._shifts, mult):
-            shift = memo.get(m)
-            if shift is None:
-                shift = memo[m] = self._shift(k, m)
-            if not shift:
+    def _targets(self, int_part, mult):
+        """Defect list t with acceptance condition M x = t (mod r) for the
+        base solutions of the class (int_part, mult), or None when some
+        edge has no base solution.  t_v is int_part[v] plus the deltas of
+        the edges at v, unreduced; the list is new, so callers may change
+        it in place."""
+        t = list(int_part)
+        r = self.r
+        for (head, tail, l, memo), m in zip(self._edges, mult):
+            entry = memo.get(m)
+            if entry is None:
+                entry = memo[m] = _edge_entry(l, r, m)
+            if not entry:
                 return None
-            defect[head] -= shift[1]
-            defect[tail] -= shift[2]
-        # defect_v = S * r * T_v; the root exists only for integral T_v.
-        S, r = self._geo.scale, self.r
-        t = []
-        for d in defect:
-            if d % S:
-                return None
-            t.append((d // S) % r)
-        return tuple(t)
-
-    def _shift(self, k: int, m: int):
-        l = self._geo.stabs[k]
-        sol = solve_congruence(self.r, m, l)
-        if sol is None:
-            return ()
-        mu0 = sol[0]
-        c = self.r * self._geo.units[k]
-        return mu0, c * mu0, c * ((l - mu0) % l)
+            _, dh, dt = entry
+            t[head] += dh
+            t[tail] += dt
+        return t
 
     def solution_count(self, t) -> int:
         """Number of x in prod Z/h_e with M x = t (mod r)."""
@@ -452,7 +480,7 @@ class RootCounter:
     def count(self, F: LineBundleData) -> int:
         if F.graph != self.graph:
             raise GraphMismatch("bundle lives on a different graph")
-        return self._count(self._targets(_scaled_degrees(F, self._geo), F.mult))
+        return self._count(self._targets(F.int_part, F.mult))
 
     def _count(self, t) -> int:
         """Root count for a target from _targets (None counts 0)."""
@@ -462,10 +490,10 @@ class RootCounter:
         """(mu0, x) with x one solution of M x = t for F, or None."""
         if F.graph != self.graph:
             raise GraphMismatch("bundle lives on a different graph")
-        t = self._targets(_scaled_degrees(F, self._geo), F.mult)
+        t = self._targets(F.int_part, F.mult)
         if t is None or not self.smith.contains(t):
             return None
-        mu0 = [memo[m][0] for (_, _, _, memo), m in zip(self._shifts, F.mult)]
+        mu0 = [memo[m][0] for (_, _, _, memo), m in zip(self._edges, F.mult)]
         return mu0, self.smith.witness(t)
 
     def _mult(self, mu0, x) -> tuple[int, ...]:
@@ -484,7 +512,7 @@ class RootCounter:
         smith = self.smith
         if smith.kernel_size > max_domain:
             raise DomainTooLarge(
-                f"{smith.kernel_size} discrete roots exceed the cap {max_domain}"
+                f"{_decimal(smith.kernel_size)} discrete roots exceed the cap {max_domain}"
             )
         mu0, x0 = lift
         coset = sorted(
@@ -642,6 +670,20 @@ def construct_root(G: DualGraph, F: LineBundleData, r: int) -> LineBundleData | 
 # Numerical criterion
 
 
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _edge_sides(G: DualGraph):
+    """The graph part of the edge criterion: the nonseparating edges, and
+    (l, sorted "+" side) for each separating edge."""
+    nodes = _node_types(G)
+    nonseparating = tuple(k for k, n in enumerate(nodes) if not n.separating)
+    sides = tuple(
+        (e.stabilizer, tuple(sorted(n.plus_vertices)))
+        for e, n in zip(G.edges, nodes)
+        if n.separating
+    )
+    return nonseparating, sides
+
+
 class _Criterion:
     """The edge criterion of root_count_criterion for one (graph, r), as a
     test on S * vertex degrees and multiplicities.
@@ -649,23 +691,18 @@ class _Criterion:
     Nonseparating edges need l and the head multiplicity divisible by r
     (the tail multiplicity l - mu then is too).  For a separating edge the
     "+" side suffices: with the total degree a multiple of r the two side
-    conditions agree.
+    conditions agree.  The edges and sides come from the per-graph
+    _edge_sides; only the parts that depend on r are built here.
     """
 
     __slots__ = ("r", "modulus", "stabilizers_ok", "nonseparating", "sides")
 
     def __init__(self, G: DualGraph, r: int):
-        geo = _geometry(G)
-        nodes = _node_types(G)
         self.r = r
-        self.modulus = geo.scale * r
-        self.nonseparating = tuple(k for k, n in enumerate(nodes) if not n.separating)
-        self.stabilizers_ok = all(geo.stabs[k] % r == 0 for k in self.nonseparating)
-        self.sides = tuple(
-            (geo.stabs[k], tuple(sorted(n.plus_vertices)))
-            for k, n in enumerate(nodes)
-            if n.separating
-        )
+        self.modulus = _geometry(G).scale * r
+        self.nonseparating, self.sides = _edge_sides(G)
+        edges = G.edges
+        self.stabilizers_ok = all(edges[k].stabilizer % r == 0 for k in self.nonseparating)
 
     def holds(self, scaled, mult) -> bool:
         if not self.stabilizers_ok:
@@ -841,10 +878,12 @@ def check_rootsnum_graph(
     (int_part, mult, scaled, total) of integers: the dualizing class, its
     square and the trivial class come from their LineBundleData, the
     random classes straight from the generator, and each row's total is
-    checked against its scaled degrees.  Per r one RootCounter and one
-    edge criterion serve every row, which is padded by lowering the scaled
-    degree of vertex 0.  A LineBundleData for a random class is built only
-    for a discrepancy's record.
+    checked against its scaled degrees.  Per r one RootCounter reads each
+    row's target off its integer parts and one edge criterion tests its
+    scaled degrees.  A row whose total is not a multiple of r is padded by
+    lowering its degree on vertex 0: the target's first entry in place,
+    and the scaled degree of vertex 0.  A LineBundleData for a random
+    class is built only for a discrepancy's record.
     """
     rng = random.Random(f"{seed}:{G!r}")
     g = genus(G)
@@ -864,20 +903,20 @@ def check_rootsnum_graph(
         criterion = _Criterion(G, r)
         expected = r ** (2 * g)
         for int_part, mult, scaled, total in rows:
-            t = counter._targets(scaled, mult)
+            t = counter._targets(int_part, mult)
             excess = total % r
             if excess:
                 # No roots at all off the hypothesis; pad the degree on
-                # vertex 0 to keep the bundle in the sweep.  Padding moves
-                # S * deg_0 by a multiple of S, so only t_0 changes.
-                count = counter._count(t)
-                if count != 0:
-                    F = LineBundleData(G, int_part, mult)
-                    discrepancies.append(RootsnumRecord(G, r, F, False, count, 0))
-                scaled = (scaled[0] - S * excess,) + scaled[1:]
+                # vertex 0 to keep the bundle in the sweep.  Padding lowers
+                # int_part[0], so S * deg_0 and t_0 drop with it.
                 if t is not None:
-                    t = ((t[0] - excess) % r,) + t[1:]
-            count = counter._count(t)
+                    count = counter._count(t)
+                    if count != 0:
+                        F = LineBundleData(G, int_part, mult)
+                        discrepancies.append(RootsnumRecord(G, r, F, False, count, 0))
+                    t[0] -= excess
+                scaled = (scaled[0] - S * excess,) + scaled[1:]
+            count = 0 if t is None else counter._count(t)
             passed = criterion.holds(scaled, mult)
             checked += 1
             if passed != (count == expected):

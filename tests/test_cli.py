@@ -737,6 +737,23 @@ class TestExitCodes:
         assert Decimal(digits) == 2**20000
 
     @pytest.mark.parametrize(
+        "command, stabilizer, what",
+        [("orbits", 1, "root classes"), ("roots", 10**6, "discrete roots")],
+    )
+    def test_huge_refusal_is_one_line(self, capsys, tmp_path, command, stabilizer, what):
+        # 720 loops and r = 10^6 give 10^4320 root classes (orbits) or
+        # discrete roots (roots --list), past the int-to-str digit limit:
+        # the refusal bounds the count by a power of two instead.
+        path = tmp_path / "loops.json"
+        loop = {"tail": 0, "head": 0, "stabilizer": stabilizer}
+        path.write_text(json.dumps({"vertices": [{"genus": 0}], "edges": [loop] * 720}))
+        argv = [command, str(path), "-r", "1000000", "--bundle", "omega:k=500000"]
+        code = main(argv + (["--list"] if command == "roots" else []))
+        captured = capsys.readouterr()
+        err = f"tc: error: at least 2^14350 {what} exceed the cap 1000000\n"
+        assert (code, captured.out, captured.err) == (1, "", err)
+
+    @pytest.mark.parametrize(
         "orders, err",
         [("2,2", "tc: error: repeated orders in [2, 2]\n"), ("0", "tc: error: order 0 < 1\n")],
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistcount import orbits
+from twistcount import orbits, picard
 from twistcount.graphs import DualGraph, Edge, MultiIndex, dual_graph, enumerate_stable_graphs
 from twistcount.orbits import (
     BadAutOrder,
@@ -254,6 +254,33 @@ class TestRootClasses:
 
 
 class TestOrbits:
+    @pytest.mark.parametrize("call", [orbit_count, enumerate_root_classes])
+    def test_class_cap_refuses_before_gluing_data(self, monkeypatch, call):
+        # Thirty loops of stabilizer 1 carry one discrete root of the
+        # trivial class and 2^30 classes.  The cap refuses them on the count,
+        # before the gluing data (quadratic in b1) or the kernel is built.
+        def refuse(*args):
+            raise AssertionError("built data for a refused input")
+
+        monkeypatch.setattr(orbits, "_Gluing", refuse)
+        monkeypatch.setattr(picard._SmithData, "kernel", refuse)
+        G = dual_graph([0], [(0, 0, 1)] * 30)
+        with pytest.raises(picard.DomainTooLarge) as exc:
+            call(G, trivial_bundle(G), 2)
+        assert str(exc.value) == "1073741824 root classes exceed the cap 1000000"
+
+    def test_no_roots_build_no_gluing_data(self, monkeypatch):
+        # An odd class has no square root: nothing is listed or built, where
+        # listing the 2^b1 gluings took 2.3 s at b1 = 20.
+        def refuse(*args):
+            raise AssertionError("gluing data built for a class without roots")
+
+        monkeypatch.setattr(orbits, "_Gluing", refuse)
+        G = dual_graph([0], [(0, 0, 1)] * 30)
+        F = line_bundle(G, (1,), (0,) * 30)
+        assert enumerate_root_classes(G, F, 2) == []
+        assert orbit_count(G, F, 2, True, nontrivial=True) == (0, [])
+
     def test_pointed_loop_orbit_shape(self):
         G = pointed_loop(2)
         assert orbit_count(G, trivial_bundle(G), 2) == (3, [2, 1, 1])

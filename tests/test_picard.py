@@ -75,10 +75,11 @@ class TestRandomDraws:
     @pytest.mark.parametrize("seed", [0, 1, 7, "2:x"])
     def test_draws_match_randrange(self, seed):
         ours, reference = random.Random(seed), random.Random(seed)
-        for _ in range(20):
-            for n in range(1, 13):
-                assert picard._below(ours.getrandbits, n) == reference.randrange(n)
-            assert picard._below(ours.getrandbits, 7) - 3 == reference.randrange(-3, 4)
+        stabs = tuple(range(1, 13)) + (10**12, 2**64)
+        for n_vertices in range(20):
+            int_part, mult = picard._draw(ours, stabs, n_vertices)
+            assert mult == tuple(reference.randrange(l) for l in stabs)
+            assert int_part == tuple(reference.randrange(-3, 4) for _ in range(n_vertices))
         assert ours.getstate() == reference.getstate()
 
     def test_random_bundle_stream_unchanged(self):
@@ -703,6 +704,19 @@ def _base_solution(G, F, r):
     return mu0
 
 
+def _vertex_defects(G, F, r, mu0):
+    """The defects r*(deg_v(F)/r - frac_v(mu0)) with the base multiplicities
+    mu0 in place, as exact rationals."""
+    defects = []
+    for v in range(G.n_vertices):
+        defect = vertex_degree(F, v)
+        for k, is_head in G.incidences(v):
+            l = G.edges[k].stabilizer
+            defect -= r * Fraction(mu0[k] if is_head else (l - mu0[k]) % l, l)
+        defects.append(defect)
+    return defects
+
+
 def _vertex_targets(G, F, r, mu0):
     """Defect vector t with acceptance condition M x = t (mod r), or None.
 
@@ -710,16 +724,10 @@ def _vertex_targets(G, F, r, mu0):
     multiplicities in place the remaining defect r*(deg_v(F)/r -
     frac_v(mu0)) has to be an integer, taken with exact rationals.
     """
-    t = []
-    for v in range(G.n_vertices):
-        defect = vertex_degree(F, v)
-        for k, is_head in G.incidences(v):
-            l = G.edges[k].stabilizer
-            defect -= r * Fraction(mu0[k] if is_head else (l - mu0[k]) % l, l)
-        if defect.denominator != 1:
-            return None
-        t.append(defect.numerator % r)
-    return tuple(t)
+    defects = _vertex_defects(G, F, r, mu0)
+    if any(d.denominator != 1 for d in defects):
+        return None
+    return tuple(d.numerator % r for d in defects)
 
 
 def _base_target(G, F, r):
@@ -841,6 +849,42 @@ def _decorate(shape, stabs):
     )
 
 
+class TestEdgeMemo:
+    def test_entries_match_exact_defects(self):
+        # On a bridge and on a loop carrying multiplicity m and no integer
+        # part, the target of the counter is the memo's head and tail
+        # deltas, which must be the oracle's exact defects with the same
+        # base solution; an entry is empty exactly when gcd(r, l) does not
+        # divide m.
+        for l in range(1, 25):
+            bridge = dual_graph([1, 1], [(1, 0, l)])  # head 0, tail 1
+            loop = dual_graph([1], [(0, 0, l)])
+            for r in range(1, 13):
+                memo = picard._edge_memo(l, r)
+                for m in range(l):
+                    t = RootCounter(bridge, r)._targets((0, 0), (m,))
+                    entry = memo[m]
+                    assert (entry == ()) == (m % gcd(r, l) != 0)
+                    assert (t is None) == (entry == ())
+                    assert picard._edge_entry(l, r, m) == entry
+                    if not entry:
+                        continue
+                    mu0, head, tail = entry
+                    F = line_bundle(bridge, (0, 0), (m,))
+                    assert [mu0] == _base_solution(bridge, F, r)
+                    exact = _vertex_defects(bridge, F, r, [mu0])
+                    assert t == [head, tail] == exact
+                    F = line_bundle(loop, (0,), (m,))
+                    assert RootCounter(loop, r)._targets((0,), (m,)) == [head + tail]
+                    assert [head + tail] == _vertex_defects(loop, F, r, [mu0])
+
+    def test_memo_shared_per_stabilizer_and_order(self):
+        G = dual_graph([0, 0], [(0, 1, 6), (0, 1, 6), (0, 1, 4)])
+        memos = [memo for _, _, _, memo in RootCounter(G, 4)._edges]
+        assert memos[0] is memos[1] is picard._edge_memo(6, 4)
+        assert memos[2] is picard._edge_memo(4, 4) is not memos[0]
+
+
 class TestRootsnumPlan:
     ORDERS = (2, 3, 4, 6)
 
@@ -960,7 +1004,8 @@ class TestRootsnumPlan:
             check_rootsnum_graph(G, (2,), n_random=0)
             torsion_count(G, 2)
             orbits.root_class(G, 2, (0,) * G.n_edges, (0,) * G.n_edges)
-        for cache in (picard._geometry, picard._node_types, picard._counter, orbits._gluing):
+        caches = (picard._geometry, picard._node_types, picard._edge_sides, picard._counter)
+        for cache in caches + (orbits._gluing,):
             info = cache.cache_info()
             assert info.maxsize == GRAPH_CACHE_SIZE
             assert info.currsize == GRAPH_CACHE_SIZE
@@ -996,7 +1041,7 @@ def _plan_answers(G, F, r):
     geo = picard._geometry(G)
     scaled = picard._scaled_degrees(F, geo)
     counter = RootCounter(G, r)
-    count = counter._count(counter._targets(scaled, F.mult))
+    count = counter._count(counter._targets(F.int_part, F.mult))
     if sum(scaled) % (geo.scale * r):
         return count, None
     return count, picard._Criterion(G, r).holds(scaled, F.mult)

@@ -427,6 +427,10 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"tc: error: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, OverflowError):
+        # A cap such as --max-domain lifted past what a list can hold.
+        print("tc: error: the result does not fit in memory", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("tc: interrupted", file=sys.stderr)
         return 130

@@ -39,6 +39,7 @@ from .graphs import (
 )
 from .picard import (
     DEFAULT_MAX_DOMAIN,
+    DomainTooLarge,
     HypothesisViolated,
     LineBundleData,
     PicardError,
@@ -459,9 +460,16 @@ def nr_report(r: int) -> NrReport:
     ghost-plus-involution orbits on the r-th roots of omega on the one-loop
     fixture, summed per multiplicity vector (never hard-coded), minus the
     orbit of the trivial class, which must be among them.  The resulting
-    genus must be (r-5)(r-7)/24.
+    genus must be (r-5)(r-7)/24.  The fixture has r discrete roots, so an
+    r past DEFAULT_MAX_DOMAIN is refused before the primality test.
     """
-    if r < 5 or not _is_prime(r):
+    if r < 5:
+        raise BadR(f"{r} is not a prime >= 5")
+    if r > DEFAULT_MAX_DOMAIN:
+        raise DomainTooLarge(
+            f"{picard._decimal(r)} discrete roots exceed the cap {DEFAULT_MAX_DOMAIN}"
+        )
+    if not _is_prime(r):
         raise BadR(f"{r} is not a prime >= 5")
     degree = (r * r - 1) // 2
     n_j1728 = elliptic_torsion_orbits(r, 4)
@@ -490,10 +498,7 @@ def nr_report(r: int) -> NrReport:
 def cond_check(g: int, r: int, l: MultiIndex, k: int) -> bool:
     """Divisibility test for the root torsor to persist over every stable
     shape: r | l_0 and r | (2i-1)*k*l_i for all separating types i."""
-    if len(l) != g // 2 + 1:
-        raise MultiIndexLengthMismatch(
-            f"multiindex has {len(l)} entries, genus {g} needs {g // 2 + 1}"
-        )
+    _check_profile_length(g, l)
     if ((2 * g - 2) * k) % r:
         raise HypothesisViolated(
             f"total degree {(2 * g - 2) * k} is not a multiple of {r}"
@@ -514,6 +519,13 @@ class CondReport:
     all_maximal: bool
     equivalent: bool
     witnesses: tuple
+
+
+def _check_profile_length(g: int, l: MultiIndex) -> None:
+    if len(l) != g // 2 + 1:
+        raise MultiIndexLengthMismatch(
+            f"multiindex has {len(l)} entries, genus {g} needs {g // 2 + 1}"
+        )
 
 
 def redecorate(shape: DualGraph, l: MultiIndex) -> DualGraph:
@@ -542,6 +554,7 @@ def verify_cond(
         raise picard.PicardError(f"profile sweeps need genus >= 2, got {g}")
     if r < 1:
         raise picard.PicardError(f"order {r} < 1")
+    _check_profile_length(g, l)
     hypothesis_ok = ((2 * g - 2) * k) % r == 0
     condition = cond_check(g, r, l, k) if hypothesis_ok else False
     expected = r ** (2 * g)

@@ -2,9 +2,16 @@
 
 A line bundle class is tracked by an integer part per vertex and a
 head-branch multiplicity per edge; the tail branch carries the inverse
-character, i.e. multiplicity (l - mu) mod l.  Vertex degrees are exact
-rationals with denominator dividing the incident stabilizer orders, and
-all root counting happens through the boundary map
+character, i.e. multiplicity (l - mu) mod l.  That pair is the only
+form of a class.  The degree of v is its integer part plus mu/l at each
+head and ((l - mu) mod l)/l at each tail; vertex_degree sums exactly
+that, as rationals, and everything else works on integers.  Tensor
+products, powers and roots go through one normaliser, which carries
+each branch's numerator, less the new multiplicity, into the integer
+part of its vertex.  The edge criterion reads the integers d_v (the
+integer part plus one at the tail of each edge with mu != 0; they sum
+to the total degree) and each separating edge's multiplicity.  Root
+counting happens through the boundary map
 
     prod_e Z/h_e  --->  (Z/r)^V,     h_e = gcd(l_e, r),
 
@@ -16,10 +23,10 @@ RootCounter per (graph, r), kept in a bounded cache, holds one Smith
 reduction of that map and answers all of it: its kernel gives the
 torsion count, its image decides whether roots exist and whether a
 target lifts, and its witness and kernel build the roots themselves.
-Counts never sweep the domain, so only listing roots is capped, and they
-need no degrees: a target is the class's integer parts plus, edge by
-edge, integer deltas of the base solution of r*mu = m (mod l), memoized
-per (l, r) and shared by every graph.
+Counts never sweep the domain, so only listing roots is capped: a target
+is the class's integer parts plus, edge by edge, the carries of the base
+solution of r*mu = m (mod l), memoized per (l, r) and shared by every
+graph.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .exactalg import CyclicHom, smith_normal_form, solve_congruence
 from .graphs import DualGraph, betti, classify_node, flip_edge, genus
@@ -41,7 +48,6 @@ __all__ = [
     "DomainTooLarge",
     "HypothesisViolated",
     "AugmentationNonzero",
-    "NonIntegralTotal",
     "NotCoprime",
     "GraphMismatch",
     "RootMismatch",
@@ -76,9 +82,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DOMAIN = 10**6
-# Bound on each of the per-graph caches (_geometry, _node_types,
-# _edge_sides and _counter here, orbits._gluing) and on the per-(l, r) edge
-# memos of _edge_memo.  A family sweep visits every graph once, so the
+# Bound on each of the per-graph caches (_node_types, _edge_sides and
+# _counter here, orbits._gluing) and on the per-(l, r) edge memos of
+# _edge_memo.  A family sweep visits every graph once, so the
 # caches only need to hold the graphs in flight; unbounded, they grew to
 # about 100 MB on the decorated genus-3 family.
 GRAPH_CACHE_SIZE = 128
@@ -97,10 +103,6 @@ class HypothesisViolated(PicardError):
 
 
 class AugmentationNonzero(PicardError):
-    pass
-
-
-class NonIntegralTotal(PicardError):
     pass
 
 
@@ -123,40 +125,6 @@ def _decimal(n: int) -> str:
         return str(n)
     except ValueError:
         return f"at least 2^{n.bit_length() - 1}"
-
-
-class _Geometry:
-    """Per-graph data shared by all degree computations.
-
-    Degrees are handled as integers scaled by S, the lcm of the stabilizer
-    orders, so the hot paths never touch rational arithmetic.
-    """
-
-    __slots__ = ("scale", "stabs", "units", "branches")
-
-    def __init__(self, G: DualGraph):
-        self.scale = lcm(1, *(e.stabilizer for e in G.edges))
-        self.stabs = tuple(e.stabilizer for e in G.edges)
-        self.units = tuple(self.scale // l for l in self.stabs)
-        self.branches = tuple(
-            (e.head, e.tail, l, u) for e, l, u in zip(G.edges, self.stabs, self.units)
-        )
-
-    def scaled_degrees(self, int_part, mult) -> list[int]:
-        """S * deg_v of the class (int_part, mult) for every vertex v:
-        S * int_part[v] plus, edge by edge, S * mu/l at the head and
-        S * ((l - mu) mod l)/l at the tail (a loop gets both)."""
-        S = self.scale
-        out = [S * a for a in int_part]
-        for (head, tail, l, u), m in zip(self.branches, mult):
-            out[head] += u * m
-            out[tail] += u * ((l - m) % l)
-        return out
-
-
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _geometry(G: DualGraph) -> _Geometry:
-    return _Geometry(G)
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -193,46 +161,42 @@ def line_bundle(G: DualGraph, int_part, mult) -> LineBundleData:
     return LineBundleData(G, tuple(int(a) for a in int_part), tuple(int(m) for m in mult))
 
 
-def _scaled_degrees(L: LineBundleData, geo: _Geometry) -> tuple[int, ...]:
-    """Vertex degrees times the common denominator, as plain integers.
-
-    Memoized on the (frozen) bundle, outside its dataclass fields.
-    """
-    cached = L.__dict__.get("_scaled")
-    if cached is not None:
-        return cached
-    result = tuple(geo.scaled_degrees(L.int_part, L.mult))
-    object.__setattr__(L, "_scaled", result)
-    return result
+def _tail_mults(L: LineBundleData) -> tuple[int, ...]:
+    return tuple((e.stabilizer - m) % e.stabilizer for m, e in zip(L.mult, L.graph.edges))
 
 
 def vertex_degree(L: LineBundleData, v: int) -> Fraction:
-    """Exact degree of the class on the component v."""
-    if not 0 <= v < L.graph.n_vertices:
+    """Exact degree of the class on the component v: the integer part plus
+    the branch fraction mu/l of every branch at v."""
+    G = L.graph
+    if not 0 <= v < G.n_vertices:
         raise GraphMismatch(f"no vertex {v}")
-    geo = _geometry(L.graph)
-    return Fraction(_scaled_degrees(L, geo)[v], geo.scale)
+    degree = Fraction(L.int_part[v])
+    for e, is_head in G.incidences(v):
+        degree += Fraction(L.mult[e] if is_head else L.tail_mult(e), G.edges[e].stabilizer)
+    return degree
+
+
+def _integer_degrees(G: DualGraph, int_part, mult) -> list[int]:
+    """d_v: int_part[v] plus one at the tail of each edge with mu != 0.
+
+    A branch pair with mu != 0 gives mu/l at the head and 1 - mu/l at the
+    tail, so deg_v = d_v + sum_e (mu_e/l_e)([head_e = v] - [tail_e = v]).
+    Hence sum(d) is the total degree, and for a separating edge k, whose
+    "+" side P holds its head, l_k * deg(P) = l_k * sum_P d_v + mu_k.
+    """
+    d = list(int_part)
+    for e, m in zip(G.edges, mult):
+        if m:
+            d[e.tail] += 1
+    return d
 
 
 def total_degree(L: LineBundleData) -> int:
-    """Sum of the vertex degrees; an integer for every constructible class.
-
-    Opposite branches carry inverse characters, so each edge contributes
-    mu/l + ((l-mu) mod l)/l, which is 1 for mu != 0 and 0 otherwise.
-    """
-    geo = _geometry(L.graph)
-    return _checked_total(geo, L.int_part, L.mult, _scaled_degrees(L, geo))
-
-
-def _checked_total(geo: _Geometry, int_part, mult, scaled) -> int:
-    """Total degree of the class (int_part, mult) with S * degrees scaled,
-    checked against the sum of the scaled degrees."""
-    total = sum(int_part) + len(mult) - mult.count(0)
-    if sum(scaled) != total * geo.scale:
-        raise NonIntegralTotal(
-            f"degree sum {Fraction(sum(scaled), geo.scale)} is not the integer {total}"
-        )
-    return total
+    """Sum of the vertex degrees, an integer: opposite branches carry
+    inverse characters, so each edge adds mu/l + ((l-mu) mod l)/l, which
+    is 1 for mu != 0 and 0 otherwise."""
+    return sum(_integer_degrees(L.graph, L.int_part, L.mult))
 
 
 def omega_bundle(G: DualGraph, k: int = 1, h=None) -> LineBundleData:
@@ -262,22 +226,20 @@ def tensor(L1: LineBundleData, L2: LineBundleData) -> LineBundleData:
     if L1.graph != L2.graph:
         raise GraphMismatch("tensor of bundles on different graphs")
     G = L1.graph
-    geo = _geometry(G)
-    mult = tuple(
-        (a + b) % e.stabilizer for a, b, e in zip(L1.mult, L2.mult, G.edges)
-    )
-    scaled = [
-        a + b for a, b in zip(_scaled_degrees(L1, geo), _scaled_degrees(L2, geo))
-    ]
-    return _from_degrees(G, scaled, mult)
+    base = [a + b for a, b in zip(L1.int_part, L2.int_part)]
+    heads = [a + b for a, b in zip(L1.mult, L2.mult)]
+    tails = [a + b for a, b in zip(_tail_mults(L1), _tail_mults(L2))]
+    mult = [h % e.stabilizer for h, e in zip(heads, G.edges)]
+    return _normalized(G, base, heads, tails, mult)
 
 
 def power(L: LineBundleData, a: int) -> LineBundleData:
     """a-th tensor power for any integer a; degrees scale by a."""
     G = L.graph
-    mult = tuple((a * m) % e.stabilizer for m, e in zip(L.mult, G.edges))
-    scaled = [a * s for s in _scaled_degrees(L, _geometry(G))]
-    return _from_degrees(G, scaled, mult)
+    heads = [a * m for m in L.mult]
+    tails = [a * t for t in _tail_mults(L)]
+    mult = [h % e.stabilizer for h, e in zip(heads, G.edges)]
+    return _normalized(G, [a * x for x in L.int_part], heads, tails, mult)
 
 
 def rth_power(L: LineBundleData, r: int) -> LineBundleData:
@@ -286,22 +248,35 @@ def rth_power(L: LineBundleData, r: int) -> LineBundleData:
     return power(L, r)
 
 
-def _from_degrees(G: DualGraph, scaled, mult, divisor: int = 1) -> LineBundleData:
-    """The class with multiplicities mult whose degree on v is
-    scaled[v] / (divisor * S); divisor r gives an r-th root's degrees from
-    S * deg_v(F)."""
-    geo = _geometry(G)
-    modulus = divisor * geo.scale
-    branches = geo.scaled_degrees((0,) * G.n_vertices, mult)
-    int_part = []
-    for v, (s, b) in enumerate(zip(scaled, branches)):
-        q, rem = divmod(s - divisor * b, modulus)
-        if rem:
-            raise PicardError(
-                f"vertex {v}: degree {Fraction(s, modulus)} is incompatible "
-                "with the multiplicities"
-            )
-        int_part.append(q)
+def _carries(l: int, head: int, tail: int, mu: int, divisor: int) -> tuple[int, int]:
+    """The integers an edge of stabilizer l carries to its head and its
+    tail vertex when its branches hold head/l and tail/l of degree and a
+    class of multiplicity mu, taken divisor times, keeps divisor*mu/l and
+    divisor*((l - mu) mod l)/l of them.  Both are integers exactly when
+    divisor*mu = head = -tail (mod l)."""
+    to_head, rem = divmod(head - divisor * mu, l)
+    to_tail, rem_tail = divmod(tail - divisor * ((l - mu) % l), l)
+    if rem or rem_tail:
+        raise PicardError(f"{divisor}*{mu} misses the branches {head}/{l}, {tail}/{l}")
+    return to_head, to_tail
+
+
+def _normalized(G: DualGraph, base, heads, tails, mult, divisor: int = 1) -> LineBundleData:
+    """The class with multiplicities mult whose degree on v is 1/divisor of
+    base[v] plus heads[e]/l_e at the head and tails[e]/l_e at the tail of
+    each edge e: each edge's _carries go to the integer parts of its two
+    vertices, which are then divided by divisor."""
+    int_part = list(base)
+    for e, head, tail, mu in zip(G.edges, heads, tails, mult):
+        to_head, to_tail = _carries(e.stabilizer, head, tail, mu, divisor)
+        int_part[e.head] += to_head
+        int_part[e.tail] += to_tail
+    if divisor != 1:
+        for v, a in enumerate(int_part):
+            q, rem = divmod(a, divisor)
+            if rem:
+                raise PicardError(f"vertex {v}: {a} is not a multiple of {divisor}")
+            int_part[v] = q
     return LineBundleData(G, tuple(int_part), tuple(mult))
 
 
@@ -309,8 +284,7 @@ def flip_bundle_edge(L: LineBundleData, e: int) -> LineBundleData:
     """Flip edge e of the underlying graph, inverting the stored branch."""
     G = flip_edge(L.graph, e)
     mult = list(L.mult)
-    l = L.graph.edges[e].stabilizer
-    mult[e] = (l - mult[e]) % l
+    mult[e] = L.tail_mult(e)
     return LineBundleData(G, L.int_part, tuple(mult))
 
 
@@ -384,23 +358,19 @@ def torsion_count(G: DualGraph, r: int) -> int:
 
 
 def _edge_entry(l: int, r: int, m: int):
-    """(mu0, head delta, tail delta) for an edge with stabilizer l carrying
+    """(mu0, head carry, tail carry) for an edge with stabilizer l carrying
     multiplicity m, or () when r*mu = m (mod l) has no solution.
 
     mu0 is the base solution.  A root with multiplicity mu0 on the edge
-    leaves the defect r*(deg(F)/r - deg(root)) of its head changed by
-    (m - r*mu0)/l and that of its tail by ((l-m) mod l - r*((l-mu0) mod
-    l))/l, integers because r*mu0 = m (mod l).
+    leaves the defect r*(deg(F)/r - deg(root)) of its head and its tail
+    changed by the _carries of the branches m/l and ((l-m) mod l)/l of F
+    to a class of multiplicity mu0, times r.
     """
     sol = solve_congruence(r, m, l)
     if sol is None:
         return ()
     mu0 = sol[0]
-    head, rem = divmod(m - r * mu0, l)
-    tail, rem_tail = divmod((l - m) % l - r * ((l - mu0) % l), l)
-    if rem or rem_tail:
-        raise PicardError(f"base solution {mu0} of {r}*mu = {m} (mod {l}) is wrong")
-    return mu0, head, tail
+    return (mu0,) + _carries(l, m, (l - m) % l, mu0, r)
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -646,8 +616,8 @@ def enumerate_discrete_roots(
 ) -> list[LineBundleData]:
     """All discrete r-th roots of F (multiplicities plus forced degrees)."""
     mults = _counter(G, r).solutions(F, max_domain)
-    scaled = _scaled_degrees(F, _geometry(G))
-    return [_from_degrees(G, scaled, mult, r) for mult in mults]
+    tails = _tail_mults(F)
+    return [_normalized(G, F.int_part, F.mult, tails, mult, r) for mult in mults]
 
 
 def construct_root(G: DualGraph, F: LineBundleData, r: int) -> LineBundleData | None:
@@ -660,7 +630,7 @@ def construct_root(G: DualGraph, F: LineBundleData, r: int) -> LineBundleData | 
     lift = counter._lift(F)
     if lift is None:
         return None
-    R = _from_degrees(G, _scaled_degrees(F, _geometry(G)), counter._mult(*lift), r)
+    R = _normalized(G, F.int_part, F.mult, _tail_mults(F), counter._mult(*lift), r)
     if rth_power(R, r) != F:
         raise RootMismatch("constructed class is not an r-th root of the bundle")
     return R
@@ -673,12 +643,12 @@ def construct_root(G: DualGraph, F: LineBundleData, r: int) -> LineBundleData | 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _edge_sides(G: DualGraph):
     """The graph part of the edge criterion: the nonseparating edges, and
-    (l, sorted "+" side) for each separating edge."""
+    (k, l, sorted "+" side) for each separating edge k."""
     nodes = _node_types(G)
     nonseparating = tuple(k for k, n in enumerate(nodes) if not n.separating)
     sides = tuple(
-        (e.stabilizer, tuple(sorted(n.plus_vertices)))
-        for e, n in zip(G.edges, nodes)
+        (k, e.stabilizer, tuple(sorted(n.plus_vertices)))
+        for k, (e, n) in enumerate(zip(G.edges, nodes))
         if n.separating
     )
     return nonseparating, sides
@@ -686,34 +656,34 @@ def _edge_sides(G: DualGraph):
 
 class _Criterion:
     """The edge criterion of root_count_criterion for one (graph, r), as a
-    test on S * vertex degrees and multiplicities.
+    test on the integer degrees d of _integer_degrees and the
+    multiplicities.
 
     Nonseparating edges need l and the head multiplicity divisible by r
-    (the tail multiplicity l - mu then is too).  For a separating edge the
-    "+" side suffices: with the total degree a multiple of r the two side
-    conditions agree.  The edges and sides come from the per-graph
-    _edge_sides; only the parts that depend on r are built here.
+    (the tail multiplicity l - mu then is too).  For a separating edge k
+    the "+" side suffices, l * deg(+) = l * sum_+ d_v + mu_k: with the
+    total degree a multiple of r the two side conditions agree.  The edges
+    and sides come from the per-graph _edge_sides; only the parts that
+    depend on r are built here.
     """
 
-    __slots__ = ("r", "modulus", "stabilizers_ok", "nonseparating", "sides")
+    __slots__ = ("r", "stabilizers_ok", "nonseparating", "sides")
 
     def __init__(self, G: DualGraph, r: int):
         self.r = r
-        self.modulus = _geometry(G).scale * r
         self.nonseparating, self.sides = _edge_sides(G)
         edges = G.edges
         self.stabilizers_ok = all(edges[k].stabilizer % r == 0 for k in self.nonseparating)
 
-    def holds(self, scaled, mult) -> bool:
+    def holds(self, d, mult) -> bool:
         if not self.stabilizers_ok:
             return False
         r = self.r
         for k in self.nonseparating:
             if mult[k] % r:
                 return False
-        modulus = self.modulus
-        for l, plus in self.sides:
-            if l * sum([scaled[v] for v in plus]) % modulus:
+        for k, l, plus in self.sides:
+            if (l * sum([d[v] for v in plus]) + mult[k]) % r:
                 return False
         return True
 
@@ -725,25 +695,21 @@ def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
     edge must have stabilizer and both branch multiplicities divisible by
     r; a separating edge must have l_e * (side degree) divisible by r on
     both sides.  Returns (passed, witnesses) where each witness names a
-    failing edge and the condition it broke; witnesses are built only when
-    the test fails.
+    failing edge and the condition it broke, and passed is whether there
+    is none.  The "+" side of edge k has degree sum_+ d_v + mu_k/l_k (see
+    _integer_degrees) and the "-" side the rest of the total.
     """
     if F.graph != G:
         raise GraphMismatch("bundle lives on a different graph")
     if r < 1:
         raise PicardError(f"order {r} < 1")
-    geo = _geometry(G)
-    S = geo.scale
-    scaled = _scaled_degrees(F, geo)
-    if sum(scaled) % (S * r):
-        raise HypothesisViolated(
-            f"total degree {sum(scaled) // S} is not a multiple of {r}"
-        )
-    if _Criterion(G, r).holds(scaled, F.mult):
-        return True, []
+    d = _integer_degrees(G, F.int_part, F.mult)
+    total = sum(d)
+    if total % r:
+        raise HypothesisViolated(f"total degree {total} is not a multiple of {r}")
     witnesses = []
-    for k, node in enumerate(_node_types(G)):
-        l = geo.stabs[k]
+    for k, (e, node) in enumerate(zip(G.edges, _node_types(G))):
+        l = e.stabilizer
         if not node.separating:
             if l % r:
                 witnesses.append((k, "stabilizer", l))
@@ -752,18 +718,11 @@ def root_count_criterion(G: DualGraph, F: LineBundleData, r: int):
             if F.tail_mult(k) % r:
                 witnesses.append((k, "tail multiplicity", F.tail_mult(k)))
         else:
-            for side, vs in (("+", node.plus_vertices), ("-", node.minus_vertices)):
-                d_scaled = sum(scaled[v] for v in vs)  # = S * side degree
-                ld = l * d_scaled
-                if ld % S:
-                    raise PicardError(
-                        f"edge {k}: side degree {Fraction(d_scaled, S)} not in (1/{l})Z"
-                    )
-                if (ld // S) % r:
-                    witnesses.append((k, f"side {side} degree", Fraction(d_scaled, S)))
-    if not witnesses:
-        raise PicardError("the edge criterion failed without a failing edge")
-    return False, witnesses
+            plus = sum(d[v] for v in node.plus_vertices) + Fraction(F.mult[k], l)
+            for side, degree in (("+", plus), ("-", total - plus)):
+                if l * degree % r:
+                    witnesses.append((k, f"side {side} degree", degree))
+    return not witnesses, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -875,49 +834,47 @@ def check_rootsnum_graph(
     The random bundles are seeded from (seed, graph), so the result does
     not depend on how a family sweep is chunked; they are the classes that
     random_bundle draws from the same generator.  Every bundle is a row
-    (int_part, mult, scaled, total) of integers: the dualizing class, its
-    square and the trivial class come from their LineBundleData, the
-    random classes straight from the generator, and each row's total is
-    checked against its scaled degrees.  Per r one RootCounter reads each
-    row's target off its integer parts and one edge criterion tests its
-    scaled degrees.  A row whose total is not a multiple of r is padded by
-    lowering its degree on vertex 0: the target's first entry in place,
-    and the scaled degree of vertex 0.  A LineBundleData for a random
+    (int_part, mult, d, total) of integers, with d from _integer_degrees
+    and total = sum(d): the dualizing class, its square and the trivial
+    class come from their LineBundleData, the random classes straight from
+    the generator.  Per r one RootCounter reads each row's target off its
+    integer parts and one edge criterion tests its d.  A row whose total is
+    not a multiple of r is padded by lowering its degree on vertex 0: the
+    target's first entry in place, and d_0.  A LineBundleData for a random
     class is built only for a discrepancy's record.
     """
     rng = random.Random(f"{seed}:{G!r}")
     g = genus(G)
-    geo = _geometry(G)
-    S = geo.scale
     fixed = (omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G))
     drawn = [(F.int_part, F.mult) for F in fixed]
-    drawn += [_draw(rng, geo.stabs, G.n_vertices) for _ in range(n_random)]
+    stabs = G.stabilizers()
+    drawn += [_draw(rng, stabs, G.n_vertices) for _ in range(n_random)]
     rows = []
     for int_part, mult in drawn:
-        scaled = tuple(geo.scaled_degrees(int_part, mult))
-        rows.append((int_part, mult, scaled, _checked_total(geo, int_part, mult, scaled)))
+        d = _integer_degrees(G, int_part, mult)
+        rows.append((int_part, mult, d, sum(d)))
     discrepancies: list[RootsnumRecord] = []
     checked = 0
     for r in r_values:
         counter = RootCounter(G, r)
         criterion = _Criterion(G, r)
         expected = r ** (2 * g)
-        for int_part, mult, scaled, total in rows:
+        for int_part, mult, d, total in rows:
             t = counter._targets(int_part, mult)
             excess = total % r
             if excess:
                 # No roots at all off the hypothesis; pad the degree on
                 # vertex 0 to keep the bundle in the sweep.  Padding lowers
-                # int_part[0], so S * deg_0 and t_0 drop with it.
+                # int_part[0], so d_0 and t_0 drop with it.
                 if t is not None:
                     count = counter._count(t)
                     if count != 0:
                         F = LineBundleData(G, int_part, mult)
                         discrepancies.append(RootsnumRecord(G, r, F, False, count, 0))
                     t[0] -= excess
-                scaled = (scaled[0] - S * excess,) + scaled[1:]
+                d = [d[0] - excess, *d[1:]]
             count = 0 if t is None else counter._count(t)
-            passed = criterion.holds(scaled, mult)
+            passed = criterion.holds(d, mult)
             checked += 1
             if passed != (count == expected):
                 F = _pad_degree(LineBundleData(G, int_part, mult), r)

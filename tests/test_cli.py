@@ -391,7 +391,7 @@ class TestCommands:
     def test_verify_rootsnum_discrepancies_replay(self, capsys, monkeypatch, tmp_path):
         # Force the criterion to pass everywhere, so every non-maximal count
         # is reported; each report must replay through tc roots.
-        monkeypatch.setattr(picard._Criterion, "holds", lambda self, scaled, mult: True)
+        monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: True)
         code, out = run_cli(
             capsys,
             "verify-rootsnum",
@@ -659,6 +659,9 @@ class TestExitCodes:
             ("genus", "{huge}"),
             ("genus", "<{huge}"),
             ("roots", "{loop}", "-r", "2", "--bundle-file", "{huge}"),
+            ("nr", "-r", "2305843009213693951"),
+            ("verify-cond", "-g", "2", "-r", "3", "-l", "1"),
+            ("orbits", "{loop}", "-r", "2305843009213693951", "--max-domain", "1" + "0" * 40),
         ],
     )
     def test_malformed_input_is_one(self, capsys, monkeypatch, tmp_path, loop_path, argv):
@@ -692,7 +695,11 @@ class TestExitCodes:
             if arg.startswith("<"):
                 monkeypatch.setattr("sys.stdin", io.StringIO(open(arg[1:]).read()))
                 argv[i] = "-"
+        # A refusal comes at once: a 2^61 - 1 order once went to trial
+        # division before the cap on its r discrete roots.
+        started = time.monotonic()
         code = main(argv)
+        assert time.monotonic() - started < 2
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("tc: error: ")
@@ -873,12 +880,65 @@ _COMMANDS = [
 ]
 
 
+# Option values for argument mutations: small valid ones, zero, negative,
+# huge (the last past the int-from-str digit limit) and non-integer text.
+_ARG_VALUES = st.one_of(
+    st.integers(1, 7).map(str),
+    st.sampled_from(
+        ["0", "-1", "-7", str(2**61 - 1), str(10**30), "1" + "0" * 4000, "7" * 4301]
+        + ["2.5", "x", "", " ", "1e3", "0x3", "--"]
+    ),
+)
+_CSV_VALUES = st.one_of(
+    st.lists(_ARG_VALUES, max_size=3).map(",".join),
+    st.sampled_from(["", ",", ",,", "1,,2", "2,", "a,b", "1;2", "1, 2"]),
+)
+# Argument lists with placeholders for a value ("V"), a comma-separated
+# list ("C") and the graph file ("G"); families stay at genus 2.
+_ARG_COMMANDS = [
+    ["classify", "G", "-e", "V"],
+    ["torsion", "G", "-r", "V"],
+    ["roots", "G", "-r", "V", "--max-domain", "V", "--list"],
+    ["criterion", "G", "-r", "V"],
+    ["lift", "G", "-r", "V", "-t", "C"],
+    ["orbits", "G", "-r", "V", "--max-domain", "V"],
+    ["enumerate", "-g", "2", "--stabilizers", "C"],
+    ["verify-rootsnum", "-g", "2", "--stabilizers", "C", "-r", "C", "--random-bundles", "1"],
+    ["verify-cond", "-g", "2", "-r", "V", "-l", "C", "-k", "V"],
+    ["nr", "-r", "V"],
+    ["ratio", "-r", "V", "-d", "C"],
+]
+
+
+def _run_main(argv):
+    """(status, stdout, stderr) of main(argv), usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_ends_cleanly(code, out, err):
+    """A result, one "tc: error:" line or a usage error; an exception
+    escaping main would be a traceback."""
+    event(f"exit status {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    elif code == 1:
+        assert out == ""
+        assert err.startswith("tc: error: ")
+        assert err.count("\n") == 1
+
+
 class TestNoTraceback:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_mutated_input_ends_cleanly(self, tmp_path_factory, data):
-        # Every input ends in a result, one "tc: error:" line or a usage
-        # error; an exception escaping main would be a traceback.
         command = data.draw(st.sampled_from(_COMMANDS))
         graph = data.draw(_graph_value())
         directory = tmp_path_factory.getbasetemp()
@@ -891,18 +951,21 @@ class TestNoTraceback:
             argv.append(str(bundle_path))
         else:
             graph_path.write_bytes(_mutated_text(graph, data.draw))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        event(f"exit status {code}")
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            json.loads(out.getvalue())
-        elif code == 1:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("tc: error: ")
-            assert err.getvalue().count("\n") == 1
+        _assert_ends_cleanly(*_run_main(argv))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_mutated_arguments_end_cleanly(self, tmp_path_factory, data):
+        # Each placeholder gets a drawn value; sometimes one option and its
+        # value are dropped as well.
+        graph_path = tmp_path_factory.getbasetemp() / "args_graph.json"
+        graph_path.write_text(data.draw(st.sampled_from([LOOP, LOOP4, BRIDGE, THETA2])))
+        template = list(data.draw(st.sampled_from(_ARG_COMMANDS)))
+        options = [i for i, a in enumerate(template) if a.startswith("-") and i + 1 < len(template)]
+        if data.draw(st.integers(0, 4)) == 0:
+            i = data.draw(st.sampled_from(options))
+            del template[i : i + 2]
+        values = {"V": _ARG_VALUES, "C": _CSV_VALUES, "G": st.just(str(graph_path))}
+        argv = [data.draw(values[a]) if a in values else a for a in template]
+        event(argv[0])
+        _assert_ends_cleanly(*_run_main(argv))

@@ -1,9 +1,35 @@
 import ast
+import importlib
 import pathlib
 
 import twistcount
 
 PACKAGE = pathlib.Path(twistcount.__file__).parent
+
+
+def test_exported_names_resolve():
+    # Every name in a module's __all__ exists, and every name the package
+    # imports from its modules is one of that module's exports, so a
+    # half-removed export fails here.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "twistcount" if path.stem == "__init__" else f"twistcount.{path.stem}"
+        module = importlib.import_module(name)
+        found += [
+            f"{path.name}: {name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"twistcount.{node.module}").__all__
+            found += [
+                f"__init__.py: {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name not in exported
+            ]
+    assert found == []
 
 
 def test_no_bare_asserts_in_library():

@@ -32,7 +32,6 @@ from twistcount.picard import (
     GraphMismatch,
     HypothesisViolated,
     LineBundleData,
-    NonIntegralTotal,
     NotCoprime,
     RootCounter,
     RootMismatch,
@@ -908,7 +907,7 @@ class TestRootsnumPlan:
         # With the criterion forced to pass, every check whose count is not
         # maximal is a discrepancy; the records must carry the padded
         # bundle and come in sweep order (r, then bundle).
-        monkeypatch.setattr(picard._Criterion, "holds", lambda self, scaled, mult: True)
+        monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: True)
         family = enumerate_stable_graphs(2, 0, [1, 2, 4])
         padded = 0
         for G in family[::5]:
@@ -1004,7 +1003,7 @@ class TestRootsnumPlan:
             check_rootsnum_graph(G, (2,), n_random=0)
             torsion_count(G, 2)
             orbits.root_class(G, 2, (0,) * G.n_edges, (0,) * G.n_edges)
-        caches = (picard._geometry, picard._node_types, picard._edge_sides, picard._counter)
+        caches = (picard._node_types, picard._edge_sides, picard._counter)
         for cache in caches + (orbits._gluing,):
             info = cache.cache_info()
             assert info.maxsize == GRAPH_CACHE_SIZE
@@ -1036,15 +1035,55 @@ def _graph_bundle_order(draw):
     return G, line_bundle(G, int_part, mult), r
 
 
+def _degrees(L):
+    """Vertex degrees of L as exact rationals, checked against total_degree
+    through their sum and against the criterion's integer degrees d, which
+    leave mu/l at the head and -mu/l at the tail of every edge."""
+    degrees = [vertex_degree(L, v) for v in range(L.graph.n_vertices)]
+    assert total_degree(L) == sum(degrees)
+    rest = picard._integer_degrees(L.graph, L.int_part, L.mult)
+    for e, m in zip(L.graph.edges, L.mult):
+        rest[e.head] += Fraction(m, e.stabilizer)
+        rest[e.tail] -= Fraction(m, e.stabilizer)
+    assert degrees == rest
+    return degrees
+
+
+class TestDegreeLaws:
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_bundle_order(), st.data())
+    def test_products_powers_and_roots(self, case, data):
+        # The integer carries of tensor, power and the root constructors
+        # against vertex_degree, which sums the branch fractions.
+        G, L, r = case
+        int_part = [data.draw(st.integers(-3, 3)) for _ in G.vertices]
+        M = line_bundle(G, int_part, [data.draw(st.integers(0, e.stabilizer - 1)) for e in G.edges])
+        degrees = _degrees(L)
+        assert _degrees(tensor(L, M)) == [a + b for a, b in zip(degrees, _degrees(M))]
+        for a in range(-3, 4):
+            assert _degrees(power(L, a)) == [a * x for x in degrees]
+        padded = line_bundle(
+            G, (L.int_part[0] - total_degree(L) % r,) + L.int_part[1:], L.mult
+        )
+        for F in (padded, rth_power(L, r)):
+            target = [x / r for x in _degrees(F)]
+            R = construct_root(G, F, r)
+            assert (R is None) == (count_roots(G, F, r) == 0)
+            roots = [] if R is None else [R]
+            if RootCounter(G, r).smith.kernel_size <= 10**3:
+                roots += enumerate_discrete_roots(G, F, r)
+            for R in roots:
+                assert _degrees(R) == target
+
+
 def _plan_answers(G, F, r):
     """Count and criterion through the per-(G, r) plan, on integer tuples."""
-    geo = picard._geometry(G)
-    scaled = picard._scaled_degrees(F, geo)
+    d = picard._integer_degrees(G, F.int_part, F.mult)
     counter = RootCounter(G, r)
     count = counter._count(counter._targets(F.int_part, F.mult))
-    if sum(scaled) % (geo.scale * r):
+    if sum(d) % r:
         return count, None
-    return count, picard._Criterion(G, r).holds(scaled, F.mult)
+    return count, picard._Criterion(G, r).holds(d, F.mult)
 
 
 class TestPlanProperties:

@@ -90,14 +90,29 @@ def parse_graph(path: str) -> graphs.DualGraph:
     return parse_graph_data(_read_json(path))
 
 
+def _vertex_dict(v: graphs.Vertex) -> dict:
+    return {"genus": v.genus, "legs": list(v.legs)}
+
+
+def _edge_dict(e: graphs.Edge) -> dict:
+    return {"tail": e.tail, "head": e.head, "stabilizer": e.stabilizer}
+
+
 def emit_graph(G: graphs.DualGraph) -> dict:
     return {
-        "vertices": [{"genus": v.genus, "legs": list(v.legs)} for v in G.vertices],
-        "edges": [
-            {"tail": e.tail, "head": e.head, "stabilizer": e.stabilizer}
-            for e in G.edges
-        ],
+        "vertices": [_vertex_dict(v) for v in G.vertices],
+        "edges": [_edge_dict(e) for e in G.edges],
     }
+
+
+class _GraphList:
+    """Graphs that _emit writes as the list of their emit_graph dicts,
+    without building one dict per graph."""
+
+    __slots__ = ("graphs",)
+
+    def __init__(self, found: list[graphs.DualGraph]):
+        self.graphs = found
 
 
 def emit_bundle(F: picard.LineBundleData) -> dict:
@@ -151,22 +166,22 @@ def _json_default(value):
 
 # json.dumps(value, separators=(",", ":"), default=_json_default) and
 # json.dumps(value, default=_json_default), with the encoder built once.
-_COMPACT = json.JSONEncoder(separators=(",", ":"), default=_json_default).encode
-_SPACED = json.JSONEncoder(default=_json_default).encode
+_COMPACT = json.JSONEncoder(separators=(",", ":"), default=_json_default)
+_SPACED = json.JSONEncoder(default=_json_default)
 
 
 def _emit(payload: dict, fmt: str) -> None:
     """Write payload to stdout as one JSON object, or as a TSV line of keys
-    and a line of cells.  A member that is a list or an iterator is written
-    one item at a time, so a --list holds one item's dicts at a time; the
-    bytes are those of one json.dumps of the whole payload."""
+    and a line of cells.  A member that is a list, an iterator or a
+    _GraphList is written one item at a time, so a --list holds one item at
+    a time; the bytes are those of one json.dumps of the whole payload."""
     write = sys.stdout.write
     if fmt == "json":
         write("{")
         sep = ""
         for key, value in payload.items():
-            write(f"{sep}{_COMPACT(key)}:")
-            _write_value(write, value, _COMPACT, ",")
+            write(f"{sep}{_COMPACT.encode(key)}:")
+            _write_value(write, value, _COMPACT)
             sep = ","
         write("}\n")
     else:
@@ -174,24 +189,62 @@ def _emit(payload: dict, fmt: str) -> None:
         sep = ""
         for value in payload.values():
             write(sep)
-            if isinstance(value, (list, tuple, dict, Iterator)):
-                _write_value(write, value, _SPACED, ", ")
+            if isinstance(value, (list, tuple, dict, Iterator, _GraphList)):
+                _write_value(write, value, _SPACED)
             else:
                 write(str(value))
             sep = "\t"
         write("\n")
 
 
-def _write_value(write, value, encode, sep: str) -> None:
+def _write_value(write, value, encoder: json.JSONEncoder) -> None:
+    if isinstance(value, _GraphList):
+        _write_graphs(write, value, encoder)
+        return
     if not isinstance(value, (list, Iterator)):
-        write(encode(value))
+        write(encoder.encode(value))
         return
     write("[")
     between = ""
     # map drops each item once it is encoded, before it makes the next one.
-    for text in map(encode, value):
+    for text in map(encoder.encode, value):
         write(between + text)
-        between = sep
+        between = encoder.item_separator
+    write("]")
+
+
+def _write_graphs(write, found: _GraphList, encoder: json.JSONEncoder) -> None:
+    """Write [emit_graph(G) for G in found] as encoder writes it, each graph
+    from the text of its vertices and of each of its edges.  The memos live
+    for this call: vertex text per vertices tuple, one per shape, and edge
+    text per Edge, which the enumeration shares across the decorations of
+    a shape.  They are keyed by id, which no object reuses here: the list
+    found.graphs holds every graph, and so every tuple and Edge, until the
+    call ends."""
+    encode, item = encoder.encode, encoder.item_separator
+    vertex_text: dict[int, str] = {}
+    edge_text: dict[int, str] = {}
+
+    def new_vertex_text(vs) -> str:
+        text = "[" + item.join([encode(_vertex_dict(v)) for v in vs]) + "]"
+        vertex_text[id(vs)] = text
+        return text
+
+    def new_edge_text(e) -> str:
+        text = edge_text[id(e)] = encode(_edge_dict(e))
+        return text
+
+    vertex_get, edge_get = vertex_text.get, edge_text.get
+    head = "{" + encode("vertices") + encoder.key_separator
+    middle = item + encode("edges") + encoder.key_separator + "["
+    write("[")
+    between = ""
+    for G in found.graphs:
+        vs = G.vertices
+        edges = item.join([edge_get(id(e)) or new_edge_text(e) for e in G.edges])
+        vertices = vertex_get(id(vs)) or new_vertex_text(vs)
+        write(f"{between}{head}{vertices}{middle}{edges}]}}")
+        between = item
     write("]")
 
 
@@ -341,7 +394,7 @@ def run(args) -> dict:
         found = graphs.enumerate_stable_graphs(args.g, args.legs, _csv_ints(args.stabilizers))
         out = {"count": len(found)}
         if args.list:
-            out["graphs"] = map(emit_graph, found)
+            out["graphs"] = _GraphList(found)
         return out
     if args.command == "verify-rootsnum":
         if args.random_bundles < 0:

@@ -496,20 +496,25 @@ class _SmithData:
     """One Smith reduction D = U M V of the boundary map M: prod Z/h_e ->
     (Z/r)^V.
 
+    Only the nonzero columns of M, listed in cols, are reduced, so V is
+    square in their number: a loop's column is zero, and a graph with many
+    loops costs no square of its edge count.  The coordinate of a zero
+    column is 0 in every witness and a free generator of the kernel.
     checks holds (row of U mod m_i, m_i) for every m_i > 1: t is in the
     image exactly when each row annihilates it.  kernel_size is |ker M| on
     prod Z/h_e.  The matrix M is kept so that every witness is checked
     against it.
     """
 
-    __slots__ = ("matrix", "hs", "r", "U", "V", "diag", "mods", "checks", "kernel_size")
+    __slots__ = ("matrix", "hs", "r", "cols", "U", "V", "diag", "mods", "checks", "kernel_size")
 
     def __init__(self, matrix, hs, r: int):
         self.matrix, self.hs, self.r = matrix, hs, r
-        nv, ne = len(matrix), len(hs)
-        U, D, V = smith_normal_form(matrix)
+        nv = len(matrix)
+        self.cols = cols = [k for k in range(len(hs)) if any(row[k] for row in matrix)]
+        U, D, V = smith_normal_form([[row[k] for k in cols] for row in matrix])
         self.U, self.V = U, V
-        self.diag = tuple(D[i][i] if i < ne else 0 for i in range(nv))
+        self.diag = tuple(D[i][i] if i < len(cols) else 0 for i in range(nv))
         self.mods = tuple(gcd(d, r) for d in self.diag)
         self.checks = tuple(
             (tuple(u % m for u in U[i]), m) for i, m in enumerate(self.mods) if m > 1
@@ -525,32 +530,45 @@ class _SmithData:
 
     def witness(self, t) -> tuple[int, ...]:
         """One x in prod Z/h_e with M x = t (mod r), for t in the image:
-        solve d_i z_i = (U t)_i (mod r) and take x = V z mod h_e."""
-        r = self.r
+        solve d_i z_i = (U t)_i (mod r) and take x = V z mod h_e on the
+        reduced columns, 0 on the zero ones."""
+        r, hs = self.r, self.hs
         z = []
         for row, d in zip(self.U, self.diag):
             sol = solve_congruence(d, sum(a * b for a, b in zip(row, t)), r)
             if sol is None:
                 raise PicardError("target outside the image of the boundary map")
             z.append(sol[0])
-        x = tuple(
-            sum(a * b for a, b in zip(row, z)) % h for row, h in zip(self.V, self.hs)
-        )
+        x = [0] * len(hs)
+        for k, row in zip(self.cols, self.V):
+            x[k] = sum(a * b for a, b in zip(row, z)) % hs[k]
         for row, tv in zip(self.matrix, t):
             if (sum(a * b for a, b in zip(row, x)) - tv) % r:
                 raise PicardError("the Smith witness does not map to the target")
-        return x
+        return tuple(x)
 
     def kernel(self) -> list[tuple[int, ...]]:
         """Every element of ker M, as the closure of its generators: column i
-        of V scaled by r/m_i (by 1 past the rows), reduced mod h_e."""
-        hs, r = self.hs, self.r
-        ne = len(hs)
-        scales = [r // m for m in self.mods[:ne]] + [1] * (ne - len(self.mods))
+        of V scaled by r/m_i (by 1 past the rows) on the reduced columns,
+        and the unit vector of each zero column with h_e > 1, mod h_e."""
+        hs, r, cols = self.hs, self.r, self.cols
+        ne, n = len(hs), len(cols)
+        scales = [r // m for m in self.mods[:n]] + [1] * (n - len(self.mods))
+        gens = []
+        for i, s in enumerate(scales):
+            g = [0] * ne
+            for k, row in zip(cols, self.V):
+                g[k] = s * row[i] % hs[k]
+            gens.append(tuple(g))
+        reduced = set(cols)
+        gens += [
+            tuple(int(j == k) for j in range(ne))
+            for k, h in enumerate(hs)
+            if h > 1 and k not in reduced
+        ]
         elements = [(0,) * ne]
         members = set(elements)
-        for i, s in enumerate(scales):
-            g = tuple(s * row[i] % h for row, h in zip(self.V, hs))
+        for g in gens:
             step = g
             subgroup = list(elements)
             while step not in members:

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -468,11 +469,17 @@ RSS_CHILD = (
 class TestStreamedOutput:
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     @pytest.mark.parametrize(
-        "emitter, argv, items",
+        "emitters, argv, items",
         [
-            ("emit_graph", ("enumerate", "-g", "3", "--stabilizers", "1,2", "--list"), 463),
+            # A listed graph is written from the text of its vertices and
+            # edges, whose dicts are built one at a time and only once.
             (
-                "emit_bundle",
+                ("_vertex_dict", "_edge_dict"),
+                ("enumerate", "-g", "3", "--stabilizers", "1,2", "--list"),
+                463,
+            ),
+            (
+                ("emit_bundle",),
                 ("roots", "{graph}", "-r", "5", "--bundle-file", "{bundle}", "--list"),
                 25,
             ),
@@ -480,7 +487,7 @@ class TestStreamedOutput:
         ids=["enumerate", "roots"],
     )
     def test_list_holds_one_item_at_a_time(
-        self, capsys, monkeypatch, tmp_path, fmt, emitter, argv, items
+        self, capsys, monkeypatch, tmp_path, fmt, emitters, argv, items
     ):
         graph = tmp_path / "graph.json"
         graph.write_text(
@@ -490,13 +497,14 @@ class TestStreamedOutput:
         bundle = tmp_path / "trivial.json"
         bundle.write_text('{"int_part": [0], "mult": [0, 0]}')
         Live = _live_dicts()
-        emit = getattr(cli, emitter)
-        monkeypatch.setattr(cli, emitter, lambda item: Live(emit(item)))
+        for name in emitters:
+            emit = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda item, emit=emit: Live(emit(item)))
         argv = [a.format(graph=graph, bundle=bundle) for a in argv]
         assert main([*argv, "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert (Live.peak, Live.alive) == (1, 0)
-        assert out.count('"vertices"' if emitter == "emit_graph" else '"int_part"') == items
+        assert out.count('"int_part"' if emitters == ("emit_bundle",) else '"vertices"') == items
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
@@ -518,6 +526,71 @@ class TestStreamedOutput:
             assert proc.returncode == 0
             peaks.append(int(proc.stderr))
         assert peaks[1] - peaks[0] <= 8 * 1024, peaks
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Legs, loops and parallel edges, the edgeless {"genus":1,"legs":[1]}
+            # graph, and stabilizer 12 next to 1 and 2.
+            ("-g", "2", "-n", "2", "--stabilizers", "1,2"),
+            ("-g", "2", "--stabilizers", "1,2,3"),
+            ("-g", "1", "-n", "1"),
+            ("-g", "2", "-n", "1", "--stabilizers", "1,2,12"),
+        ],
+        ids=["legs", "loops", "edgeless", "stabilizer-12"],
+    )
+    def test_listed_graphs_match_json_dumps(self, capsys, fmt, argv):
+        assert main(["enumerate", *argv, "--list", "--format", fmt]) == 0
+        found = enumerate_stable_graphs(*_family(argv))
+        _assert_same_text(capsys.readouterr().out, _dumped(found, fmt))
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_listed_huge_stabilizers_match_json_dumps(self, capsys, monkeypatch, fmt):
+        # Stabilizers past the int-to-str digit limit, and graphs that share
+        # an Edge at different positions and differ at the same position.
+        huge = 10**4400 + 1
+        loop, bridge = graphs.Edge(1, 1, huge), graphs.Edge(0, 1, huge - 2)
+        vertices = (graphs.Vertex(1, (1,)), graphs.Vertex(0, (2, 3)))
+        found = [
+            graphs.DualGraph(vertices, (loop, bridge)),
+            graphs.DualGraph(vertices, (bridge, loop, graphs.Edge(0, 1, 12))),
+            graphs.DualGraph(vertices[:1], ()),
+        ]
+        monkeypatch.setattr(graphs, "enumerate_stable_graphs", lambda *args: found)
+        assert main(["enumerate", "-g", "1", "--list", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = _dumped(found, fmt)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        _assert_same_text(out, expected)
+
+
+def _family(argv):
+    """(g, n, stabilizers) of enumerate's -g, -n and --stabilizers."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    return int(opts["-g"]), int(opts.get("-n", 0)), cli._csv_ints(opts.get("--stabilizers", "1"))
+
+
+def _assert_same_text(out, expected):
+    # Name the first differing offset: pytest's diff of megabytes of text
+    # takes minutes.
+    if out != expected:
+        at = next(i for i, (a, b) in enumerate(zip(out + "$", expected + "^")) if a != b)
+        window = slice(max(at - 40, 0), at + 40)
+        raise AssertionError(f"offset {at}: {out[window]!r} != {expected[window]!r}")
+
+
+def _dumped(found, fmt):
+    """The enumerate --list output as one json.dumps of the whole payload."""
+    listed = [emit_graph(G) for G in found]
+    if fmt == "json":
+        payload = {"count": len(found), "graphs": listed}
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    return f"count\tgraphs\n{len(found)}\t{json.dumps(listed)}\n"
 
 
 class TestExitCodes:
@@ -759,6 +832,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         err = f"tc: error: at least 2^14350 {what} exceed the cap 1000000\n"
         assert (code, captured.out, captured.err) == (1, "", err)
+
+    def test_refusal_on_many_loops_runs_in_linear_memory(self, capsys, tmp_path):
+        # A loop's column of the boundary map is zero and stays out of the
+        # Smith reduction, so no edges-squared transform is built: with the
+        # transform, 2,000 loops peaked at 31 MiB.
+        path = tmp_path / "loops.json"
+        loop = {"tail": 0, "head": 0, "stabilizer": 1}
+        peaks = []
+        for n in (2000, 4000):
+            path.write_text(json.dumps({"vertices": [{"genus": 0}], "edges": [loop] * n}))
+            tracemalloc.start()
+            try:
+                code = main(["orbits", str(path), "-r", "2"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err.endswith(" root classes exceed the cap 1000000\n")
+        assert peaks[0] < 4 * 2**20, peaks
+        assert peaks[1] < 2.5 * peaks[0], peaks
 
     @pytest.mark.parametrize(
         "orders, err",

@@ -157,3 +157,41 @@ def test_label_plans_built_only_by_canonical_form_and_enumeration():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+_MUTABLE_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+_MUTABLE_CALLS = {
+    "list", "dict", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque",
+}
+
+# Module-level containers that are read-only tables of constants.
+CONSTANT_TABLES = {
+    # The generator of the reduced automorphism group of an elliptic curve,
+    # per group order 2, 4 or 6: elliptic_torsion_orbits reads it and never
+    # writes it.
+    "orbits._TORSION_GENERATORS",
+}
+
+
+def test_no_module_level_mutable_containers():
+    # Memos live for one call or in an lru_cache bounded by GRAPH_CACHE_SIZE
+    # (test_library_caches_are_bounded); a module-level list, dict or set
+    # would be a cache that only grows.  __all__ and the named constant
+    # tables are the exceptions.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            value = node.value
+            if isinstance(value, _MUTABLE_NODES) or (
+                isinstance(value, ast.Call) and _name(value.func) in _MUTABLE_CALLS
+            ):
+                found.update(f"{path.stem}.{ast.unparse(t)}" for t in targets)
+    held = {name for name in found if not name.endswith(".__all__")}
+    assert held == CONSTANT_TABLES

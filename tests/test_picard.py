@@ -387,6 +387,55 @@ class TestCountRoots:
         assert count_roots(G, F, 5) == 5**2 * 25 == torsion_count(G, 5)
 
 
+def _graph_with_loops(rng):
+    """A random connected graph on 1-3 vertices: a path, a few more edges
+    and 1-3 loops, in shuffled order, stabilizers from {1, 2, 3, 4, 6, 12}."""
+    n = rng.randint(1, 3)
+    pairs = [(v, v + 1) for v in range(n - 1)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2)) if n > 1]
+    pairs += [(v, v) for v in rng.choices(range(n), k=rng.randint(1, 3))]
+    rng.shuffle(pairs)
+    stabs = (1, 2, 3, 4, 6, 12)
+    edges = [(t, h, rng.choice(stabs)) for t, h in pairs]
+    return dual_graph([rng.randint(0, 1) for _ in range(n)], edges)
+
+
+class TestLoopsOutsideSmith:
+    def test_smith_paths_against_oracles(self):
+        # A loop's column of the boundary map is zero, so only the other
+        # columns are reduced: loops are 0 in every witness and free in
+        # the kernel, whose size is still the relation lattice's.
+        rng = random.Random(2026)
+        checked = 0
+        for _ in range(150):
+            G = _graph_with_loops(rng)
+            r = rng.choice((2, 3, 4, 6))
+            counter = RootCounter(G, r)
+            smith = counter.smith
+            loops = [k for k, e in enumerate(G.edges) if e.tail == e.head]
+            assert smith.cols == [k for k in range(G.n_edges) if k not in loops]
+            hom = delta_embed(G, r)
+            assert smith.kernel_size == kernel_size_by_smith(hom)
+            F = random_bundle(G, rng, r)
+            assert count_roots(G, F, r) == count_roots_by_fractions(G, F, r, max_domain=10**5)
+            if counter.domain_size > 2000:
+                continue
+            checked += 1
+            domain = list(itertools.product(*(range(h) for h in counter.hs)))
+            zero = (0,) * G.n_vertices
+            assert sorted(smith.kernel()) == [x for x in domain if hom.apply(x) == zero]
+            image = {hom.apply(x) for x in domain}
+            for _ in range(6):
+                t = tuple(rng.randrange(-r, 2 * r) for _ in G.vertices)
+                member = tuple(a % r for a in t) in image
+                assert smith.contains(t) == member
+                if member:
+                    x = smith.witness(t)
+                    assert hom.apply(x) == tuple(a % r for a in t)
+                    assert [x[k] for k in loops] == [0] * len(loops)
+        assert checked > 100
+
+
 class TestDiscreteRoots:
     def test_pointed_loop_root_families(self):
         G = pointed_loop(2)

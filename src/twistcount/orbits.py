@@ -229,23 +229,11 @@ def involution_act(c: RootClass) -> RootClass:
     return RootClass(G, r, mult, _normalize_gluing(G, r, beta))
 
 
-def _root_mults(G: DualGraph, F: LineBundleData, r: int, max_domain: int):
-    """Multiplicity vectors of the r-th roots of F, once the roots and
-    their classes are known to fit the cap.
-
-    Both caps are checked on counts, before the roots are listed: on an
-    all-rational graph the root count is the number of classes, r^{b1}
-    gluings for each of the |ker M| roots.
-    """
+def _rational_counter(G: DualGraph, r: int) -> picard.RootCounter:
+    """The root counter of (G, r), for an all-rational graph."""
     if any(v.genus for v in G.vertices):
         raise NotRational("root classes require an all-rational graph")
-    counter = picard._counter(G, r)
-    classes = counter.count(F)
-    if counter.smith.kernel_size <= max_domain < classes:
-        raise picard.DomainTooLarge(
-            f"{picard._decimal(classes)} root classes exceed the cap {max_domain}"
-        )
-    return counter.solutions(F, max_domain)
+    return picard._counter(G, r)
 
 
 def enumerate_root_classes(
@@ -257,9 +245,17 @@ def enumerate_root_classes(
     """All r-th root classes of F on an all-rational graph.
 
     One class per accepted multiplicity vector and per gluing residue on
-    the non-tree edges; their number is exactly count_roots(G, F, r).
+    the non-tree edges; their number is exactly count_roots(G, F, r).  The
+    roots and the classes must fit max_domain; both caps are checked on
+    counts before anything is listed, the roots first.
     """
-    mults = _root_mults(G, F, r, max_domain)
+    counter = _rational_counter(G, r)
+    classes = counter.count(F)
+    if counter.smith.kernel_size <= max_domain < classes:
+        raise DomainTooLarge(
+            f"{picard._decimal(classes)} root classes exceed the cap {max_domain}"
+        )
+    mults = counter.solutions(F, max_domain)
     if not mults:
         return []
     data = _gluing(G, r)
@@ -311,10 +307,11 @@ def _burnside_orbits(data: _Gluing, mults, with_involution: bool) -> int:
     return fixed // order
 
 
-def _orbit_sizes(data: _Gluing, mults, with_involution: bool) -> list[int]:
+def _orbit_sizes(data: _Gluing, mults, with_involution: bool, max_orbits: int) -> list[int]:
     """Sizes of the orbits on all classes with the given multiplicity
     vectors, listed per vector; their number is checked against the
-    Burnside count.
+    Burnside count.  DomainTooLarge, before any size is listed, when there
+    are more than max_orbits of them.
 
     The ghost orbits on the classes of m are the cosets of H_m, of size
     r^{b1} / |Q_m| each.  The involution joins the cosets of m and -m in
@@ -323,12 +320,12 @@ def _orbit_sizes(data: _Gluing, mults, with_involution: bool) -> list[int]:
     """
     accepted = set(mults)
     full = data.r ** len(data.free)
-    sizes = []
+    runs = []  # (number of orbits, their size)
     for m in mults:
         size, two_torsion = _quotient_sizes(data, m)
         coset = full // size
         if not with_involution:
-            sizes += [coset] * size
+            runs.append((size, coset))
             continue
         pair = data.negate(m)
         if pair not in accepted:
@@ -337,14 +334,20 @@ def _orbit_sizes(data: _Gluing, mults, with_involution: bool) -> list[int]:
                 " which carry no root class"
             )
         if pair == m:
-            sizes += [coset] * two_torsion + [2 * coset] * ((size - two_torsion) // 2)
+            runs += [(two_torsion, coset), ((size - two_torsion) // 2, 2 * coset)]
         elif m < pair:
-            sizes += [2 * coset] * size
+            runs.append((size, 2 * coset))
+    orbits = sum(n for n, _ in runs)
+    if orbits > max_orbits:
+        raise DomainTooLarge(f"{picard._decimal(orbits)} orbits exceed the cap {max_orbits}")
     burnside = _burnside_orbits(data, mults, with_involution)
-    if burnside != len(sizes):
+    if burnside != orbits:
         raise OrbitError(
-            f"Burnside count {burnside} disagrees with {len(sizes)} orbits by multiplicity"
+            f"Burnside count {burnside} disagrees with {orbits} orbits by multiplicity"
         )
+    sizes = []
+    for n, coset in runs:
+        sizes += [coset] * n
     return sizes
 
 
@@ -363,12 +366,21 @@ def orbit_count(
     Counted per multiplicity vector, without building any class, and
     checked against a Burnside count.  With nontrivial, the orbit of the
     trivial class (multiplicities 0, gluing 0), a singleton, is left out
-    when that class is a root of F.  The root classes must fit max_domain.
+    when that class is a root of F.  The discrete roots and the orbits
+    must fit max_domain; the classes need not.  An orbit holds at most
+    the ghost group's order of classes (twice that with the involution),
+    so classes past that many times the cap are refused at once.
     """
-    mults = _root_mults(G, F, r, max_domain)
+    counter = _rational_counter(G, r)
+    mults = counter.solutions(F, max_domain)
     if not mults:
         return 0, []
-    sizes = _orbit_sizes(_gluing(G, r), mults, with_involution)
+    classes = counter.count(F)
+    if classes > max_domain * ghost_group_order(G) * (2 if with_involution else 1):
+        raise DomainTooLarge(
+            f"{picard._decimal(classes)} root classes make more than {max_domain} orbits"
+        )
+    sizes = _orbit_sizes(_gluing(G, r), mults, with_involution, max_domain)
     if nontrivial and (0,) * G.n_edges in mults:
         sizes.remove(1)
     sizes.sort(reverse=True)
@@ -478,7 +490,9 @@ def nr_report(r: int) -> NrReport:
     mults = picard._counter(fixture, r).solutions(omega_bundle(fixture, 1))
     if (0,) not in mults:
         raise OrbitError(f"the trivial class is not a root of omega on the cusp fixture, r={r}")
-    n_cusp = len(_orbit_sizes(_gluing(fixture, r), mults, with_involution=True)) - 1
+    # r orbits, the r - 1 cusps and the trivial class, within the cap as r is.
+    sizes = _orbit_sizes(_gluing(fixture, r), mults, True, DEFAULT_MAX_DOMAIN)
+    n_cusp = len(sizes) - 1
     euler = riemann_hurwitz_chi(degree, [n_j1728, n_j0, n_cusp])
     if euler % 2:
         raise OrbitError(f"odd Euler characteristic {euler} for r={r}")

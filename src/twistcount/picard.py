@@ -22,11 +22,15 @@ and root counts, so the finite data above decides everything else.  One
 RootCounter per (graph, r), kept in a bounded cache, holds one Smith
 reduction of that map and answers all of it: its kernel gives the
 torsion count, its image decides whether roots exist and whether a
-target lifts, and its witness and kernel build the roots themselves.
-Counts never sweep the domain, so only listing roots is capped: a target
-is the class's integer parts plus, edge by edge, the carries of the base
-solution of r*mu = m (mod l), memoized per (l, r) and shared by every
-graph.
+target lifts, and its witness builds one root.  Counts never sweep the
+domain, so only listing roots is capped: a target is the class's integer
+parts plus, edge by edge, the carries of the base solution of
+r*mu = m (mod l), memoized per (l, r) and shared by every graph.  The
+roots themselves are the torsor of the paper made literal, the coset of
+ker M through the witness.  They are listed by one iterative walk of
+that coset in lexicographic order, over a triangular basis of its
+lattice built once per counter: each root's multiplicities and integer
+parts are read off per-edge tables along the way.
 """
 
 from __future__ import annotations
@@ -391,9 +395,10 @@ class RootCounter:
     Smith reduction D = U M V of the integer V x E matrix, built on first
     use as smith, answers every target.  With m_i = gcd(d_i, r) (d_i = 0
     past the rank), t is hit exactly when (U t)_i = 0 (mod m_i), and
-    |ker M| = prod h_e * prod m_i / r^V.  solutions builds the coset from a
-    witness and the kernel generators (the columns of V scaled by r/m_i),
-    so its cost scales with the number of roots, not with the domain.
+    |ker M| = prod h_e * prod m_i / r^V.  solutions and
+    enumerate_discrete_roots list the coset through a witness by one
+    walk (_walk) over a triangular basis of ker M + (+)_e h_e Z (_basis),
+    so their cost scales with the number of roots, not with the domain.
     The target t is the bundle's integer part plus, edge by edge, the
     integer deltas of the edge's base solution (_edge_entry), read from a
     memo shared by every counter of order r, so counts and lifts work on
@@ -472,24 +477,148 @@ class RootCounter:
             for k, e in enumerate(self.graph.edges)
         )
 
-    def solutions(self, F: LineBundleData, max_domain: int = DEFAULT_MAX_DOMAIN):
-        """All accepted multiplicity vectors, each yielding one discrete root,
-        in lexicographic order of x in prod Z/h_e; DomainTooLarge when there
-        are more than max_domain of them."""
+    @cached_property
+    def _basis(self) -> tuple:
+        """A triangular basis of the lattice L = ker M + (+)_e h_e Z in Z^E,
+        built on first use: per edge k, its pivot p_k and the entries
+        (j, b_k[j]), j > k, of its vector b_k, which is 0 before k.
+
+        The reduced columns come from the Smith kernel generators (column i
+        of V scaled by r/m_i) and the vectors h_k e_k, turned triangular by
+        Euclid one coordinate at a time, with entries reduced mod h_j; so
+        each pivot is a positive divisor of its h_k, which is checked.  A
+        zero column is free in L, so its vector is e_k with pivot 1.  The
+        coset x0 + L then meets prod [0, h_e) in prod h_k/p_k points, which
+        must be |ker M|.
+        """
+        smith, hs, r = self.smith, self.hs, self.r
+        cols = smith.cols
+        n = len(cols)
+        mods = smith.mods
+        hcols = [hs[k] for k in cols]
+        pool = [
+            [(r // mods[i] if i < len(mods) else 1) * row[i] % h for row, h in zip(smith.V, hcols)]
+            for i in range(n)
+        ]
+        basis = [(1, ())] * len(hs)
+        for j, k in enumerate(cols):
+            pivot = [0] * n
+            pivot[j] = hcols[j]
+            rest = []
+            for g in pool:
+                while g[j]:
+                    q = pivot[j] // g[j]
+                    pivot, g = g, [a - q * b for a, b in zip(pivot, g)]
+                if any(g):
+                    rest.append([a % h for a, h in zip(g, hcols)])
+            pool = rest
+            basis[k] = (
+                pivot[j],
+                tuple(
+                    (cols[i], pivot[i] % hcols[i])
+                    for i in range(j + 1, n)
+                    if pivot[i] % hcols[i]
+                ),
+            )
+        for k, (h, (p, _)) in enumerate(zip(hs, basis)):
+            if p < 1 or h % p:
+                raise PicardError(f"edge {k}: pivot {p} is not a positive divisor of {h}")
+        size = prod(h // p for h, (p, _) in zip(hs, basis))
+        if size != smith.kernel_size:
+            raise PicardError(
+                f"the root basis spans {_decimal(size)} points, the Smith count "
+                f"{_decimal(smith.kernel_size)}"
+            )
+        return tuple(basis)
+
+    def _walk(self, F: LineBundleData, max_domain: int):
+        """(mult, int_part) of every discrete r-th root of F, in lexicographic
+        order of its x in prod [0, h_e); DomainTooLarge when there are more
+        than max_domain of them.
+
+        The roots are the points of the coset x0 + L in the box, x0 the
+        Smith witness.  An odometer fixes x one edge at a time: at edge k
+        the values left are those = w_k (mod p_k) in [0, h_k), where w is
+        x0 plus the basis multiples chosen so far, and moving x_k up by p_k
+        adds b_k to w.  Each value's (mu, head carry, tail carry) comes from
+        a per-call table filled on first use through _carries, the integer
+        parts accumulate along the way, and at each root they are divided
+        by r, a remainder raising PicardError as in _normalized.
+        """
+        if max_domain < 0:
+            raise PicardError(f"the cap {max_domain} on discrete roots is negative")
         lift = self._lift(F)
         if lift is None:
             return []
-        smith = self.smith
-        if smith.kernel_size > max_domain:
-            raise DomainTooLarge(
-                f"{_decimal(smith.kernel_size)} discrete roots exceed the cap {max_domain}"
-            )
+        size = self.smith.kernel_size
+        if size > max_domain:
+            raise DomainTooLarge(f"{_decimal(size)} discrete roots exceed the cap {max_domain}")
         mu0, x0 = lift
-        coset = sorted(
-            tuple((a + b) % h for a, b, h in zip(x0, k, self.hs))
-            for k in smith.kernel()
-        )
-        return [self._mult(mu0, x) for x in coset]
+        r, hs = self.r, self.hs
+        levels = [
+            (head, tail, h, p, later, {}, l, mu, m)
+            for (head, tail, l, _), h, (p, later), mu, m in zip(
+                self._edges, hs, self._basis, mu0, F.mult
+            )
+        ]
+        n = len(levels)
+        xs = [0] * n
+        mus = [0] * n
+        ws = [list(x0)] + [None] * n
+        accs = [list(F.int_part)] + [None] * n
+        roots = []
+        k = 0
+        while True:
+            if k < n:
+                # Enter edge k at its least value.
+                head, tail, h, p, later, table, l, mu, m = levels[k]
+                w = ws[k]
+                q, c = divmod(w[k], p)
+                if q and later:
+                    w = w[:]
+                    for j, b in later:
+                        w[j] = (w[j] - q * b) % hs[j]
+            else:
+                acc = accs[n]
+                if any([a % r for a in acc]):
+                    v = next(v for v, a in enumerate(acc) if a % r)
+                    raise PicardError(f"vertex {v}: {acc[v]} is not a multiple of {r}")
+                roots.append((tuple(mus), tuple([a // r for a in acc])))
+                # Move up to the deepest edge with a value left.
+                k -= 1
+                while k >= 0:
+                    head, tail, h, p, later, table, l, mu, m = levels[k]
+                    c = xs[k] + p
+                    if c < h:
+                        break
+                    k -= 1
+                else:
+                    break
+                w = ws[k + 1]
+                if later:
+                    w = w[:]
+                    for j, b in later:
+                        w[j] = (w[j] + b) % hs[j]
+            xs[k] = c
+            ws[k + 1] = w
+            entry = table.get(c)
+            if entry is None:
+                mu_c = (mu + l // h * c) % l
+                entry = table[c] = (mu_c, *_carries(l, m, (l - m) % l, mu_c, r))
+            mus[k], to_head, to_tail = entry
+            acc = accs[k][:]
+            acc[head] += to_head
+            acc[tail] += to_tail
+            accs[k + 1] = acc
+            k += 1
+        return roots
+
+    def solutions(self, F: LineBundleData, max_domain: int = DEFAULT_MAX_DOMAIN):
+        """All accepted multiplicity vectors, each yielding one discrete root,
+        in lexicographic order of x in prod Z/h_e, read off _walk;
+        DomainTooLarge when there are more than max_domain of them,
+        PicardError when max_domain is negative."""
+        return [mult for mult, _ in self._walk(F, max_domain)]
 
 
 class _SmithData:
@@ -547,43 +676,6 @@ class _SmithData:
                 raise PicardError("the Smith witness does not map to the target")
         return tuple(x)
 
-    def kernel(self) -> list[tuple[int, ...]]:
-        """Every element of ker M, as the closure of its generators: column i
-        of V scaled by r/m_i (by 1 past the rows) on the reduced columns,
-        and the unit vector of each zero column with h_e > 1, mod h_e."""
-        hs, r, cols = self.hs, self.r, self.cols
-        ne, n = len(hs), len(cols)
-        scales = [r // m for m in self.mods[:n]] + [1] * (n - len(self.mods))
-        gens = []
-        for i, s in enumerate(scales):
-            g = [0] * ne
-            for k, row in zip(cols, self.V):
-                g[k] = s * row[i] % hs[k]
-            gens.append(tuple(g))
-        reduced = set(cols)
-        gens += [
-            tuple(int(j == k) for j in range(ne))
-            for k, h in enumerate(hs)
-            if h > 1 and k not in reduced
-        ]
-        elements = [(0,) * ne]
-        members = set(elements)
-        for g in gens:
-            step = g
-            subgroup = list(elements)
-            while step not in members:
-                for x in subgroup:
-                    y = tuple((a + b) % h for a, b, h in zip(x, step, hs))
-                    members.add(y)
-                    elements.append(y)
-                step = tuple((a + b) % h for a, b, h in zip(step, g, hs))
-        if len(elements) != self.kernel_size:
-            raise PicardError(
-                f"kernel closure has {len(elements)} elements, the Smith count "
-                f"{self.kernel_size}"
-            )
-        return elements
-
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _counter(G: DualGraph, r: int) -> RootCounter:
@@ -632,10 +724,10 @@ def count_roots_by_fractions(
 def enumerate_discrete_roots(
     G: DualGraph, F: LineBundleData, r: int, max_domain: int = DEFAULT_MAX_DOMAIN
 ) -> list[LineBundleData]:
-    """All discrete r-th roots of F (multiplicities plus forced degrees)."""
-    mults = _counter(G, r).solutions(F, max_domain)
-    tails = _tail_mults(F)
-    return [_normalized(G, F.int_part, F.mult, tails, mult, r) for mult in mults]
+    """All discrete r-th roots of F (multiplicities plus forced degrees), in
+    the order of RootCounter.solutions, from one walk of the root coset."""
+    roots = _counter(G, r)._walk(F, max_domain)
+    return [LineBundleData(G, int_part, mult) for mult, int_part in roots]
 
 
 def construct_root(G: DualGraph, F: LineBundleData, r: int) -> LineBundleData | None:

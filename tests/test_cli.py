@@ -208,25 +208,27 @@ class TestCommands:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "max_domain, err",
+        "max_domain, code, out, err",
         [
-            ("3", "tc: error: 4 discrete roots exceed the cap 3\n"),
-            ("8", "tc: error: 16 root classes exceed the cap 8\n"),
+            ("3", 1, "", "tc: error: 4 discrete roots exceed the cap 3\n"),
+            ("8", 0, '{"classes":16,"orbits":8,"sizes":[4,4,2,2,1,1,1,1]}\n', ""),
+            ("7", 1, "", "tc: error: 8 orbits exceed the cap 7\n"),
         ],
-        ids=["roots-cap", "classes-cap"],
+        ids=["roots-cap", "classes-cap", "orbits-cap"],
     )
-    def test_orbits_caps(self, capsys, monkeypatch, tmp_path, max_domain, err):
-        # The roots are capped before the classes, and both caps are
-        # checked by counting: no class is built on the way.
+    def test_orbits_caps(self, capsys, monkeypatch, tmp_path, max_domain, code, out, err):
+        # 4 discrete roots, 16 root classes and 8 orbits.  The listed roots
+        # and the listed orbit sizes are capped, the classes are not, and
+        # no class is built on the way.
         def refuse(*args, **kwargs):
             raise AssertionError("tc orbits built root classes")
 
         monkeypatch.setattr(orbits, "enumerate_root_classes", refuse)
         path = tmp_path / "graph.json"
         path.write_text(LOOP4)
-        code = main(["orbits", str(path), "-r", "4", "--max-domain", max_domain])
+        status = main(["orbits", str(path), "-r", "4", "--max-domain", max_domain])
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (1, "", err)
+        assert (status, captured.out, captured.err) == (code, out, err)
 
     def test_enumerate(self, capsys):
         code, out = run_cli(capsys, "enumerate", "-g", "2")
@@ -313,6 +315,19 @@ class TestCommands:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_roots_list_on_many_loops_pinned(self, capsys, tmp_path):
+        # 2,001 loops of stabilizer 1 at r = 2 carry one discrete root,
+        # listed by a walk 2,001 edges deep: stdout is pinned, and no
+        # recursion limit is met on the way.
+        path = tmp_path / "loops.json"
+        loop = {"tail": 0, "head": 0, "stabilizer": 1}
+        path.write_text(json.dumps({"vertices": [{"genus": 0}], "edges": [loop] * 2001}))
+        assert main(["roots", str(path), "-r", "2", "--list"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digest = "8aec1ed4c625748b5d482d5683f4478d16f7afe38ca63937efc3465ca2f9c295"
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
     def test_nr(self, capsys):
         code, out = run_cli(capsys, "nr", "-r", "11")
@@ -735,6 +750,8 @@ class TestExitCodes:
             ("nr", "-r", "2305843009213693951"),
             ("verify-cond", "-g", "2", "-r", "3", "-l", "1"),
             ("orbits", "{loop}", "-r", "2305843009213693951", "--max-domain", "1" + "0" * 40),
+            ("roots", "{loop}", "-r", "2", "--max-domain", "-1", "--list"),
+            ("orbits", "{loop}", "-r", "2", "--max-domain", "-1"),
         ],
     )
     def test_malformed_input_is_one(self, capsys, monkeypatch, tmp_path, loop_path, argv):
@@ -830,7 +847,11 @@ class TestExitCodes:
         argv = [command, str(path), "-r", "1000000", "--bundle", "omega:k=500000"]
         code = main(argv + (["--list"] if command == "roots" else []))
         captured = capsys.readouterr()
-        err = f"tc: error: at least 2^14350 {what} exceed the cap 1000000\n"
+        if command == "roots":
+            refused = "exceed the cap 1000000"
+        else:
+            refused = "make more than 1000000 orbits"
+        err = f"tc: error: at least 2^14350 {what} {refused}\n"
         assert (code, captured.out, captured.err) == (1, "", err)
 
     def test_refusal_on_many_loops_runs_in_linear_memory(self, capsys, tmp_path):
@@ -850,7 +871,7 @@ class TestExitCodes:
                 tracemalloc.stop()
             captured = capsys.readouterr()
             assert (code, captured.out) == (1, "")
-            assert captured.err.endswith(" root classes exceed the cap 1000000\n")
+            assert captured.err.endswith(" root classes make more than 1000000 orbits\n")
         assert peaks[0] < 4 * 2**20, peaks
         assert peaks[1] < 2.5 * peaks[0], peaks
 
@@ -1022,7 +1043,8 @@ def _assert_ends_cleanly(code, out, err):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 0:
-        json.loads(out)
+        # Decimal reads counts past the int-to-str digit limit.
+        json.loads(out, parse_int=Decimal)
     elif code == 1:
         assert out == ""
         assert err.startswith("tc: error: ")

@@ -257,17 +257,24 @@ class TestOrbits:
     @pytest.mark.parametrize("call", [orbit_count, enumerate_root_classes])
     def test_class_cap_refuses_before_gluing_data(self, monkeypatch, call):
         # Thirty loops of stabilizer 1 carry one discrete root of the
-        # trivial class and 2^30 classes.  The cap refuses them on the count,
-        # before the gluing data (quadratic in b1) or the kernel is built.
+        # trivial class and 2^30 classes, in 2^30 orbits of one class
+        # each.  The cap refuses them on the count, before the gluing data
+        # (quadratic in b1) is built; enumerate_root_classes refuses before
+        # it lists the root, orbit_count (which caps the orbits, not the
+        # classes) after.
         def refuse(*args):
             raise AssertionError("built data for a refused input")
 
         monkeypatch.setattr(orbits, "_Gluing", refuse)
-        monkeypatch.setattr(picard._SmithData, "kernel", refuse)
+        if call is enumerate_root_classes:
+            monkeypatch.setattr(picard.RootCounter, "_walk", refuse)
+            expected = "1073741824 root classes exceed the cap 1000000"
+        else:
+            expected = "1073741824 root classes make more than 1000000 orbits"
         G = dual_graph([0], [(0, 0, 1)] * 30)
         with pytest.raises(picard.DomainTooLarge) as exc:
             call(G, trivial_bundle(G), 2)
-        assert str(exc.value) == "1073741824 root classes exceed the cap 1000000"
+        assert str(exc.value) == expected
 
     def test_no_roots_build_no_gluing_data(self, monkeypatch):
         # An odd class has no square root: nothing is listed or built, where

@@ -340,14 +340,19 @@ class TestCountRoots:
         info = picard._counter.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, 2, GRAPH_CACHE_SIZE)
 
-    def test_kernel_closure_checked_against_smith(self, monkeypatch):
+    def test_root_basis_checked_against_smith(self, monkeypatch):
+        # The triangular basis spans prod h_e/p_e points of the box, which
+        # must be the Smith count; it is built once per counter.
         G = dual_graph([0, 0], [(0, 1, 4), (0, 1, 4), (0, 1, 2)])
         counter = RootCounter(G, 4)
         F = trivial_bundle(G)
         assert len(counter.solutions(F)) == counter.solution_count((0, 0)) == 8
-        monkeypatch.setattr(counter.smith, "kernel_size", 9)
-        with pytest.raises(picard.PicardError):
-            counter.solutions(F)
+        # x_0 + x_1 + 2 x_2 = 0 (mod 4): b_0 = (1, 3, 0), b_1 = (0, 2, 1), b_2 = (0, 0, 2).
+        assert counter._basis == ((1, ((1, 3),)), (2, ((2, 1),)), (2, ()))
+        wrong = RootCounter(G, 4)
+        monkeypatch.setattr(wrong.smith, "kernel_size", 9)
+        with pytest.raises(picard.PicardError, match="the root basis spans 8 points"):
+            wrong.solutions(F)
 
     def test_one_smith_reduction_per_graph_and_order(self, monkeypatch):
         # A bridge (edge 0) and a two-edge cycle: torsion, counts, root
@@ -387,6 +392,47 @@ class TestCountRoots:
         assert count_roots(G, F, 5) == 5**2 * 25 == torsion_count(G, 5)
 
 
+def _kernel_by_closure(smith):
+    """Every element of ker M, as the closure of its generators under
+    addition: column i of V scaled by r/m_i (by 1 past the rows) on the
+    reduced columns, and the unit vector of each zero column with h_e > 1,
+    mod h_e.  Checked against the Smith count."""
+    hs, r, cols = smith.hs, smith.r, smith.cols
+    ne, n = len(hs), len(cols)
+    scales = [r // m for m in smith.mods[:n]] + [1] * (n - len(smith.mods))
+    gens = []
+    for i, s in enumerate(scales):
+        g = [0] * ne
+        for k, row in zip(cols, smith.V):
+            g[k] = s * row[i] % hs[k]
+        gens.append(tuple(g))
+    free = [k for k, h in enumerate(hs) if h > 1 and k not in cols]
+    gens += [tuple(int(j == k) for j in range(ne)) for k in free]
+    elements = [(0,) * ne]
+    members = set(elements)
+    for g in gens:
+        step = g
+        subgroup = list(elements)
+        while step not in members:
+            for x in subgroup:
+                y = tuple((a + b) % h for a, b, h in zip(x, step, hs))
+                members.add(y)
+                elements.append(y)
+            step = tuple((a + b) % h for a, b, h in zip(step, g, hs))
+    assert len(elements) == smith.kernel_size
+    return elements
+
+
+def _solutions_by_closure(counter, mu0, x0):
+    """Accepted multiplicity vectors from the kernel closure translated by
+    x0, in sorted order: the root walk's oracle."""
+    coset = sorted(
+        tuple((a + b) % h for a, b, h in zip(x0, k, counter.hs))
+        for k in _kernel_by_closure(counter.smith)
+    )
+    return [counter._mult(mu0, x) for x in coset]
+
+
 def _graph_with_loops(rng):
     """A random connected graph on 1-3 vertices: a path, a few more edges
     and 1-3 loops, in shuffled order, stabilizers from {1, 2, 3, 4, 6, 12}."""
@@ -423,7 +469,7 @@ class TestLoopsOutsideSmith:
             checked += 1
             domain = list(itertools.product(*(range(h) for h in counter.hs)))
             zero = (0,) * G.n_vertices
-            assert sorted(smith.kernel()) == [x for x in domain if hom.apply(x) == zero]
+            assert sorted(_kernel_by_closure(smith)) == [x for x in domain if hom.apply(x) == zero]
             image = {hom.apply(x) for x in domain}
             for _ in range(6):
                 t = tuple(rng.randrange(-r, 2 * r) for _ in G.vertices)
@@ -434,6 +480,97 @@ class TestLoopsOutsideSmith:
                     assert hom.apply(x) == tuple(a % r for a in t)
                     assert [x[k] for k in loops] == [0] * len(loops)
         assert checked > 100
+
+
+def _check_walk(G, F, r):
+    """solutions and enumerate_discrete_roots on (G, F, r) against the
+    kernel closure translated by x0 and against _normalized per root;
+    returns the accepted multiplicity vectors."""
+    counter = RootCounter(G, r)
+    mults = counter.solutions(F, 10**4)
+    roots = enumerate_discrete_roots(G, F, r, 10**4)
+    tails = picard._tail_mults(F)
+    assert roots == [picard._normalized(G, F.int_part, F.mult, tails, m, r) for m in mults]
+    lift = counter._lift(F)
+    if lift is None:
+        assert mults == []
+    else:
+        assert mults == _solutions_by_closure(counter, *lift)
+        assert len(mults) == counter.smith.kernel_size
+    return mults
+
+
+class TestRootWalk:
+    def test_walk_against_oracles(self):
+        # Random graphs with loops; r = 1 and stabilizers prime to r give
+        # h_e = 1 edges.  On small domains the walk also equals the
+        # lexicographic sweep of prod Z/h_e.
+        rng = random.Random(21)
+        swept = listed = 0
+        for _ in range(400):
+            G = _graph_with_loops(rng)
+            r = rng.choice((1, 2, 3, 4, 6, 12))
+            if rng.random() < 0.3:
+                F = random_bundle(G, rng, r)
+            else:
+                F = rth_power(random_bundle(G, rng), r)
+            mults = _check_walk(G, F, r)
+            listed += bool(mults)
+            if RootCounter(G, r).domain_size <= 2000:
+                swept += 1
+                assert mults == _solutions_by_product(G, F, r)
+        assert swept > 250 and listed > 250
+
+    @pytest.mark.parametrize(
+        "vertices, edges, r, size",
+        [
+            ([0, 0], [(0, 1, 12)] * 4 + [(0, 0, 4)], 12, 6912),
+            ([0], [(0, 0, 2)] * 13, 2, 8192),
+            (
+                [0, 0, 0],
+                [(0, 1, 12), (1, 2, 12), (2, 0, 12), (0, 1, 12), (2, 2, 6), (1, 2, 4)],
+                12,
+                3456,
+            ),
+            (
+                [0, 1],
+                [(0, 1, 6), (0, 1, 12), (1, 1, 12), (0, 1, 1), (0, 0, 6), (0, 1, 12)],
+                12,
+                5184,
+            ),
+        ],
+        ids=["parallel", "loops", "triangle", "mixed"],
+    )
+    def test_wide_kernels_against_closure(self, vertices, edges, r, size):
+        G = dual_graph(vertices, edges)
+        counter = RootCounter(G, r)
+        assert counter.smith.kernel_size == size
+        rng = random.Random(size)
+        for F in (trivial_bundle(G), rth_power(random_bundle(G, rng), r)):
+            assert len(_check_walk(G, F, r)) == size
+
+    def test_many_loops_listed_without_recursion(self):
+        # 2,001 loops of stabilizer 1 at r = 2: one root, found by a walk
+        # 2,001 edges deep, past the default recursion limit.
+        G = dual_graph([0], [(0, 0, 1)] * 2001)
+        F = omega_bundle(G, 1)
+        roots = enumerate_discrete_roots(G, F, 2)
+        assert [R.int_part for R in roots] == [(2000,)]
+        assert roots[0].mult == (0,) * 2001
+
+    def test_negative_cap_is_refused(self):
+        # A cap below 0 is an error in itself, with or without roots, not
+        # a refusal of too many roots.
+        G = pointed_loop(2)
+        counter = RootCounter(G, 2)
+        for F in (trivial_bundle(G), line_bundle(G, [1], [0])):
+            negative = "cap -1 on discrete roots is negative"
+            with pytest.raises(picard.PicardError, match=negative) as exc:
+                counter.solutions(F, -1)
+            assert not isinstance(exc.value, DomainTooLarge)
+        with pytest.raises(DomainTooLarge):
+            counter.solutions(trivial_bundle(G), 0)
+        assert counter.solutions(line_bundle(G, [1], [0]), 0) == []
 
 
 class TestDiscreteRoots:
@@ -826,11 +963,7 @@ def _check_roots_against_base_solution(G, F, r):
     assert R.mult == counter._mult(mu0, x0)
     assert rth_power(R, r) == F
     if counter.smith.kernel_size <= 10**3:
-        coset = sorted(
-            tuple((a + b) % h for a, b, h in zip(x0, k, counter.hs))
-            for k in counter.smith.kernel()
-        )
-        assert counter.solutions(F) == [counter._mult(mu0, x) for x in coset]
+        assert counter.solutions(F) == _solutions_by_closure(counter, mu0, x0)
 
 
 def _solutions_by_product(G, F, r):

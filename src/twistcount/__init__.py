@@ -43,12 +43,9 @@ from .picard import (
 )
 from .orbits import (
     NrReport,
-    RootClass,
     aut_order_ratio,
     cond_check,
     elliptic_torsion_orbits,
-    enumerate_root_classes,
-    ghost_act,
     ghost_group_order,
     nr_report,
     orbit_count,

@@ -17,13 +17,10 @@ __all__ = [
     "DimensionMismatch",
     "IllDefinedHom",
     "smith_normal_form",
-    "mat_mul",
     "mat_identity",
-    "det",
     "CyclicHom",
     "kernel_size_by_enumeration",
     "kernel_size_by_smith",
-    "image_size_by_enumeration",
     "hom_image_contains",
     "solve_congruence",
 ]
@@ -45,43 +42,6 @@ def mat_identity(n: int) -> list[list[int]]:
     for i in range(n):
         out[i][i] = 1
     return out
-
-
-def mat_mul(A, B) -> list[list[int]]:
-    if A and B and len(A[0]) != len(B):
-        raise DimensionMismatch(f"{len(A[0])} columns times {len(B)} rows")
-    inner = len(B)
-    cols = len(B[0]) if B else 0
-    return [
-        [sum(row[k] * B[k][j] for k in range(inner)) for j in range(cols)]
-        for row in A
-    ]
-
-
-def det(A) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise DimensionMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 def _min_nonzero_position(D, t):
@@ -331,13 +291,6 @@ def kernel_size_by_smith(h: CyclicHom) -> int:
             raise AlgebraError("infinite cokernel: the moduli block must have full rank")
         coker *= abs(active[0][i])
     return h.domain_size * coker // prod(mods)
-
-
-def image_size_by_enumeration(h: CyclicHom) -> int:
-    seen = set()
-    for x in itertools.product(*(range(n) for n in h.domain_moduli)):
-        seen.add(h.apply(x))
-    return len(seen)
 
 
 def hom_image_contains(h: CyclicHom, t) -> tuple[bool, tuple[int, ...] | None]:

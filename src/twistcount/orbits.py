@@ -1,13 +1,9 @@
 """Ghost automorphisms acting on root classes, and orbit counting.
 
-On an all-rational graph a discrete root class is pinned down by its
-branch multiplicities together with a gluing residue in Z/r per edge,
-taken modulo coboundaries (rescaling the components).  Classes are stored
-in spanning-tree normal form: the gluing residue vanishes on a fixed BFS
-tree, so class equality is plain data equality, and the residues on the
-remaining b1 edges are coordinates in (Z/r)^{b1}.
-
-The ghost generator at an edge e twists the gluing there by
+On an all-rational graph the r-th root classes with multiplicity vector m
+are the gluing residues in Z/r per edge modulo coboundaries; the residues
+on the b1 edges off a BFS spanning tree are coordinates for them in
+(Z/r)^{b1}.  The ghost generator at an edge e twists the gluing there by
 (r/l_e) * mult_e; it is available when l_e divides r, and generators at
 the remaining edges act trivially on r-th root classes and are omitted.
 The action is linear: on the classes with multiplicity vector m the ghost
@@ -19,8 +15,6 @@ a self-paired m contributes (|Q_m| + |Q_m[2]|) / 2 orbits.
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +36,6 @@ from .picard import (
     DomainTooLarge,
     HypothesisViolated,
     LineBundleData,
-    PicardError,
     count_roots,
     omega_bundle,
 )
@@ -50,17 +43,11 @@ from .picard import (
 __all__ = [
     "OrbitError",
     "NotRational",
-    "StabilizerNotDivisible",
     "BadAutOrder",
     "BadR",
     "FibreExceedsDegree",
-    "RootClass",
-    "root_class",
     "ghost_group_order",
     "acting_edges",
-    "ghost_act",
-    "involution_act",
-    "enumerate_root_classes",
     "orbit_count",
     "redecorate",
     "elliptic_torsion_orbits",
@@ -82,10 +69,6 @@ class NotRational(OrbitError):
     pass
 
 
-class StabilizerNotDivisible(OrbitError):
-    pass
-
-
 class BadAutOrder(OrbitError):
     pass
 
@@ -98,25 +81,6 @@ class FibreExceedsDegree(OrbitError):
     pass
 
 
-@dataclass(frozen=True)
-class RootClass:
-    """Root datum on an all-rational graph: multiplicities plus gluing.
-
-    The gluing tuple is kept in spanning-tree normal form.
-    """
-
-    graph: DualGraph
-    r: int
-    mult: tuple[int, ...]
-    gluing: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v.genus for v in self.graph.vertices):
-            raise NotRational("root classes require an all-rational graph")
-        if len(self.mult) != self.graph.n_edges or len(self.gluing) != self.graph.n_edges:
-            raise OrbitError("per-edge data length mismatch")
-
-
 class _Gluing:
     """Per-(G, r) data of the gluing normal form and the ghost action.
 
@@ -126,12 +90,11 @@ class _Gluing:
     gluing vector at the acting edge acting[i], in free coordinates.
     """
 
-    __slots__ = ("r", "n_vertices", "n_edges", "stabs", "walk", "free", "acting", "steps", "units")
+    __slots__ = ("r", "n_vertices", "stabs", "walk", "free", "acting", "steps", "units")
 
     def __init__(self, G: DualGraph, r: int):
         self.r = r
         self.n_vertices = G.n_vertices
-        self.n_edges = G.n_edges
         self.stabs = tuple(e.stabilizer for e in G.edges)
         known = {0}
         walk = []
@@ -164,12 +127,6 @@ class _Gluing:
             potentials[child] = (potentials[parent] + sign * beta[k]) % r
         return tuple((beta[k] - potentials[h] + potentials[t]) % r for k, h, t in self.free)
 
-    def gluing(self, x) -> tuple[int, ...]:
-        beta = [0] * self.n_edges
-        for (k, _, _), b in zip(self.free, x):
-            beta[k] = b
-        return tuple(beta)
-
     def negate(self, mult) -> tuple[int, ...]:
         return tuple((-m) % l for m, l in zip(mult, self.stabs))
 
@@ -188,16 +145,6 @@ def _gluing(G: DualGraph, r: int) -> _Gluing:
     return _Gluing(G, r)
 
 
-def _normalize_gluing(G: DualGraph, r: int, beta) -> tuple[int, ...]:
-    """Subtract the unique coboundary that kills beta on the spanning tree."""
-    data = _gluing(G, r)
-    return data.gluing(data.coordinates(beta))
-
-
-def root_class(G: DualGraph, r: int, mult, gluing) -> RootClass:
-    return RootClass(G, r, tuple(mult), _normalize_gluing(G, r, gluing))
-
-
 def ghost_group_order(G: DualGraph) -> int:
     """Order of the group of automorphisms fixing the coarse curve."""
     return prod(e.stabilizer for e in G.edges)
@@ -208,59 +155,11 @@ def acting_edges(G: DualGraph, r: int) -> list[int]:
     return [k for k, e in enumerate(G.edges) if r % e.stabilizer == 0]
 
 
-def ghost_act(c: RootClass, e: int) -> RootClass:
-    """Apply the ghost generator at edge e: twist the gluing by the branch
-    character, embedded in Z/r."""
-    l = c.graph.edges[e].stabilizer
-    if c.r % l:
-        raise StabilizerNotDivisible(
-            f"edge {e}: stabilizer {l} does not divide {c.r}"
-        )
-    beta = list(c.gluing)
-    beta[e] = (beta[e] + (c.r // l) * c.mult[e]) % c.r
-    return RootClass(c.graph, c.r, c.mult, _normalize_gluing(c.graph, c.r, beta))
-
-
-def involution_act(c: RootClass) -> RootClass:
-    """The genus-1 coarse involution on classes: negate all discrete data."""
-    G, r = c.graph, c.r
-    mult = tuple((-m) % e.stabilizer for m, e in zip(c.mult, G.edges))
-    beta = [(-b) % r for b in c.gluing]
-    return RootClass(G, r, mult, _normalize_gluing(G, r, beta))
-
-
 def _rational_counter(G: DualGraph, r: int) -> picard.RootCounter:
     """The root counter of (G, r), for an all-rational graph."""
     if any(v.genus for v in G.vertices):
         raise NotRational("root classes require an all-rational graph")
     return picard._counter(G, r)
-
-
-def enumerate_root_classes(
-    G: DualGraph,
-    F: LineBundleData,
-    r: int,
-    max_domain: int = DEFAULT_MAX_DOMAIN,
-) -> list[RootClass]:
-    """All r-th root classes of F on an all-rational graph.
-
-    One class per accepted multiplicity vector and per gluing residue on
-    the non-tree edges; their number is exactly count_roots(G, F, r).  The
-    roots and the classes must fit max_domain; both caps are checked on
-    counts before anything is listed, the roots first.
-    """
-    counter = _rational_counter(G, r)
-    classes = counter.count(F)
-    if counter.smith.kernel_size <= max_domain < classes:
-        raise DomainTooLarge(
-            f"{picard._decimal(classes)} root classes exceed the cap {max_domain}"
-        )
-    mults = counter.solutions(F, max_domain)
-    if not mults:
-        return []
-    data = _gluing(G, r)
-    gluings = [data.gluing(x) for x in itertools.product(range(r), repeat=len(data.free))]
-    return [RootClass(G, r, mult, beta) for mult in mults for beta in gluings]
 
 
 def _quotient_sizes(data: _Gluing, mult) -> tuple[int, int]:
@@ -274,44 +173,10 @@ def _quotient_sizes(data: _Gluing, mult) -> tuple[int, int]:
     return prod(mods), prod(gcd(2, m) for m in mods)
 
 
-def _burnside_orbits(data: _Gluing, mults, with_involution: bool) -> int:
-    """Orbits by Burnside's lemma, with fixed classes counted per group
-    element and multiplicity vector: a plain element fixes all r^{b1}
-    classes of m when its shift s is 0, and a flipped one fixes a class x
-    of a self-paired m when 2x = -s."""
-    r = data.r
-    b1 = len(data.free)
-    zero = (0,) * b1
-    halves = gcd(2, r)
-    order = prod(data.stabs[k] for k in data.acting) * (2 if with_involution else 1)
-    fixed = 0
-    for m in mults:
-        # Number of ghost elements shifting the classes of m by each s.
-        shifts = {zero: 1}
-        for k, t in zip(data.acting, data.twists(m)):
-            grown = defaultdict(int)
-            for s, n in shifts.items():
-                for _ in range(data.stabs[k]):
-                    grown[s] += n
-                    s = tuple((a + b) % r for a, b in zip(s, t))
-            shifts = grown
-        fixed += shifts.get(zero, 0) * r**b1
-        if with_involution and data.negate(m) == m:
-            fixed += sum(
-                n * halves**b1 for s, n in shifts.items() if all(a % halves == 0 for a in s)
-            )
-    if fixed % order:
-        raise OrbitError(
-            f"Burnside sum {fixed} is not a multiple of the group order {order}"
-        )
-    return fixed // order
-
-
 def _orbit_sizes(data: _Gluing, mults, with_involution: bool, max_orbits: int) -> list[int]:
     """Sizes of the orbits on all classes with the given multiplicity
-    vectors, listed per vector; their number is checked against the
-    Burnside count.  DomainTooLarge, before any size is listed, when there
-    are more than max_orbits of them.
+    vectors, listed per vector.  DomainTooLarge, before any size is
+    listed, when there are more than max_orbits of them.
 
     The ghost orbits on the classes of m are the cosets of H_m, of size
     r^{b1} / |Q_m| each.  The involution joins the cosets of m and -m in
@@ -340,11 +205,6 @@ def _orbit_sizes(data: _Gluing, mults, with_involution: bool, max_orbits: int) -
     orbits = sum(n for n, _ in runs)
     if orbits > max_orbits:
         raise DomainTooLarge(f"{picard._decimal(orbits)} orbits exceed the cap {max_orbits}")
-    burnside = _burnside_orbits(data, mults, with_involution)
-    if burnside != orbits:
-        raise OrbitError(
-            f"Burnside count {burnside} disagrees with {orbits} orbits by multiplicity"
-        )
     sizes = []
     for n, coset in runs:
         sizes += [coset] * n
@@ -363,10 +223,10 @@ def orbit_count(
     """Orbits of the ghost group (plus, optionally, the involution) on the
     r-th root classes of F: their number and their sizes, largest first.
 
-    Counted per multiplicity vector, without building any class, and
-    checked against a Burnside count.  With nontrivial, the orbit of the
-    trivial class (multiplicities 0, gluing 0), a singleton, is left out
-    when that class is a root of F.  The discrete roots and the orbits
+    Counted per multiplicity vector, without building any class.  With
+    nontrivial, the orbit of the trivial class (multiplicities 0, gluing
+    0), a singleton, is left out when that class is a root of F.  The
+    discrete roots and the orbits
     must fit max_domain; the classes need not.  An orbit holds at most
     the ghost group's order of classes (twice that with the involution),
     so classes past that many times the cap are refused at once.

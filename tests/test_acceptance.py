@@ -21,8 +21,8 @@ from twistcount.graphs import (
     flip_edge,
     genus,
 )
+from twistcount.oracles import enumerate_root_classes
 from twistcount.orbits import (
-    enumerate_root_classes,
     nr_report,
     orbit_count,
     redecorate,

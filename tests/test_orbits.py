@@ -7,29 +7,39 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistcount import orbits, picard
-from twistcount.graphs import DualGraph, Edge, MultiIndex, dual_graph, enumerate_stable_graphs
+from twistcount import oracles, orbits, picard
+from twistcount.graphs import (
+    DualGraph,
+    Edge,
+    MultiIndex,
+    dual_graph,
+    enumerate_stable_graphs,
+    spanning_tree,
+)
+from twistcount.oracles import (
+    RootClass,
+    StabilizerNotDivisible,
+    _normalize_gluing,
+    burnside_orbit_count,
+    enumerate_root_classes,
+    ghost_act,
+    involution_act,
+    root_class,
+)
 from twistcount.orbits import (
     BadAutOrder,
     BadR,
     FibreExceedsDegree,
     NotRational,
     OrbitError,
-    RootClass,
-    StabilizerNotDivisible,
-    _normalize_gluing,
     acting_edges,
     aut_order_ratio,
     cond_check,
     elliptic_torsion_orbits,
-    enumerate_root_classes,
-    ghost_act,
     ghost_group_order,
-    involution_act,
     nr_report,
     orbit_count,
     riemann_hurwitz_chi,
-    root_class,
     verify_cond,
 )
 from twistcount.picard import (
@@ -233,17 +243,21 @@ class TestRootClasses:
 
     @pytest.mark.parametrize("G", _RATIONAL_SHAPES)
     def test_normal_form_kills_coboundaries(self, G):
-        # r = 5 so that a sign slip in the coboundary cannot cancel.
+        # r = 5 so that a sign slip in the coboundary cannot cancel.  The
+        # library's gluing coordinates, which orbit_count reads its twists
+        # from, are the oracle's normal form off the tree.
         rng = random.Random(repr(G))
         r = 5
-        free = {k for k, _, _ in orbits._gluing(G, r).free}
+        tree = spanning_tree(G)
+        data = orbits._gluing(G, r)
         for _ in range(20):
             beta = [rng.randrange(r) for _ in G.edges]
             alpha = [rng.randrange(r) for _ in G.vertices]
             moved = [(b + alpha[e.head] - alpha[e.tail]) % r for b, e in zip(beta, G.edges)]
             normal = _normalize_gluing(G, r, beta)
             assert _normalize_gluing(G, r, moved) == normal
-            assert all(normal[k] == 0 for k in range(G.n_edges) if k not in free)
+            assert all(normal[k] == 0 for k in tree)
+            assert data.coordinates(beta) == tuple(normal[k] for k, _, _ in data.free)
 
     def test_gluing_normal_form_quotient(self):
         G = theta(2)
@@ -259,15 +273,16 @@ class TestOrbits:
         # Thirty loops of stabilizer 1 carry one discrete root of the
         # trivial class and 2^30 classes, in 2^30 orbits of one class
         # each.  The cap refuses them on the count, before the gluing data
-        # (quadratic in b1) is built; enumerate_root_classes refuses before
-        # it lists the root, orbit_count (which caps the orbits, not the
-        # classes) after.
+        # (quadratic in b1) is built; the oracle enumerate_root_classes
+        # refuses before it lists the root or reads the spanning tree,
+        # orbit_count (which caps the orbits, not the classes) after.
         def refuse(*args):
             raise AssertionError("built data for a refused input")
 
         monkeypatch.setattr(orbits, "_Gluing", refuse)
         if call is enumerate_root_classes:
             monkeypatch.setattr(picard.RootCounter, "_walk", refuse)
+            monkeypatch.setattr(oracles, "spanning_tree", refuse)
             expected = "1073741824 root classes exceed the cap 1000000"
         else:
             expected = "1073741824 root classes make more than 1000000 orbits"
@@ -351,17 +366,16 @@ class TestOrbits:
         with pytest.raises(OrbitError):
             _orbit_count_by_sweep(G, F, 3, with_involution=True)
         with pytest.raises(OrbitError, match="involution"):
+            burnside_orbit_count(G, F, 3, with_involution=True)
+        with pytest.raises(OrbitError, match="involution"):
             orbit_count(G, F, 3, with_involution=True)
 
-    def test_builds_no_root_classes(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("orbit_count built root classes")
-
+    def test_builds_no_root_classes(self):
+        # orbits cannot reach the class-level oracles at all
+        # (tests/test_package.py), so this pins the count alone.
         G = theta(2)
         F = omega_bundle(G, 1)
         expected = _sweep_sizes(G, F, 2, with_involution=True)
-        monkeypatch.setattr(orbits, "RootClass", refuse)
-        monkeypatch.setattr(orbits, "enumerate_root_classes", refuse)
         assert orbit_count(G, F, 2, with_involution=True) == expected
 
 
@@ -510,12 +524,9 @@ class TestNrReport:
         n, _ = orbit_count(G, omega_bundle(G, 1), r, True, nontrivial=True)
         assert nr_report(r).n_cusp == n
 
-    def test_builds_no_root_classes(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("nr_report built root classes")
-
-        monkeypatch.setattr(orbits, "RootClass", refuse)
-        monkeypatch.setattr(orbits, "enumerate_root_classes", refuse)
+    def test_builds_no_root_classes(self):
+        # orbits cannot reach the class-level oracles at all
+        # (tests/test_package.py), so this pins the genus alone.
         assert nr_report(31).genus_nr == 26
 
     def test_bad_r(self):
@@ -523,6 +534,36 @@ class TestNrReport:
             nr_report(4)
         with pytest.raises(BadR):
             nr_report(3)
+
+
+class TestBurnsideOracle:
+    """orbit_count against the oracle's Burnside count, on inputs past the
+    reach of the class-by-class sweep (10^5 group element x class steps)."""
+
+    @pytest.mark.parametrize("with_involution", [False, True])
+    @pytest.mark.parametrize("l", [8, 12, 20])
+    def test_theta_at_full_stabilizer(self, l, with_involution):
+        # Three edges of stabilizer l at r = l: l^2 multiplicity vectors of
+        # the trivial class and l^4 classes (160,000 at l = 20).  The
+        # trivial class is a root, so nontrivial drops one orbit.
+        G = theta(l)
+        F = trivial_bundle(G)
+        total = burnside_orbit_count(G, F, l, with_involution)
+        assert orbit_count(G, F, l, with_involution)[0] == total
+        assert orbit_count(G, F, l, with_involution, nontrivial=True)[0] == total - 1
+        if (l, with_involution) == (20, False):
+            assert total == 1960
+
+    @pytest.mark.parametrize("r", BENCH_PRIMES)
+    def test_cusp_fixture(self, r):
+        G = orbits._cusp_fixture(r)
+        F = omega_bundle(G, 1)
+        for with_involution in (False, True):
+            for nontrivial in (False, True):
+                expected = burnside_orbit_count(G, F, r, with_involution, nontrivial=nontrivial)
+                n, _ = orbit_count(G, F, r, with_involution, nontrivial=nontrivial)
+                assert n == expected
+        assert nr_report(r).n_cusp == burnside_orbit_count(G, F, r, True, nontrivial=True)
 
 
 class TestCondCheck:

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import twistcount
 
@@ -46,17 +49,58 @@ def test_no_bare_asserts_in_library():
     assert found == []
 
 
+def _imports_oracles(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name == "twistcount.oracles" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = "." * node.level + (node.module or "")
+    if module in ("twistcount.oracles", ".oracles"):
+        return True
+    return module in ("twistcount", ".") and any(a.name == "oracles" for a in node.names)
+
+
+def test_no_library_module_imports_the_oracles():
+    # twistcount.oracles holds the slow independent routines that the tests
+    # check the library against; no library path may reach them.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _imports_oracles(node)
+        ]
+    assert found == []
+
+
+def test_package_and_cli_leave_the_oracles_unloaded():
+    code = (
+        "import sys, twistcount, twistcount.cli; "
+        "print('twistcount.oracles' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout == "False\n"
+
+
+# Oracles that stay in exactalg because the benchmark (bench/workloads.py)
+# calls them there; no other library module may call them.
 ORACLES = {
     "hom_image_contains",
     "kernel_size_by_smith",
     "kernel_size_by_enumeration",
-    "image_size_by_enumeration",
 }
 
 
 def test_oracles_stay_out_of_library_paths():
     # The slow or independent routines of exactalg check the library from
-    # the tests; no other library module may call them.
+    # the tests and the benchmark; no other library module may call them.
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "exactalg.py":

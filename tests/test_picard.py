@@ -1184,7 +1184,7 @@ class TestRootsnumPlan:
             G = _decorate(shape, stabs)
             check_rootsnum_graph(G, (2,), n_random=0)
             torsion_count(G, 2)
-            orbits.root_class(G, 2, (0,) * G.n_edges, (0,) * G.n_edges)
+            orbits._gluing(G, 2)
         caches = (picard._node_types, picard._edge_sides, picard._counter)
         for cache in caches + (orbits._gluing,):
             info = cache.cache_info()

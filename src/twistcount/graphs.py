@@ -702,32 +702,45 @@ def _degree_sequences(total: int, minima):
         yield tuple(m + x for m, x in zip(minima, extra))
 
 
-def _realizations(degrees, i: int = 0, acc: tuple = ()):
-    """All loopy multigraphs (as sorted (i, j) edge tuples) with the given degrees.
+def _realizations(degrees, slot_members, counts, i: int = 0, acc: tuple = ()):
+    """Loopy multigraphs (as sorted (i, j) edge tuples) with the given
+    degrees that no relabelling inside ``slot_members`` makes smaller.
 
-    Vertices before ``i`` are already saturated by the edges in ``acc``;
-    vertex i takes its loops first, then its edges to later vertices.
-    Loop counts rise and the edges to later vertices run through their
-    compositions in lexicographic order, so the multigraphs come in
-    lexicographic order of their adjacency counts' upper triangle, read
-    row by row.
+    Vertices before ``i`` are already saturated by the edges in ``acc``,
+    which fill rows 0..i-1 of the symmetric count matrix ``counts``;
+    vertex i takes its loops first, then its edges to later vertices,
+    setting row i for its subtree and clearing it after.  The multigraphs
+    come in lexicographic order of their counts' upper triangle, read row
+    by row.  Rows before i never change below, so a relabelling smaller on
+    them (``_has_smaller_relabelling``) is smaller at every leaf, and rows
+    that reach no later vertex make every leaf disconnected: either cuts
+    the subtree.  At a leaf the relabelling test is the full one.
     """
     n = len(degrees)
     while i < n and degrees[i] == 0:
         i += 1
+    if 0 < i < n and not any(any(row[i:]) for row in counts[:i]):
+        return
+    if _has_smaller_relabelling(counts, slot_members, i):
+        return
     if i == n:
         yield acc
         return
     budget = degrees[i]
+    row = counts[i]
     for nloops in range(budget // 2 + 1):
+        row[i] = nloops
         for picked in _compositions(budget - 2 * nloops, degrees[i + 1 :]):
             remaining = list(degrees)
             remaining[i] = 0
-            edges_here = [(i, i)] * nloops
+            edges = acc + ((i, i),) * nloops
             for j, c in enumerate(picked, i + 1):
                 remaining[j] -= c
-                edges_here += [(i, j)] * c
-            yield from _realizations(remaining, i + 1, acc + tuple(edges_here))
+                row[j] = counts[j][i] = c
+                edges += ((i, j),) * c
+            yield from _realizations(remaining, slot_members, counts, i + 1, edges)
+    for j in range(i, n):
+        row[j] = counts[j][i] = 0
 
 
 def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
@@ -744,9 +757,10 @@ def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
     on the diagonal, read row by row.  Two realizations of a class in one
     block differ by a permutation of positions inside runs of equal keys,
     so a realization is the first of its class met exactly when no such
-    permutation gives a smaller K (``_has_smaller_relabelling``).  Only
-    those realizations are built; they are returned unlabelled, in
-    visiting order.
+    permutation gives a smaller K (``_has_smaller_relabelling``).
+    ``_realizations`` yields only those, cutting each prefix whose
+    complete rows already give a smaller K; they are returned
+    unlabelled, in visiting order.
     """
     shapes: list[DualGraph] = []
     for nv in range(1, 2 * g - 2 + n_legs + 1):
@@ -776,14 +790,8 @@ def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
                     slot_members = [
                         tuple(q for q in range(nv) if keys[q] == keys[p]) for p in range(nv)
                     ]
-                    for pairs in _realizations(degrees):
-                        counts = [[0] * nv for _ in range(nv)]
-                        for t, h in pairs:
-                            counts[t][h] += 1
-                            if t != h:
-                                counts[h][t] += 1
-                        if _has_smaller_relabelling(counts, slot_members):
-                            continue
+                    counts = [[0] * nv for _ in range(nv)]
+                    for pairs in _realizations(degrees, slot_members, counts):
                         try:
                             shapes.append(DualGraph(verts, tuple(Edge(t, h) for t, h in pairs)))
                         except DisconnectedGraph:
@@ -791,22 +799,28 @@ def _enumerate_shapes(g: int, n_legs: int) -> list[DualGraph]:
     return shapes
 
 
-def _has_smaller_relabelling(counts, slot_members) -> bool:
+def _has_smaller_relabelling(counts, slot_members, done: int) -> bool:
     """Whether a relabelling that gives label p a vertex of
     ``slot_members[p]`` makes the key smaller; ``counts`` is the
     symmetric matrix of edge counts, loops on the diagonal, and the key
     is its upper triangle read row by row.
 
+    Only rows before ``done`` are final: entry (a, b) is final when
+    a < done or b < done.  A comparison stops, undecided, at the first
+    position where either key's entry is not final; with ``done ==
+    len(counts)`` this is the full test.
+
     Labels are placed in order 0, 1, ...; once labels 0..s are placed,
     row 0 of the relabelled key is fixed up to column s.  A candidate
-    whose entry there exceeds the graph's own is cut, one below it ends
-    the search, and on a tie the next label is placed.  When every label
-    is placed, row 0 ties and the remaining rows decide.  The stack is
-    kept explicitly (per label, the vertex placed and an iterator over
-    the members still to try), so no reference cycle is left behind.
+    whose entry there exceeds the graph's own, or is not final, is cut,
+    one below it ends the search, and on a tie the next label is placed.
+    When every label is placed, row 0 ties and the remaining final rows
+    decide.  The stack is kept explicitly (per label, the vertex placed
+    and an iterator over the members still to try), so no reference
+    cycle is left behind.
     """
     n = len(counts)
-    later_rows = [(p, q) for p in range(1, n) for q in range(p, n)]
+    later_rows = [(p, q) for p in range(1, done) for q in range(p, n)]
     used = [False] * n
     placed = [-1] * n
     pending = [iter(slot_members[0])] + [None] * (n - 1)
@@ -819,7 +833,10 @@ def _has_smaller_relabelling(counts, slot_members) -> bool:
         own = counts[0][s]
         for x in pending[s]:
             if not used[x]:
-                entry = counts[placed[0] if s else x][x]
+                first = placed[0] if s else x
+                if first >= done and x >= done:
+                    continue
+                entry = counts[first][x]
                 if entry < own:
                     return True
                 if entry == own:
@@ -834,7 +851,10 @@ def _has_smaller_relabelling(counts, slot_members) -> bool:
             pending[s] = iter(slot_members[s])
             continue
         for p, q in later_rows:
-            entry = counts[placed[p]][placed[q]]
+            a, b = placed[p], placed[q]
+            if a >= done and b >= done:
+                break
+            entry = counts[a][b]
             if entry != counts[p][q]:
                 if entry < counts[p][q]:
                     return True

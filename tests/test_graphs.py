@@ -34,9 +34,9 @@ from twistcount.graphs import (  # internals compared with their oracles
     _compositions,
     _degree_sequences,
     _enumerate_shapes,
+    _has_smaller_relabelling,
     _LabelPlan,
     _LayoutTable,
-    _realizations,
     _redecorate,
     _sorted_within,
     _stabilizer_assignments,
@@ -311,9 +311,27 @@ class TestEnumeration:
             gc.enable()
         assert gc.collect() == 0
 
-    @pytest.mark.parametrize("g, n, count", [(4, 1, 2666), (3, 3, 4041), (2, 5, 2325)])
+    @pytest.mark.parametrize(
+        "g, n, count", [(4, 1, 2666), (3, 3, 4041), (2, 5, 2325), (5, 0, 4555)]
+    )
     def test_larger_shape_counts(self, g, n, count):
+        # 4,555 genus-5 shapes: Maggiolo and Pagani, "Generating stable
+        # modular graphs", J. Symbolic Comput. 46 (2011).
         assert len(_enumerate_shapes(g, n)) == count
+
+    def test_prefix_cut_leaves_few_full_tests(self, monkeypatch):
+        # Without the cut at completed rows, all 8,503 realizations of the
+        # genus-4 degree blocks reach the full relabelling test.
+        test = graphs._has_smaller_relabelling
+        full = []
+
+        def counted(counts, slot_members, done):
+            full.append(done == len(counts))
+            return test(counts, slot_members, done)
+
+        monkeypatch.setattr(graphs, "_has_smaller_relabelling", counted)
+        assert len(_enumerate_shapes(4, 0)) == 379
+        assert sum(full) == 706
 
     def test_one_label_per_shape(self, monkeypatch):
         # The shape search labels nothing; each of the 379 shapes gets one
@@ -422,11 +440,34 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize(
         "g, n",
-        [(2, 0), (3, 0), (4, 0), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (3, 1)],
+        [
+            (2, 0), (3, 0), (4, 0), (1, 2), (1, 3), (1, 4), (1, 5),
+            (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (2, 4),
+        ],
     )
     def test_shapes_match_labelling_every_realization(self, g, n):
         # Same representatives, in the same order.
         assert _enumerate_shapes(g, n) == _oracle_shapes(g, n)
+
+    @pytest.mark.parametrize("g, n", [(3, 0), (2, 2), (3, 1)])
+    def test_prefix_cut_only_where_full_test_rejects(self, g, n):
+        # A relabelling smaller on the completed rows of a prefix is smaller
+        # on every realization that extends it.
+        for _, degrees, slot_members in _oracle_degree_blocks(g, n):
+            nv = len(degrees)
+            for pairs in _oracle_realizations(degrees):
+                counts = [[0] * nv for _ in range(nv)]
+                for t, h in pairs:
+                    counts[t][h] += 1
+                    counts[h][t] += t != h
+                full = _has_smaller_relabelling(counts, slot_members, nv)
+                for done in range(nv):
+                    prefix = [
+                        [c if min(a, b) < done else 0 for b, c in enumerate(row)]
+                        for a, row in enumerate(counts)
+                    ]
+                    if _has_smaller_relabelling(prefix, slot_members, done):
+                        assert full
 
     @pytest.mark.parametrize("g, n", [(2, 0), (3, 0), (3, 1), (2, 2), (4, 0)])
     def test_layouts(self, g, n):
@@ -642,10 +683,30 @@ def _oracle_assignments(shape, choices):
     return out
 
 
-def _oracle_shapes(g, n_legs):
-    """The shape search that labels every realization and keeps the first
-    one met with each label, in the order first met."""
-    shapes = {}
+def _oracle_realizations(degrees, i=0, acc=()):
+    """Every loopy multigraph with the given degrees, as sorted (i, j) edge
+    tuples, in lexicographic order of the adjacency counts' upper
+    triangle read row by row; nothing is pruned."""
+    n = len(degrees)
+    while i < n and degrees[i] == 0:
+        i += 1
+    if i == n:
+        yield acc
+        return
+    for nloops in range(degrees[i] // 2 + 1):
+        for picked in _compositions(degrees[i] - 2 * nloops, degrees[i + 1 :]):
+            remaining = list(degrees)
+            remaining[i] = 0
+            edges = [(i, i)] * nloops
+            for j, c in enumerate(picked, i + 1):
+                remaining[j] -= c
+                edges += [(i, j)] * c
+            yield from _oracle_realizations(remaining, i + 1, acc + tuple(edges))
+
+
+def _oracle_degree_blocks(g, n_legs):
+    """(vertices, degrees, slot_members) per block of equal vertex keys in
+    the shape search of (g, n_legs), in search order."""
     for nv in range(1, 2 * g - 2 + n_legs + 1):
         for genera in itertools.combinations_with_replacement(range(g + 1), nv):
             if sum(genera) > g:
@@ -663,15 +724,26 @@ def _oracle_shapes(g, n_legs):
                     Vertex(genera[i], tuple(itertools.islice(marks, legs[i])))
                     for i in range(nv)
                 )
+                runs = list(zip(genera, legs))
                 for degrees in _degree_sequences(2 * m, minima):
-                    if not _sorted_within(degrees, list(zip(genera, legs))):
+                    if not _sorted_within(degrees, runs):
                         continue
-                    for pairs in _realizations(degrees):
-                        try:
-                            G = DualGraph(verts, tuple(Edge(t, h) for t, h in pairs))
-                        except DisconnectedGraph:
-                            continue
-                        shapes.setdefault(canonical_form(G), G)
+                    keys = list(zip(runs, degrees))
+                    slots = [tuple(q for q in range(nv) if keys[q] == k) for k in keys]
+                    yield verts, degrees, slots
+
+
+def _oracle_shapes(g, n_legs):
+    """The shape search that labels every realization and keeps the first
+    one met with each label, in the order first met."""
+    shapes = {}
+    for verts, degrees, _ in _oracle_degree_blocks(g, n_legs):
+        for pairs in _oracle_realizations(degrees):
+            try:
+                G = DualGraph(verts, tuple(Edge(t, h) for t, h in pairs))
+            except DisconnectedGraph:
+                continue
+            shapes.setdefault(canonical_form(G), G)
     return list(shapes.values())
 
 

@@ -6,7 +6,6 @@ from .graphs import (
     MultiIndex,
     NodeType,
     Vertex,
-    bridges,
     canonical_form,
     classify_node,
     dual_graph,

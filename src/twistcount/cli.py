@@ -456,8 +456,10 @@ def run(args) -> dict:
         }
     if args.command == "ratio":
         value = orbits.aut_order_ratio(args.r, _csv_ints(args.stabilizers))
+        # The Fraction is written as a string by _json_default, in _emit,
+        # where results may pass the int-to-str digit limit.
         return {
-            "ratio": str(value),
+            "ratio": value,
             "numerator": value.numerator,
             "denominator": value.denominator,
         }

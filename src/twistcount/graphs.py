@@ -33,18 +33,15 @@ __all__ = [
     "betti",
     "classify_node",
     "node_type_index",
-    "bridges",
     "is_stable",
     "is_l_stable",
     "canonical_form",
     "enumerate_stable_graphs",
     "relabel",
     "flip_edge",
-    "spanning_tree",
 ]
 
 MAX_CANONICAL_VERTICES = 10
-MAX_ENUMERATION_GENUS = 4
 MAX_ENUMERATION_VERTICES = 8
 
 
@@ -300,52 +297,6 @@ def node_type_index(G: DualGraph, e: int) -> int:
     return classify_node(G, e).index
 
 
-def bridges(G: DualGraph) -> list[int]:
-    """Edge indices of all bridges, found by lowpoint search.
-
-    Independent of classify_node; the two must agree on which edges
-    separate.
-    """
-    n = G.n_vertices
-    adjacency = [[] for _ in range(n)]
-    for k, e in enumerate(G.edges):
-        if e.tail == e.head:
-            continue
-        adjacency[e.tail].append((e.head, k))
-        adjacency[e.head].append((e.tail, k))
-    order = [-1] * n
-    low = [0] * n
-    out: list[int] = []
-    counter = itertools.count()
-    # Iterative DFS; the parent edge *instance* is skipped, so parallel
-    # edges correctly protect each other from being bridges.
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        stack = [(root, -1, iter(adjacency[root]))]
-        order[root] = low[root] = next(counter)
-        while stack:
-            v, via, it = stack[-1]
-            advanced = False
-            for w, k in it:
-                if k == via:
-                    continue
-                if order[w] == -1:
-                    order[w] = low[w] = next(counter)
-                    stack.append((w, k, iter(adjacency[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], order[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > order[parent]:
-                        out.append(via)
-    return sorted(out)
-
-
 def is_stable(G: DualGraph) -> bool:
     """Every vertex satisfies 2g - 2 + valence + legs > 0 (loops count twice)."""
     return all(
@@ -354,13 +305,18 @@ def is_stable(G: DualGraph) -> bool:
     )
 
 
-def is_l_stable(G: DualGraph, l: MultiIndex) -> bool:
-    """Stable, and every node of type i has stabilizer order l_i."""
-    g = genus(G)
+def _check_profile_length(g: int, l: MultiIndex) -> None:
+    """MultiIndexLengthMismatch unless l has one entry per node type of
+    genus g, types 0 to g // 2."""
     if len(l) != g // 2 + 1:
         raise MultiIndexLengthMismatch(
             f"multiindex has {len(l)} entries, genus {g} needs {g // 2 + 1}"
         )
+
+
+def is_l_stable(G: DualGraph, l: MultiIndex) -> bool:
+    """Stable, and every node of type i has stabilizer order l_i."""
+    _check_profile_length(genus(G), l)
     if not is_stable(G):
         return False
     return all(
@@ -388,25 +344,6 @@ def flip_edge(G: DualGraph, e: int) -> DualGraph:
     old = edges[e]
     edges[e] = Edge(old.head, old.tail, old.stabilizer)
     return DualGraph(G.vertices, tuple(edges))
-
-
-def spanning_tree(G: DualGraph) -> list[int]:
-    """Edge indices of the first-found BFS spanning tree rooted at vertex 0."""
-    incident = [[] for _ in range(G.n_vertices)]
-    for k, e in enumerate(G.edges):
-        incident[e.tail].append((e.head, k))
-        incident[e.head].append((e.tail, k))
-    seen = {0}
-    tree: list[int] = []
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for w, k in incident[v]:
-            if w not in seen:
-                seen.add(w)
-                tree.append(k)
-                queue.append(w)
-    return tree
 
 
 def _vertex_keys(G: DualGraph) -> list[tuple[int, int, int, int]]:
@@ -935,9 +872,8 @@ def enumerate_stable_graphs(
     checking the table against the search on the first two decorations
     (``GraphError`` if they differ).
     Families whose graphs may have more than ``MAX_ENUMERATION_VERTICES``
-    vertices (2g - 2 + n of them), or genus above ``MAX_ENUMERATION_GENUS``,
-    raise ``UnsupportedGenus`` before any search, as do genus 0 and the
-    empty families (2g - 2 + n <= 0).
+    vertices (2g - 2 + n of them) raise ``UnsupportedGenus`` before any
+    search, as do genus 0 and the empty families (2g - 2 + n <= 0).
     """
     if g < 0 or n_legs < 0:
         raise UnsupportedGenus(f"(g, n) = ({g}, {n_legs}) must be non-negative")
@@ -945,8 +881,6 @@ def enumerate_stable_graphs(
         raise UnsupportedGenus(f"no stable graphs for (g, n) = ({g}, {n_legs}): 2g - 2 + n <= 0")
     if g == 0:
         raise UnsupportedGenus(f"genus 0 is not supported by the enumeration (n = {n_legs})")
-    if g > MAX_ENUMERATION_GENUS:
-        raise UnsupportedGenus(f"genus {g} above the enumeration cap {MAX_ENUMERATION_GENUS}")
     if 2 * g - 2 + n_legs > MAX_ENUMERATION_VERTICES:
         raise UnsupportedGenus(
             f"stable graphs of (g, n) = ({g}, {n_legs}) have up to {2 * g - 2 + n_legs} "

@@ -8,11 +8,12 @@ On an all-rational graph a discrete root class is pinned down by its
 branch multiplicities together with a gluing residue in Z/r per edge,
 taken modulo coboundaries (rescaling the components).  Classes are stored
 in spanning-tree normal form: the gluing residue vanishes on the BFS tree
-of graphs.spanning_tree, so class equality is plain data equality, and
-the residues on the remaining b1 edges are coordinates in (Z/r)^{b1}.
-The normal form is computed here from the tree alone, not from the
-gluing data that orbits counts with, so the tests' orbit sweeps and
-Burnside counts check orbits.orbit_count independently.
+of spanning_tree, so class equality is plain data equality, and the
+residues on the remaining b1 edges are coordinates in (Z/r)^{b1}.  The
+library has no spanning-tree code: orbits reads its coordinates off a
+Smith reduction of the coboundary matrix, so the tests' orbit sweeps and
+Burnside counts check orbits.orbit_count independently.  bridges, a
+lowpoint search, checks graphs.classify_node in the same way.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from math import gcd, prod
 
 from . import picard
 from .exactalg import CyclicHom, DimensionMismatch
-from .graphs import DualGraph, spanning_tree
+from .graphs import DualGraph
 from .orbits import NotRational, OrbitError, _rational_counter, acting_edges
 from .picard import DEFAULT_MAX_DOMAIN, DomainTooLarge, LineBundleData
 
 __all__ = [
+    "spanning_tree",
+    "bridges",
     "StabilizerNotDivisible",
     "RootClass",
     "root_class",
@@ -40,6 +43,71 @@ __all__ = [
     "det",
     "image_size_by_enumeration",
 ]
+
+
+def spanning_tree(G: DualGraph) -> list[int]:
+    """Edge indices of the first-found BFS spanning tree rooted at vertex 0."""
+    incident = [[] for _ in range(G.n_vertices)]
+    for k, e in enumerate(G.edges):
+        incident[e.tail].append((e.head, k))
+        incident[e.head].append((e.tail, k))
+    seen = {0}
+    tree: list[int] = []
+    queue = [0]
+    while queue:
+        v = queue.pop(0)
+        for w, k in incident[v]:
+            if w not in seen:
+                seen.add(w)
+                tree.append(k)
+                queue.append(w)
+    return tree
+
+
+def bridges(G: DualGraph) -> list[int]:
+    """Edge indices of all bridges, found by lowpoint search.
+
+    Independent of classify_node; the two must agree on which edges
+    separate.
+    """
+    n = G.n_vertices
+    adjacency = [[] for _ in range(n)]
+    for k, e in enumerate(G.edges):
+        if e.tail == e.head:
+            continue
+        adjacency[e.tail].append((e.head, k))
+        adjacency[e.head].append((e.tail, k))
+    order = [-1] * n
+    low = [0] * n
+    out: list[int] = []
+    counter = itertools.count()
+    # Iterative DFS; the parent edge *instance* is skipped, so parallel
+    # edges correctly protect each other from being bridges.
+    for root in range(n):
+        if order[root] != -1:
+            continue
+        stack = [(root, -1, iter(adjacency[root]))]
+        order[root] = low[root] = next(counter)
+        while stack:
+            v, via, it = stack[-1]
+            advanced = False
+            for w, k in it:
+                if k == via:
+                    continue
+                if order[w] == -1:
+                    order[w] = low[w] = next(counter)
+                    stack.append((w, k, iter(adjacency[w])))
+                    advanced = True
+                    break
+                low[v] = min(low[v], order[w])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > order[parent]:
+                        out.append(via)
+    return sorted(out)
 
 
 class StabilizerNotDivisible(OrbitError):

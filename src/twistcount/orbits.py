@@ -1,14 +1,15 @@
 """Ghost automorphisms acting on root classes, and orbit counting.
 
 On an all-rational graph the r-th root classes with multiplicity vector m
-are the gluing residues in Z/r per edge modulo coboundaries; the residues
-on the b1 edges off a BFS spanning tree are coordinates for them in
-(Z/r)^{b1}.  The ghost generator at an edge e twists the gluing there by
-(r/l_e) * mult_e; it is available when l_e divides r, and generators at
-the remaining edges act trivially on r-th root classes and are omitted.
-The action is linear: on the classes with multiplicity vector m the ghost
-group translates by the subgroup H_m of (Z/r)^{b1} spanned by the
-normalised twists, so m contributes |Q_m| orbits, Q_m = (Z/r)^{b1} / H_m.
+are the gluing residues in Z/r per edge modulo coboundaries.  One Smith
+reduction of the coboundary matrix gives coordinates for them in
+(Z/r)^{b1}: the rows of its left transform past the first V - 1.  The
+ghost generator at an edge e twists the gluing there by (r/l_e) * mult_e;
+it is available when l_e divides r, and generators at the remaining edges
+act trivially on r-th root classes and are omitted.  The action is
+linear: on the classes with multiplicity vector m the ghost group
+translates by the subgroup H_m of (Z/r)^{b1} spanned by the twists, so m
+contributes |Q_m| orbits, Q_m = (Z/r)^{b1} / H_m.
 The genus-1 involution negates all discrete data; it pairs m with -m, and
 a self-paired m contributes (|Q_m| + |Q_m[2]|) / 2 orbits.
 """
@@ -17,19 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, prod
 
 from . import picard
+from .exactalg import smith_normal_form
 from .graphs import (
     DualGraph,
     Edge,
     MultiIndex,
-    MultiIndexLengthMismatch,
+    _check_profile_length,
     dual_graph,
     enumerate_stable_graphs,
     node_type_index,
-    spanning_tree,
 )
 from .picard import (
     DEFAULT_MAX_DOMAIN,
@@ -81,70 +81,6 @@ class FibreExceedsDegree(OrbitError):
     pass
 
 
-class _Gluing:
-    """Per-(G, r) data of the gluing normal form and the ghost action.
-
-    walk lists the BFS spanning tree as (child, parent, edge, sign) in
-    visiting order, so potentials fill in one pass; free holds the other
-    edges with their endpoints; units[i] is the normal form of the unit
-    gluing vector at the acting edge acting[i], in free coordinates.
-    """
-
-    __slots__ = ("r", "n_vertices", "stabs", "walk", "free", "acting", "steps", "units")
-
-    def __init__(self, G: DualGraph, r: int):
-        self.r = r
-        self.n_vertices = G.n_vertices
-        self.stabs = tuple(e.stabilizer for e in G.edges)
-        known = {0}
-        walk = []
-        for k in spanning_tree(G):
-            e = G.edges[k]
-            # beta_k = alpha_head - alpha_tail must become 0 on the tree.
-            if e.tail in known:
-                walk.append((e.head, e.tail, k, 1))
-                known.add(e.head)
-            else:
-                walk.append((e.tail, e.head, k, -1))
-                known.add(e.tail)
-        self.walk = tuple(walk)
-        tree = {k for _, _, k, _ in walk}
-        self.free = tuple(
-            (k, e.head, e.tail) for k, e in enumerate(G.edges) if k not in tree
-        )
-        self.acting = tuple(acting_edges(G, r))
-        self.steps = tuple(r // self.stabs[k] for k in self.acting)
-        self.units = tuple(
-            self.coordinates([int(j == k) for j in range(G.n_edges)]) for k in self.acting
-        )
-
-    def coordinates(self, beta) -> tuple[int, ...]:
-        """Free residues of beta after subtracting the coboundary that
-        kills it on the tree."""
-        r = self.r
-        potentials = [0] * self.n_vertices
-        for child, parent, k, sign in self.walk:
-            potentials[child] = (potentials[parent] + sign * beta[k]) % r
-        return tuple((beta[k] - potentials[h] + potentials[t]) % r for k, h, t in self.free)
-
-    def negate(self, mult) -> tuple[int, ...]:
-        return tuple((-m) % l for m, l in zip(mult, self.stabs))
-
-    def twists(self, mult) -> list[tuple[int, ...]]:
-        """Translations of (Z/r)^{b1} by the ghost generators on the
-        classes with multiplicities mult, one per acting edge."""
-        r = self.r
-        return [
-            tuple(step * mult[k] * u % r for u in unit)
-            for k, step, unit in zip(self.acting, self.steps, self.units)
-        ]
-
-
-@lru_cache(maxsize=picard.GRAPH_CACHE_SIZE)
-def _gluing(G: DualGraph, r: int) -> _Gluing:
-    return _Gluing(G, r)
-
-
 def ghost_group_order(G: DualGraph) -> int:
     """Order of the group of automorphisms fixing the coarse curve."""
     return prod(e.stabilizer for e in G.edges)
@@ -162,37 +98,70 @@ def _rational_counter(G: DualGraph, r: int) -> picard.RootCounter:
     return picard._counter(G, r)
 
 
-def _quotient_sizes(data: _Gluing, mult) -> tuple[int, int]:
-    """|Q| and |Q[2]| for Q = (Z/r)^{b1} / H, H the image of the twists of
-    mult as a map prod_{acting} Z/l_k -> (Z/r)^{b1}.  Q is the sum of the
-    Z/m over the Smith moduli m of that map."""
-    twists = data.twists(mult)
-    matrix = [[t[i] for t in twists] for i in range(len(data.free))]
-    hs = [data.stabs[k] for k in data.acting]
-    mods = picard._SmithData(matrix, hs, data.r).mods
+def _coordinates(G: DualGraph) -> list[list[int]]:
+    """Integer rows C, b1 of them, such that for every r the map
+    beta -> C beta (mod r) identifies (Z/r)^E / coboundaries with
+    (Z/r)^{b1}: rows V - 1 onwards of U in the Smith form D = U A V of
+    the E x V coboundary matrix A.  A connected graph's incidence matrix
+    is totally unimodular of rank V - 1, so D must have V - 1 unit
+    invariants and zeros after them, which is checked."""
+    nv = G.n_vertices
+    coboundary = [[0] * nv for _ in G.edges]
+    for row, e in zip(coboundary, G.edges):
+        row[e.head] += 1
+        row[e.tail] -= 1
+    U, D, _ = smith_normal_form(coboundary)
+    rank = nv - 1
+    diag = [D[i][i] for i in range(min(G.n_edges, nv))]
+    if diag != [1] * rank + [0] * (len(diag) - rank):
+        raise OrbitError(f"coboundary invariants {diag} are not {rank} units then zeros")
+    return U[rank:]
+
+
+def _quotient_sizes(twists, b1: int, r: int) -> tuple[int, int]:
+    """|Q| and |Q[2]| for Q = (Z/r)^{b1} / H, H spanned by the nonzero
+    twists.  Q is the sum of Z/gcd(d, r) over the Smith invariants d of
+    the b1 x |twists| matrix with the twists as columns, padded with zeros
+    to b1 of them: with no twist, Q is all of (Z/r)^{b1}."""
+    diag = []
+    if twists:
+        _, D, _ = smith_normal_form(list(zip(*twists)))
+        diag = [D[i][i] for i in range(min(b1, len(twists)))]
+    mods = [gcd(d, r) for d in diag] + [r] * (b1 - len(diag))
     return prod(mods), prod(gcd(2, m) for m in mods)
 
 
-def _orbit_sizes(data: _Gluing, mults, with_involution: bool, max_orbits: int) -> list[int]:
-    """Sizes of the orbits on all classes with the given multiplicity
-    vectors, listed per vector.  DomainTooLarge, before any size is
-    listed, when there are more than max_orbits of them.
+def _orbit_sizes(G: DualGraph, r: int, mults, with_involution: bool, max_orbits: int) -> list[int]:
+    """Sizes of the orbits on all classes of (G, r) with the given
+    multiplicity vectors, listed per vector.  DomainTooLarge, before any
+    size is listed, when there are more than max_orbits of them.
 
-    The ghost orbits on the classes of m are the cosets of H_m, of size
-    r^{b1} / |Q_m| each.  The involution joins the cosets of m and -m in
-    pairs, and for a self-paired m fixes the |Q_m[2]| cosets x with
-    2x in H_m.
+    In the coordinates of _coordinates, the ghost generator at an acting
+    edge k translates the classes of m by (r/l_k) * m_k times column k.
+    The ghost orbits on the classes of m are the cosets of the span H_m
+    of those twists, of size r^{b1} / |Q_m| each.  The involution joins
+    the cosets of m and -m in pairs, and for a self-paired m fixes the
+    |Q_m[2]| cosets x with 2x in H_m.
     """
+    coords = _coordinates(G)
+    b1 = len(coords)
+    stabs = [e.stabilizer for e in G.edges]
+    units = [(k, r // stabs[k], [row[k] for row in coords]) for k in acting_edges(G, r)]
     accepted = set(mults)
-    full = data.r ** len(data.free)
+    full = r**b1
     runs = []  # (number of orbits, their size)
     for m in mults:
-        size, two_torsion = _quotient_sizes(data, m)
+        twists = []
+        for k, step, unit in units:
+            twist = [step * m[k] * u % r for u in unit]
+            if any(twist):
+                twists.append(twist)
+        size, two_torsion = _quotient_sizes(twists, b1, r)
         coset = full // size
         if not with_involution:
             runs.append((size, coset))
             continue
-        pair = data.negate(m)
+        pair = tuple((-a) % l for a, l in zip(m, stabs))
         if pair not in accepted:
             raise OrbitError(
                 f"the involution sends multiplicities {list(m)} to {list(pair)},"
@@ -240,7 +209,7 @@ def orbit_count(
         raise DomainTooLarge(
             f"{picard._decimal(classes)} root classes make more than {max_domain} orbits"
         )
-    sizes = _orbit_sizes(_gluing(G, r), mults, with_involution, max_domain)
+    sizes = _orbit_sizes(G, r, mults, with_involution, max_domain)
     if nontrivial and (0,) * G.n_edges in mults:
         sizes.remove(1)
     sizes.sort(reverse=True)
@@ -351,7 +320,7 @@ def nr_report(r: int) -> NrReport:
     if (0,) not in mults:
         raise OrbitError(f"the trivial class is not a root of omega on the cusp fixture, r={r}")
     # r orbits, the r - 1 cusps and the trivial class, within the cap as r is.
-    sizes = _orbit_sizes(_gluing(fixture, r), mults, True, DEFAULT_MAX_DOMAIN)
+    sizes = _orbit_sizes(fixture, r, mults, True, DEFAULT_MAX_DOMAIN)
     n_cusp = len(sizes) - 1
     euler = riemann_hurwitz_chi(degree, [n_j1728, n_j0, n_cusp])
     if euler % 2:
@@ -393,13 +362,6 @@ class CondReport:
     all_maximal: bool
     equivalent: bool
     witnesses: tuple
-
-
-def _check_profile_length(g: int, l: MultiIndex) -> None:
-    if len(l) != g // 2 + 1:
-        raise MultiIndexLengthMismatch(
-            f"multiindex has {len(l)} entries, genus {g} needs {g // 2 + 1}"
-        )
 
 
 def redecorate(shape: DualGraph, l: MultiIndex) -> DualGraph:

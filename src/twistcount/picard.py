@@ -87,10 +87,10 @@ __all__ = [
 
 DEFAULT_MAX_DOMAIN = 10**6
 # Bound on each of the per-graph caches (_node_types, _edge_sides and
-# _counter here, orbits._gluing) and on the per-(l, r) edge memos of
-# _edge_memo.  A family sweep visits every graph once, so the
-# caches only need to hold the graphs in flight; unbounded, they grew to
-# about 100 MB on the decorated genus-3 family.
+# _counter) and on the per-(l, r) edge memos of _edge_memo.  A family
+# sweep visits every graph once, so the caches only need to hold the
+# graphs in flight; unbounded, they grew to about 100 MB on the decorated
+# genus-3 family.
 GRAPH_CACHE_SIZE = 128
 
 

@@ -220,6 +220,12 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["count"] == 7
 
+    def test_enumerate_genus_five(self, capsys):
+        # The 4,555 genus-5 shapes (Maggiolo-Pagani); (5, 0) has at most 8
+        # vertices, so the vertex cap admits it.
+        code = main(["enumerate", "-g", "5"])
+        assert (code, capsys.readouterr().out) == (0, '{"count":4555}\n')
+
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -330,6 +336,18 @@ class TestCommands:
         code, out = run_cli(capsys, "ratio", "-r", "4", "-d", "2,2")
         assert code == 0
         assert json.loads(out)["ratio"] == "4"
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_ratio_past_the_digit_limit(self, capsys, fmt):
+        # r^2 has 4,401 digits, past the int-to-str limit that guards the
+        # input; the ratio is written in full, as the numerator is.
+        big = "1" + "0" * 4400
+        code = main(["ratio", "-r", "1" + "0" * 2200, "-d", "1,1", "--format", fmt])
+        expected = {
+            "json": f'{{"ratio":"{big}","numerator":{big},"denominator":1}}\n',
+            "tsv": f"ratio\tnumerator\tdenominator\n{big}\t{big}\t1\n",
+        }[fmt]
+        assert (code, capsys.readouterr().out) == (0, expected)
 
     def test_verify_cond(self, capsys):
         code, out = run_cli(capsys, "verify-cond", "-g", "2", "-r", "2", "-l", "2,2")
@@ -715,7 +733,7 @@ class TestExitCodes:
             ("verify-cond", "-g", "2", "-r", "0", "-l", "2,2"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--random-bundles", "-1"),
             ("enumerate", "-g", "4", "-n", "3"),
-            ("verify-rootsnum", "-g", "5", "--stabilizers", "1"),
+            ("verify-rootsnum", "-g", "6", "--stabilizers", "1"),
             ("orbits", "{unpaired}", "-r", "3", "--involution"),
             ("lift", "{loop}", "-r", "0", "-t", "0"),
             ("verify-rootsnum", "-g", "2", "--stabilizers", "1", "--jobs", "0"),

@@ -14,7 +14,6 @@ from twistcount.graphs import (
     MultiIndex,
     dual_graph,
     enumerate_stable_graphs,
-    spanning_tree,
 )
 from twistcount.oracles import (
     RootClass,
@@ -25,6 +24,7 @@ from twistcount.oracles import (
     ghost_act,
     involution_act,
     root_class,
+    spanning_tree,
 )
 from twistcount.orbits import (
     BadAutOrder,
@@ -244,20 +244,41 @@ class TestRootClasses:
     @pytest.mark.parametrize("G", _RATIONAL_SHAPES)
     def test_normal_form_kills_coboundaries(self, G):
         # r = 5 so that a sign slip in the coboundary cannot cancel.  The
-        # library's gluing coordinates, which orbit_count reads its twists
-        # from, are the oracle's normal form off the tree.
+        # library's quotient coordinates, which orbit_count reads its
+        # twists from, vanish on every coboundary, and on beta exactly when
+        # the oracle's normal form of beta is zero.
         rng = random.Random(repr(G))
         r = 5
         tree = spanning_tree(G)
-        data = orbits._gluing(G, r)
+        free = [k for k in range(G.n_edges) if k not in tree]
+        coords = orbits._coordinates(G)
+        assert len(coords) == len(free)
+
+        def image(beta):
+            return tuple(sum(c * b for c, b in zip(row, beta)) % r for row in coords)
+
         for _ in range(20):
             beta = [rng.randrange(r) for _ in G.edges]
             alpha = [rng.randrange(r) for _ in G.vertices]
-            moved = [(b + alpha[e.head] - alpha[e.tail]) % r for b, e in zip(beta, G.edges)]
+            coboundary = [(alpha[e.head] - alpha[e.tail]) % r for e in G.edges]
+            moved = [(b + c) % r for b, c in zip(beta, coboundary)]
             normal = _normalize_gluing(G, r, beta)
             assert _normalize_gluing(G, r, moved) == normal
             assert all(normal[k] == 0 for k in tree)
-            assert data.coordinates(beta) == tuple(normal[k] for k, _, _ in data.free)
+            assert not any(image(coboundary))
+            assert image(moved) == image(normal) == image(beta)
+            assert any(image(beta)) == any(normal)
+        # The oracle's normal forms are the r^{b1} gluings carried by the
+        # edges off the tree; the coordinates tell every two apart, so
+        # only the zero normal form has zero coordinates.
+        images = set()
+        for x in itertools.product(range(r), repeat=len(free)):
+            beta = [0] * G.n_edges
+            for k, a in zip(free, x):
+                beta[k] = a
+            assert _normalize_gluing(G, r, beta) == tuple(beta)
+            images.add(image(beta))
+        assert len(images) == r ** len(free)
 
     def test_gluing_normal_form_quotient(self):
         G = theta(2)
@@ -272,14 +293,15 @@ class TestOrbits:
     def test_class_cap_refuses_before_gluing_data(self, monkeypatch, call):
         # Thirty loops of stabilizer 1 carry one discrete root of the
         # trivial class and 2^30 classes, in 2^30 orbits of one class
-        # each.  The cap refuses them on the count, before the gluing data
-        # (quadratic in b1) is built; the oracle enumerate_root_classes
-        # refuses before it lists the root or reads the spanning tree,
-        # orbit_count (which caps the orbits, not the classes) after.
+        # each.  The cap refuses them on the count, before the quotient
+        # coordinates (quadratic in b1) are built; the oracle
+        # enumerate_root_classes refuses before it lists the root or reads
+        # the spanning tree, orbit_count (which caps the orbits, not the
+        # classes) after.
         def refuse(*args):
             raise AssertionError("built data for a refused input")
 
-        monkeypatch.setattr(orbits, "_Gluing", refuse)
+        monkeypatch.setattr(orbits, "_coordinates", refuse)
         if call is enumerate_root_classes:
             monkeypatch.setattr(picard.RootCounter, "_walk", refuse)
             monkeypatch.setattr(oracles, "spanning_tree", refuse)
@@ -295,13 +317,28 @@ class TestOrbits:
         # An odd class has no square root: nothing is listed or built, where
         # listing the 2^b1 gluings took 2.3 s at b1 = 20.
         def refuse(*args):
-            raise AssertionError("gluing data built for a class without roots")
+            raise AssertionError("quotient coordinates built for a class without roots")
 
-        monkeypatch.setattr(orbits, "_Gluing", refuse)
+        monkeypatch.setattr(orbits, "_coordinates", refuse)
         G = dual_graph([0], [(0, 0, 1)] * 30)
         F = line_bundle(G, (1,), (0,) * 30)
         assert enumerate_root_classes(G, F, 2) == []
         assert orbit_count(G, F, 2, True, nontrivial=True) == (0, [])
+
+    def test_coboundary_invariants_are_checked(self, monkeypatch):
+        # The coordinates are right only if the coboundary matrix has
+        # V - 1 unit invariants; a reduction that reports otherwise raises
+        # OrbitError, even under python -O.
+        reduce = orbits.smith_normal_form
+
+        def doubled(A):
+            U, D, V = reduce(A)
+            return U, [[2 * a for a in row] for row in D], V
+
+        monkeypatch.setattr(orbits, "smith_normal_form", doubled)
+        G = theta(2)
+        with pytest.raises(OrbitError, match="coboundary invariants"):
+            orbit_count(G, trivial_bundle(G), 2)
 
     def test_pointed_loop_orbit_shape(self):
         G = pointed_loop(2)
@@ -351,7 +388,9 @@ class TestOrbits:
             (theta(2), omega_bundle(theta(2), 1), 2),
             (UNIQUE, trivial_bundle(UNIQUE), 2),
         ]
-        + [(pointed_loop(r), omega_bundle(pointed_loop(r), 1), r) for r in (5, 7, 11, 13)],
+        + [(pointed_loop(r), omega_bundle(pointed_loop(r), 1), r) for r in (5, 7, 11, 13)]
+        # l = 2 < r = 4: each ghost generator twists by (r/l) * mult.
+        + [(theta(2), trivial_bundle(theta(2)), 4)],
     )
     def test_matches_sweep_on_fixtures(self, G, F, r, with_involution, nontrivial):
         expected = _sweep_sizes(G, F, r, with_involution, nontrivial)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcount import exactalg, orbits, picard
+from twistcount import exactalg, picard
 from twistcount.exactalg import (
     _match_count,
     hom_image_contains,
@@ -18,7 +18,6 @@ from twistcount.exactalg import (
 from twistcount.graphs import (
     DualGraph,
     Edge,
-    bridges,
     classify_node,
     dual_graph,
     enumerate_stable_graphs,
@@ -1184,9 +1183,7 @@ class TestRootsnumPlan:
             G = _decorate(shape, stabs)
             check_rootsnum_graph(G, (2,), n_random=0)
             torsion_count(G, 2)
-            orbits._gluing(G, 2)
-        caches = (picard._node_types, picard._edge_sides, picard._counter)
-        for cache in caches + (orbits._gluing,):
+        for cache in (picard._node_types, picard._edge_sides, picard._counter):
             info = cache.cache_info()
             assert info.maxsize == GRAPH_CACHE_SIZE
             assert info.currsize == GRAPH_CACHE_SIZE

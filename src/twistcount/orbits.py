@@ -98,37 +98,49 @@ def _rational_counter(G: DualGraph, r: int) -> picard.RootCounter:
     return picard._counter(G, r)
 
 
-def _coordinates(G: DualGraph) -> list[list[int]]:
-    """Integer rows C, b1 of them, such that for every r the map
-    beta -> C beta (mod r) identifies (Z/r)^E / coboundaries with
-    (Z/r)^{b1}: rows V - 1 onwards of U in the Smith form D = U A V of
-    the E x V coboundary matrix A.  A connected graph's incidence matrix
-    is totally unimodular of rank V - 1, so D must have V - 1 unit
-    invariants and zeros after them, which is checked."""
+def _coordinates(G: DualGraph) -> tuple[list[list[int]], list[int]]:
+    """(C, loops) such that for every r the map beta -> (C beta, beta on
+    the loops) (mod r) identifies (Z/r)^E / coboundaries with (Z/r)^{b1}.
+
+    A loop's coboundary is zero, so its coordinate is its own entry of
+    beta, and only the other edges are reduced: C is rows V - 1 onwards of
+    U in the Smith form D = U A V of their coboundary matrix A, written
+    out over all E edges (zero on the loops).  A connected graph's
+    incidence matrix is totally unimodular of rank V - 1, so D must have
+    V - 1 unit invariants and zeros after them, which is checked."""
     nv = G.n_vertices
-    coboundary = [[0] * nv for _ in G.edges]
-    for row, e in zip(coboundary, G.edges):
-        row[e.head] += 1
-        row[e.tail] -= 1
+    loops = [k for k, e in enumerate(G.edges) if e.head == e.tail]
+    links = [k for k, e in enumerate(G.edges) if e.head != e.tail]
+    if not links:
+        return [], loops
+    coboundary = [[0] * nv for _ in links]
+    for row, k in zip(coboundary, links):
+        row[G.edges[k].head] += 1
+        row[G.edges[k].tail] -= 1
     U, D, _ = smith_normal_form(coboundary)
     rank = nv - 1
-    diag = [D[i][i] for i in range(min(G.n_edges, nv))]
+    diag = [D[i][i] for i in range(min(len(links), nv))]
     if diag != [1] * rank + [0] * (len(diag) - rank):
         raise OrbitError(f"coboundary invariants {diag} are not {rank} units then zeros")
-    return U[rank:]
+    rows = []
+    for u in U[rank:]:
+        row = [0] * G.n_edges
+        for k, a in zip(links, u):
+            row[k] = a
+        rows.append(row)
+    return rows, loops
 
 
-def _quotient_sizes(twists, b1: int, r: int) -> tuple[int, int]:
-    """|Q| and |Q[2]| for Q = (Z/r)^{b1} / H, H spanned by the nonzero
-    twists.  Q is the sum of Z/gcd(d, r) over the Smith invariants d of
-    the b1 x |twists| matrix with the twists as columns, padded with zeros
-    to b1 of them: with no twist, Q is all of (Z/r)^{b1}."""
+def _quotient_mods(twists, b1: int, r: int) -> list[int]:
+    """The orders of the cyclic factors of Q = (Z/r)^{b1} / H, H spanned by
+    the nonzero twists: gcd(d, r) over the Smith invariants d of the
+    b1 x |twists| matrix with the twists as columns, padded with zeros to
+    b1 of them, so that with no twist Q is all of (Z/r)^{b1}."""
     diag = []
     if twists:
         _, D, _ = smith_normal_form(list(zip(*twists)))
         diag = [D[i][i] for i in range(min(b1, len(twists)))]
-    mods = [gcd(d, r) for d in diag] + [r] * (b1 - len(diag))
-    return prod(mods), prod(gcd(2, m) for m in mods)
+    return [gcd(d, r) for d in diag] + [r] * (b1 - len(diag))
 
 
 def _orbit_sizes(G: DualGraph, r: int, mults, with_involution: bool, max_orbits: int) -> list[int]:
@@ -139,14 +151,22 @@ def _orbit_sizes(G: DualGraph, r: int, mults, with_involution: bool, max_orbits:
     In the coordinates of _coordinates, the ghost generator at an acting
     edge k translates the classes of m by (r/l_k) * m_k times column k.
     The ghost orbits on the classes of m are the cosets of the span H_m
-    of those twists, of size r^{b1} / |Q_m| each.  The involution joins
-    the cosets of m and -m in pairs, and for a self-paired m fixes the
+    of those twists, of size r^{b1} / |Q_m| each.  A loop's twist moves
+    its own coordinate alone, so it splits off a factor Z/gcd(twist, r)
+    of Q_m (Z/r when the loop does not act).  The involution joins the
+    cosets of m and -m in pairs, and for a self-paired m fixes the
     |Q_m[2]| cosets x with 2x in H_m.
     """
-    coords = _coordinates(G)
-    b1 = len(coords)
+    rows, loops = _coordinates(G)
+    b1 = len(rows) + len(loops)
     stabs = [e.stabilizer for e in G.edges]
-    units = [(k, r // stabs[k], [row[k] for row in coords]) for k in acting_edges(G, r)]
+    steps = {k: r // stabs[k] for k in acting_edges(G, r)}
+    units = [
+        (k, step, [row[k] for row in rows])
+        for k, step in steps.items()
+        if G.edges[k].head != G.edges[k].tail
+    ]
+    loop_steps = [(k, steps.get(k, 0)) for k in loops]
     accepted = set(mults)
     full = r**b1
     runs = []  # (number of orbits, their size)
@@ -156,7 +176,9 @@ def _orbit_sizes(G: DualGraph, r: int, mults, with_involution: bool, max_orbits:
             twist = [step * m[k] * u % r for u in unit]
             if any(twist):
                 twists.append(twist)
-        size, two_torsion = _quotient_sizes(twists, b1, r)
+        mods = _quotient_mods(twists, len(rows), r)
+        mods += [gcd(step * m[k], r) for k, step in loop_steps]
+        size, two_torsion = prod(mods), prod(gcd(2, x) for x in mods)
         coset = full // size
         if not with_involution:
             runs.append((size, coset))

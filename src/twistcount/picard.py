@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 from math import gcd, prod
 
 from .exactalg import CyclicHom, smith_normal_form, solve_congruence
-from .graphs import DualGraph, betti, classify_node, flip_edge, genus
+from .graphs import DualGraph, Edge, betti, classify_node, flip_edge, genus
 
 __all__ = [
     "PicardError",
@@ -87,10 +87,10 @@ __all__ = [
 
 DEFAULT_MAX_DOMAIN = 10**6
 # Bound on each of the per-graph caches (_node_types, _edge_sides and
-# _counter) and on the per-(l, r) edge memos of _edge_memo.  A family
-# sweep visits every graph once, so the caches only need to hold the
-# graphs in flight; unbounded, they grew to about 100 MB on the decorated
-# genus-3 family.
+# _counter), on the per-shape _shape_node_types and on the per-(l, r)
+# edge memos of _edge_memo.  A family sweep visits every graph once, so
+# the caches only need to hold the graphs in flight; unbounded, they grew
+# to about 100 MB on the decorated genus-3 family.
 GRAPH_CACHE_SIZE = 128
 
 
@@ -133,7 +133,16 @@ def _decimal(n: int) -> str:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _node_types(G: DualGraph):
-    return tuple(classify_node(G, k) for k in range(G.n_edges))
+    return _shape_node_types(G.vertices, tuple([(e.tail, e.head) for e in G.edges]))
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _shape_node_types(vertices, ends):
+    """The node types of the graph with these vertices and (tail, head)
+    edge ends.  They do not read the stabilizers, so every decoration of a
+    shape shares one classification."""
+    shape = DualGraph(vertices, tuple([Edge(tail, head) for tail, head in ends]))
+    return tuple(classify_node(shape, k) for k in range(len(ends)))
 
 
 @dataclass(frozen=True)
@@ -950,8 +959,17 @@ def check_rootsnum_graph(
     the generator.  Per r one RootCounter reads each row's target off its
     integer parts and one edge criterion tests its d.  A row whose total is
     not a multiple of r is padded by lowering its degree on vertex 0: the
-    target's first entry in place, and d_0.  A LineBundleData for a random
-    class is built only for a discrepancy's record.
+    target's first entry in place, and d_0.
+
+    Two facts are settled once per r, before the rows.  A row's count is 0
+    or free_factor * smith.kernel_size, so unless that product is r^(2g)
+    (the kernel is maximal) no row reaches the expected count, and no
+    target is built or tested for it, except that a padded row still has
+    its target tested for roots off the hypothesis.  Unless the
+    nonseparating stabilizers pass (_Criterion.stabilizers_ok) no row
+    passes the criterion, and it is not tested.  A LineBundleData for a
+    random class is built only for a discrepancy's record, whose count is
+    then computed in full.
     """
     rng = random.Random(f"{seed}:{G!r}")
     g = genus(G)
@@ -968,27 +986,34 @@ def check_rootsnum_graph(
     for r in r_values:
         counter = RootCounter(G, r)
         criterion = _Criterion(G, r)
+        smith = counter.smith
         expected = r ** (2 * g)
+        maximal = counter.free_factor * smith.kernel_size == expected
+        screened = criterion.stabilizers_ok
         for int_part, mult, d, total in rows:
-            t = counter._targets(int_part, mult)
             excess = total % r
             if excess:
                 # No roots at all off the hypothesis; pad the degree on
                 # vertex 0 to keep the bundle in the sweep.  Padding lowers
                 # int_part[0], so d_0 and t_0 drop with it.
+                t = counter._targets(int_part, mult)
                 if t is not None:
                     count = counter._count(t)
                     if count != 0:
                         F = LineBundleData(G, int_part, mult)
                         discrepancies.append(RootsnumRecord(G, r, F, False, count, 0))
                     t[0] -= excess
-                d = [d[0] - excess, *d[1:]]
-            count = 0 if t is None else counter._count(t)
-            passed = criterion.holds(d, mult)
-            checked += 1
-            if passed != (count == expected):
+                if screened:
+                    d = [d[0] - excess, *d[1:]]
+            else:
+                t = counter._targets(int_part, mult) if maximal else None
+            reached = maximal and t is not None and smith.contains(t)
+            passed = screened and criterion.holds(d, mult)
+            if passed != reached:
                 F = _pad_degree(LineBundleData(G, int_part, mult), r)
+                count = counter.count(F)
                 discrepancies.append(RootsnumRecord(G, r, F, passed, count, expected))
+        checked += len(rows)
     return discrepancies, checked
 
 

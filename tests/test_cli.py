@@ -410,6 +410,13 @@ class TestCommands:
     def test_verify_rootsnum_discrepancies_replay(self, capsys, monkeypatch, tmp_path):
         # Force the criterion to pass everywhere, so every non-maximal count
         # is reported; each report must replay through tc roots.
+        init = picard._Criterion.__init__
+
+        def passing(self, G, r):
+            init(self, G, r)
+            self.stabilizers_ok = True
+
+        monkeypatch.setattr(picard._Criterion, "__init__", passing)
         monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: True)
         code, out = run_cli(
             capsys,
@@ -875,6 +882,27 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert (code, captured.out) == (1, "")
             assert captured.err.endswith(" root classes make more than 1000000 orbits\n")
+        assert peaks[0] < 4 * 2**20, peaks
+        assert peaks[1] < 2.5 * peaks[0], peaks
+
+    def test_orbit_refusal_on_many_loops_runs_in_linear_memory(self, capsys, tmp_path):
+        # A loop's quotient coordinate is its own gluing, so only the other
+        # edges are reduced: with every loop in the reduction, 2,000 loops
+        # peaked at 31 MiB and 4,000 at 124 MiB.
+        path = tmp_path / "loops.json"
+        loop = {"tail": 0, "head": 0, "stabilizer": 3}
+        peaks = []
+        for n in (2000, 4000):
+            path.write_text(json.dumps({"vertices": [{"genus": 0}], "edges": [loop] * n}))
+            tracemalloc.start()
+            try:
+                code = main(["orbits", str(path), "-r", "2", "--bundle", "omega:k=0"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err.endswith(" orbits exceed the cap 1000000\n")
         assert peaks[0] < 4 * 2**20, peaks
         assert peaks[1] < 2.5 * peaks[0], peaks
 

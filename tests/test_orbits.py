@@ -251,11 +251,12 @@ class TestRootClasses:
         r = 5
         tree = spanning_tree(G)
         free = [k for k in range(G.n_edges) if k not in tree]
-        coords = orbits._coordinates(G)
-        assert len(coords) == len(free)
+        rows, loops = orbits._coordinates(G)
+        assert len(rows) + len(loops) == len(free)
 
         def image(beta):
-            return tuple(sum(c * b for c, b in zip(row, beta)) % r for row in coords)
+            coords = tuple(sum(c * b for c, b in zip(row, beta)) % r for row in rows)
+            return coords + tuple(beta[k] % r for k in loops)
 
         for _ in range(20):
             beta = [rng.randrange(r) for _ in G.edges]

@@ -1022,6 +1022,19 @@ def _rootsnum_oracle(G, r_values, n_random, seed, criterion=None):
     return discrepancies, checked
 
 
+def _force_criterion_pass(monkeypatch):
+    """Make the edge criterion pass on every check: the sweep tests the
+    nonseparating stabilizers once per (graph, r) before it calls holds."""
+    init = picard._Criterion.__init__
+
+    def passing(self, G, r):
+        init(self, G, r)
+        self.stabilizers_ok = True
+
+    monkeypatch.setattr(picard._Criterion, "__init__", passing)
+    monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: True)
+
+
 def _decorate(shape, stabs):
     return DualGraph(
         shape.vertices,
@@ -1084,11 +1097,63 @@ class TestRootsnumPlan:
             got = check_rootsnum_graph(G, self.ORDERS, n_random=20, seed=5)
             assert got == _rootsnum_oracle(G, self.ORDERS, 20, 5)
 
+    def test_maximal_kernels_match_oracle(self):
+        # Every stabilizer 12 makes every kernel maximal and every
+        # nonseparating stabilizer pass for these orders, so every row runs
+        # the criterion and the image test of its target.
+        family = enumerate_stable_graphs(2, 0, [12])
+        orders = (2, 3, 4, 6, 12)
+        reached = checked = 0
+        for G in family:
+            for r in orders:
+                assert torsion_count(G, r) == r ** (2 * genus(G))
+                assert picard._Criterion(G, r).stabilizers_ok
+            got = check_rootsnum_graph(G, orders, n_random=20, seed=12)
+            assert got == _rootsnum_oracle(G, orders, 20, 12)
+            # With a criterion that never passes, the oracle reports exactly
+            # the checks that reach the maximal count.
+            records, n = _rootsnum_oracle(G, orders, 20, 12, lambda G, F, r: False)
+            reached += len(records)
+            checked += n
+        assert len(family) == 7 and 0 < reached < checked
+
+    @pytest.mark.parametrize(
+        "r, targets, image_tests, criteria",
+        [
+            # Kernel not maximal, a nonseparating stabilizer 3: only the 4
+            # padded rows build a target, and the 3 of them with a base
+            # solution take the test for roots off the hypothesis.
+            (2, 4, 3, 0),
+            # Kernel maximal: all 13 rows build a target; the 5 with a base
+            # solution take the image test, and the 4 padded ones among
+            # them the test off the hypothesis too.
+            (3, 13, 9, 13),
+        ],
+    )
+    def test_per_order_facts_settle_the_rows(self, monkeypatch, r, targets, image_tests, criteria):
+        calls = {"targets": 0, "image": 0, "criterion": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(RootCounter, "_targets", counted("targets", RootCounter._targets))
+        smith = picard._SmithData
+        monkeypatch.setattr(smith, "contains", counted("image", smith.contains))
+        holds = picard._Criterion.holds
+        monkeypatch.setattr(picard._Criterion, "holds", counted("criterion", holds))
+        G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 3), (1, 2, 6)])
+        assert check_rootsnum_graph(G, (r,), n_random=10, seed=3) == ([], 13)
+        assert calls == {"targets": targets, "image": image_tests, "criterion": criteria}
+
     def test_forced_disagreement_records_padded_bundles(self, monkeypatch):
         # With the criterion forced to pass, every check whose count is not
         # maximal is a discrepancy; the records must carry the padded
         # bundle and come in sweep order (r, then bundle).
-        monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: True)
+        _force_criterion_pass(monkeypatch)
         family = enumerate_stable_graphs(2, 0, [1, 2, 4])
         padded = 0
         for G in family[::5]:
@@ -1187,6 +1252,19 @@ class TestRootsnumPlan:
             info = cache.cache_info()
             assert info.maxsize == GRAPH_CACHE_SIZE
             assert info.currsize == GRAPH_CACHE_SIZE
+        # Node types are classified once per shape, so the decorations above
+        # filled one entry of the per-shape cache; shapes with new vertex
+        # genera fill it to its bound and no further.
+        shapes = picard._shape_node_types
+        assert shapes.cache_info().maxsize == GRAPH_CACHE_SIZE
+        picard._node_types.cache_clear()
+        shapes.cache_clear()
+        for G in [_decorate(shape, (2,) * shape.n_edges), _decorate(shape, (3,) * shape.n_edges)]:
+            check_rootsnum_graph(G, (2,), n_random=0)
+        assert shapes.cache_info().currsize == 1
+        for g in range(1, GRAPH_CACHE_SIZE + 65):
+            check_rootsnum_graph(dual_graph([g, 1], [(0, 1, 2)]), (2,), n_random=0)
+        assert shapes.cache_info().currsize == GRAPH_CACHE_SIZE
 
     def test_lifts_reuse_cached_node_types(self, monkeypatch):
         G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 2), (1, 2, 2)])

@@ -254,7 +254,9 @@ def elliptic_torsion_orbits(r: int, aut_order: int) -> int:
     automorphism group of an elliptic curve (order 2, 4, or 6).
 
     Counted by Burnside's lemma: the k-th power A^k of the generator fixes
-    r^(2 - rank(A^k - I mod r)) points of (Z/r)^2, the origin among them.
+    the kernel of A^k - I on (Z/r)^2, the origin among it.  An
+    endomorphism of a finite group has as large a kernel as cokernel, so
+    that is the product of _quotient_mods over the columns of A^k - I.
     """
     if aut_order not in _TORSION_GENERATORS:
         raise BadAutOrder(f"automorphism order {aut_order} not in (2, 4, 6)")
@@ -264,11 +266,7 @@ def elliptic_torsion_orbits(r: int, aut_order: int) -> int:
     (a, b), (c, d) = (1, 0), (0, 1)  # A^k, from k = 0
     fixed_total = 0
     for _ in range(aut_order):
-        if ((a - 1) * (d - 1) - b * c) % r:
-            rank = 2
-        else:
-            rank = int(any(x % r for x in (a - 1, b, c, d - 1)))
-        fixed_total += r ** (2 - rank) - 1
+        fixed_total += prod(_quotient_mods([(a - 1, c), (b, d - 1)], 2, r)) - 1
         (a, b), (c, d) = (p * a + q * c, p * b + q * d), (s * a + t * c, s * b + t * d)
     if fixed_total % aut_order:
         raise OrbitError(

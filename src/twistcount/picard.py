@@ -464,10 +464,7 @@ class RootCounter:
     def count(self, F: LineBundleData) -> int:
         if F.graph != self.graph:
             raise GraphMismatch("bundle lives on a different graph")
-        return self._count(self._targets(F.int_part, F.mult))
-
-    def _count(self, t) -> int:
-        """Root count for a target from _targets (None counts 0)."""
+        t = self._targets(F.int_part, F.mult)
         return 0 if t is None else self.free_factor * self.solution_count(t)
 
     def _lift(self, F: LineBundleData):
@@ -933,6 +930,8 @@ def combine_coprime(
 
 @dataclass(frozen=True)
 class RootsnumRecord:
+    """A check whose criterion disagrees with its count; expected is r^(2g)."""
+
     graph: DualGraph
     r: int
     bundle: LineBundleData
@@ -961,15 +960,20 @@ def check_rootsnum_graph(
     not a multiple of r is padded by lowering its degree on vertex 0: the
     target's first entry in place, and d_0.
 
+    Before padding, such a row has no root, so its count is not computed.
+    Each edge's _carries add dh + dt = [m != 0] - r*[mu0 != 0] to its two
+    vertices, so a target sums to sum(d) - r*#{e: mu0_e != 0}, which is
+    the total degree mod r.  Every column of the boundary map sums to 0,
+    so its image lies in {t: sum(t) = 0 (mod r)} and misses that target.
+
     Two facts are settled once per r, before the rows.  A row's count is 0
     or free_factor * smith.kernel_size, so unless that product is r^(2g)
     (the kernel is maximal) no row reaches the expected count, and no
-    target is built or tested for it, except that a padded row still has
-    its target tested for roots off the hypothesis.  Unless the
-    nonseparating stabilizers pass (_Criterion.stabilizers_ok) no row
-    passes the criterion, and it is not tested.  A LineBundleData for a
-    random class is built only for a discrepancy's record, whose count is
-    then computed in full.
+    target is built or tested for it.  Unless the nonseparating
+    stabilizers pass (_Criterion.stabilizers_ok) no row passes the
+    criterion, and it is not tested.  A LineBundleData for a random class
+    is built only for a discrepancy's record, whose count is then
+    computed in full.
     """
     rng = random.Random(f"{seed}:{G!r}")
     g = genus(G)
@@ -991,23 +995,15 @@ def check_rootsnum_graph(
         maximal = counter.free_factor * smith.kernel_size == expected
         screened = criterion.stabilizers_ok
         for int_part, mult, d, total in rows:
+            t = counter._targets(int_part, mult) if maximal else None
             excess = total % r
             if excess:
-                # No roots at all off the hypothesis; pad the degree on
-                # vertex 0 to keep the bundle in the sweep.  Padding lowers
-                # int_part[0], so d_0 and t_0 drop with it.
-                t = counter._targets(int_part, mult)
+                # Padding lowers int_part[0], so d_0 and t_0 drop with it.
                 if t is not None:
-                    count = counter._count(t)
-                    if count != 0:
-                        F = LineBundleData(G, int_part, mult)
-                        discrepancies.append(RootsnumRecord(G, r, F, False, count, 0))
                     t[0] -= excess
                 if screened:
                     d = [d[0] - excess, *d[1:]]
-            else:
-                t = counter._targets(int_part, mult) if maximal else None
-            reached = maximal and t is not None and smith.contains(t)
+            reached = t is not None and smith.contains(t)
             passed = screened and criterion.holds(d, mult)
             if passed != reached:
                 F = _pad_degree(LineBundleData(G, int_part, mult), r)
@@ -1049,7 +1045,7 @@ def verify_rootsnum(
     class, the trivial class, and random classes padded to total degree
     0 mod r) the edge criterion must hold exactly when the number of
     roots is r^(2g).  Returns (discrepancies, checked) where any
-    discrepancy is a RootsnumRecord.  The graphs are distributed over
+    discrepancy is a RootsnumRecord of a padded bundle.  The graphs are distributed over
     min(jobs, number of graphs, CPU count) worker processes, which ignore
     SIGINT so that an interrupt reaches the caller alone (one that arrives
     while they start is lost); results merge in input order, and with one

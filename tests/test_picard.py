@@ -1120,14 +1120,12 @@ class TestRootsnumPlan:
     @pytest.mark.parametrize(
         "r, targets, image_tests, criteria",
         [
-            # Kernel not maximal, a nonseparating stabilizer 3: only the 4
-            # padded rows build a target, and the 3 of them with a base
-            # solution take the test for roots off the hypothesis.
-            (2, 4, 3, 0),
-            # Kernel maximal: all 13 rows build a target; the 5 with a base
-            # solution take the image test, and the 4 padded ones among
-            # them the test off the hypothesis too.
-            (3, 13, 9, 13),
+            # Kernel not maximal, a nonseparating stabilizer 3: no row builds
+            # a target or tests the criterion, padded rows included.
+            (2, 0, 0, 0),
+            # Kernel maximal: all 13 rows build a target and the 5 with a
+            # base solution take the image test once, after any padding.
+            (3, 13, 5, 13),
         ],
     )
     def test_per_order_facts_settle_the_rows(self, monkeypatch, r, targets, image_tests, criteria):
@@ -1148,6 +1146,47 @@ class TestRootsnumPlan:
         G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 3), (1, 2, 6)])
         assert check_rootsnum_graph(G, (r,), n_random=10, seed=3) == ([], 13)
         assert calls == {"targets": targets, "image": image_tests, "criterion": criteria}
+
+    def test_targets_sum_to_the_total_degree(self):
+        # The sweep counts no roots for a row whose total degree is not a
+        # multiple of r.  That rests on two facts, checked here on every row
+        # of the genus-2 sweep before padding: each column of the boundary
+        # map sums to 0, and each target sums to the total degree mod r.
+        family = enumerate_stable_graphs(2, 0, [1, 2, 3, 4, 6])
+        assert len(family) == 161
+        off_hypothesis = 0
+        for G in family:
+            rng = random.Random(f"1729:{G!r}")
+            bundles = [omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G)]
+            bundles += [random_bundle(G, rng) for _ in range(50)]
+            for r in self.ORDERS:
+                for column in zip(*delta_embed(G, r).matrix):
+                    assert sum(column) == 0
+                counter = RootCounter(G, r)
+                for F in bundles:
+                    t = counter._targets(F.int_part, F.mult)
+                    if t is not None:
+                        total = total_degree(F)
+                        assert (sum(t) - total) % r == 0
+                        off_hypothesis += total % r != 0
+        assert off_hypothesis
+
+    def test_no_roots_off_the_hypothesis(self):
+        # The fraction sweep, which shares no code with the boundary map,
+        # finds no root of a class whose total degree is not a multiple of r.
+        swept = 0
+        for G in enumerate_stable_graphs(2, 0, [1, 2, 3, 4, 6]):
+            rng = random.Random(f"7:{G!r}")
+            bundles = [omega_bundle(G, 1), trivial_bundle(G)]
+            bundles += [random_bundle(G, rng) for _ in range(20)]
+            for r in self.ORDERS:
+                if RootCounter(G, r).domain_size > 10**3:
+                    continue
+                for F in bundles:
+                    if total_degree(F) % r:
+                        assert count_roots_by_fractions(G, F, r, max_domain=10**3) == 0
+                        swept += RootCounter(G, r)._targets(F.int_part, F.mult) is not None
+        assert swept
 
     def test_forced_disagreement_records_padded_bundles(self, monkeypatch):
         # With the criterion forced to pass, every check whose count is not
@@ -1336,8 +1375,7 @@ class TestDegreeLaws:
 def _plan_answers(G, F, r):
     """Count and criterion through the per-(G, r) plan, on integer tuples."""
     d = picard._integer_degrees(G, F.int_part, F.mult)
-    counter = RootCounter(G, r)
-    count = counter._count(counter._targets(F.int_part, F.mult))
+    count = RootCounter(G, r).count(F)
     if sum(d) % r:
         return count, None
     return count, picard._Criterion(G, r).holds(d, F.mult)

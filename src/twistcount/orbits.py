@@ -254,9 +254,10 @@ def elliptic_torsion_orbits(r: int, aut_order: int) -> int:
     automorphism group of an elliptic curve (order 2, 4, or 6).
 
     Counted by Burnside's lemma: the k-th power A^k of the generator fixes
-    the kernel of A^k - I on (Z/r)^2, the origin among it.  An
-    endomorphism of a finite group has as large a kernel as cokernel, so
-    that is the product of _quotient_mods over the columns of A^k - I.
+    the points of the kernel of A^k - I on (Z/r)^2, the origin among them.
+    An endomorphism of a finite group has as large a kernel as cokernel,
+    so they number the product of _quotient_mods over the columns of
+    A^k - I.
     """
     if aut_order not in _TORSION_GENERATORS:
         raise BadAutOrder(f"automorphism order {aut_order} not in (2, 4, 6)")

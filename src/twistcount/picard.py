@@ -1045,12 +1045,12 @@ def verify_rootsnum(
     class, the trivial class, and random classes padded to total degree
     0 mod r) the edge criterion must hold exactly when the number of
     roots is r^(2g).  Returns (discrepancies, checked) where any
-    discrepancy is a RootsnumRecord of a padded bundle.  The graphs are distributed over
-    min(jobs, number of graphs, CPU count) worker processes, which ignore
-    SIGINT so that an interrupt reaches the caller alone (one that arrives
-    while they start is lost); results merge in input order, and with one
-    worker the sweep runs in this process.  The orders must pass
-    checked_orders.
+    discrepancy is a RootsnumRecord of a padded bundle, so its expected
+    count is r^(2g).  The graphs are distributed over min(jobs, number of
+    graphs, CPU count) worker processes, which ignore SIGINT so that an
+    interrupt reaches the caller alone (one that arrives while they start
+    is lost); results merge in input order, and with one worker the sweep
+    runs in this process.  The orders must pass checked_orders.
     """
     r_values = checked_orders(r_values)
     graphs_to_check = list(graphs_to_check)

@@ -1180,12 +1180,13 @@ class TestRootsnumPlan:
             bundles = [omega_bundle(G, 1), trivial_bundle(G)]
             bundles += [random_bundle(G, rng) for _ in range(20)]
             for r in self.ORDERS:
-                if RootCounter(G, r).domain_size > 10**3:
+                counter = RootCounter(G, r)
+                if counter.domain_size > 10**3:
                     continue
                 for F in bundles:
                     if total_degree(F) % r:
                         assert count_roots_by_fractions(G, F, r, max_domain=10**3) == 0
-                        swept += RootCounter(G, r)._targets(F.int_part, F.mult) is not None
+                        swept += counter._targets(F.int_part, F.mult) is not None
         assert swept
 
     def test_forced_disagreement_records_padded_bundles(self, monkeypatch):
@@ -1373,7 +1374,8 @@ class TestDegreeLaws:
 
 
 def _plan_answers(G, F, r):
-    """Count and criterion through the per-(G, r) plan, on integer tuples."""
+    """The count of RootCounter.count, and the criterion of the per-(G, r)
+    _Criterion on the integer degrees (None off the hypothesis)."""
     d = picard._integer_degrees(G, F.int_part, F.mult)
     count = RootCounter(G, r).count(F)
     if sum(d) % r:

@@ -414,7 +414,10 @@ class RootCounter:
     (int_part, mult) as plain integers, with no degree and no bundle.  One
     counter serves every bundle on (G, r): _counter keeps the recent ones
     for torsion, counts, root lists, constructed roots and lifts, and
-    check_rootsnum_graph builds one per r for its integer rows.
+    check_rootsnum_graph builds one per r for its integer rows.  ker M is
+    a subgroup of the domain, so domain_size bounds |ker M|: where
+    free_factor * domain_size < r^(2g) the sweep knows the kernel is not
+    maximal without building smith.
     """
 
     def __init__(self, G: DualGraph, r: int):
@@ -949,34 +952,59 @@ def check_rootsnum_graph(
 ):
     """Criterion-versus-count checks for one graph; see verify_rootsnum.
 
-    The random bundles are seeded from (seed, graph), so the result does
-    not depend on how a family sweep is chunked; they are the classes that
-    random_bundle draws from the same generator.  Every bundle is a row
-    (int_part, mult, d, total) of integers, with d from _integer_degrees
-    and total = sum(d): the dualizing class, its square and the trivial
-    class come from their LineBundleData, the random classes straight from
-    the generator.  Per r one RootCounter reads each row's target off its
-    integer parts and one edge criterion tests its d.  A row whose total is
-    not a multiple of r is padded by lowering its degree on vertex 0: the
-    target's first entry in place, and d_0.
+    Every order is settled before any bundle is touched.  A row's count
+    is 0 or free_factor * smith.kernel_size, so unless that product is
+    r^(2g) (the kernel is maximal) no row reaches the expected count.  The
+    kernel is a subgroup of the domain prod Z/h_e, so free_factor *
+    domain_size < r^(2g) already proves it is not maximal, and the Smith
+    reduction is built only when that bound leaves the question open.
+    Unless the nonseparating stabilizers pass (_Criterion.stabilizers_ok)
+    no row passes the criterion.  So an order that is neither maximal nor
+    screened has no discrepancy and only adds its 3 + n_random checks:
+    when no order is kept, the rows are not built at all.  The generator
+    is local to the graph, so skipping it changes nothing else.
+
+    Otherwise the random bundles are seeded from (seed, graph), so the
+    result does not depend on how a family sweep is chunked; they are the
+    classes that random_bundle draws from the same generator.  Every
+    bundle is a row (int_part, mult, d, total) of integers, with d from
+    _integer_degrees and total = sum(d): the dualizing class, its square
+    and the trivial class come from their LineBundleData, the random
+    classes straight from the generator.  Per kept order the RootCounter
+    reads each row's target off its integer parts, only when the kernel
+    is maximal, and the edge criterion tests its d, only when screened.
+    A row whose total is not a multiple of r is padded by lowering its
+    degree on vertex 0: the target's first entry in place, and d_0.
 
     Before padding, such a row has no root, so its count is not computed.
     Each edge's _carries add dh + dt = [m != 0] - r*[mu0 != 0] to its two
     vertices, so a target sums to sum(d) - r*#{e: mu0_e != 0}, which is
     the total degree mod r.  Every column of the boundary map sums to 0,
     so its image lies in {t: sum(t) = 0 (mod r)} and misses that target.
-
-    Two facts are settled once per r, before the rows.  A row's count is 0
-    or free_factor * smith.kernel_size, so unless that product is r^(2g)
-    (the kernel is maximal) no row reaches the expected count, and no
-    target is built or tested for it.  Unless the nonseparating
-    stabilizers pass (_Criterion.stabilizers_ok) no row passes the
-    criterion, and it is not tested.  A LineBundleData for a random class
-    is built only for a discrepancy's record, whose count is then
-    computed in full.
+    A LineBundleData for a random class is built only for a discrepancy's
+    record, whose count is then computed in full.  n_random must not be
+    negative.
     """
-    rng = random.Random(f"{seed}:{G!r}")
+    _check_random_count(n_random)
     g = genus(G)
+    kept = []
+    checked = 0
+    for r in r_values:
+        checked += 3 + n_random
+        counter = RootCounter(G, r)
+        criterion = _Criterion(G, r)
+        expected = r ** (2 * g)
+        free = counter.free_factor
+        maximal = (
+            free * counter.domain_size >= expected
+            and free * counter.smith.kernel_size == expected
+        )
+        screened = criterion.stabilizers_ok
+        if maximal or screened:
+            kept.append((r, counter, criterion, expected, maximal, screened))
+    if not kept:
+        return [], checked
+    rng = random.Random(f"{seed}:{G!r}")
     fixed = (omega_bundle(G, 1), omega_bundle(G, 2), trivial_bundle(G))
     drawn = [(F.int_part, F.mult) for F in fixed]
     stabs = G.stabilizers()
@@ -986,14 +1014,7 @@ def check_rootsnum_graph(
         d = _integer_degrees(G, int_part, mult)
         rows.append((int_part, mult, d, sum(d)))
     discrepancies: list[RootsnumRecord] = []
-    checked = 0
-    for r in r_values:
-        counter = RootCounter(G, r)
-        criterion = _Criterion(G, r)
-        smith = counter.smith
-        expected = r ** (2 * g)
-        maximal = counter.free_factor * smith.kernel_size == expected
-        screened = criterion.stabilizers_ok
+    for r, counter, criterion, expected, maximal, screened in kept:
         for int_part, mult, d, total in rows:
             t = counter._targets(int_part, mult) if maximal else None
             excess = total % r
@@ -1003,13 +1024,12 @@ def check_rootsnum_graph(
                     t[0] -= excess
                 if screened:
                     d = [d[0] - excess, *d[1:]]
-            reached = t is not None and smith.contains(t)
+            reached = t is not None and counter.smith.contains(t)
             passed = screened and criterion.holds(d, mult)
             if passed != reached:
                 F = _pad_degree(LineBundleData(G, int_part, mult), r)
                 count = counter.count(F)
                 discrepancies.append(RootsnumRecord(G, r, F, passed, count, expected))
-        checked += len(rows)
     return discrepancies, checked
 
 
@@ -1031,6 +1051,13 @@ def checked_orders(r_values) -> tuple:
     return r_values
 
 
+def _check_random_count(n_random: int) -> None:
+    """Raise PicardError for a negative number of random bundles, which
+    would draw none and still count 3 checks per order."""
+    if n_random < 0:
+        raise PicardError(f"{n_random} random bundles < 0")
+
+
 def verify_rootsnum(
     graphs_to_check,
     r_values,
@@ -1050,9 +1077,11 @@ def verify_rootsnum(
     graphs, CPU count) worker processes, which ignore SIGINT so that an
     interrupt reaches the caller alone (one that arrives while they start
     is lost); results merge in input order, and with one worker the sweep
-    runs in this process.  The orders must pass checked_orders.
+    runs in this process.  The orders must pass checked_orders and
+    n_random must not be negative.
     """
     r_values = checked_orders(r_values)
+    _check_random_count(n_random)
     graphs_to_check = list(graphs_to_check)
     workers = min(jobs, len(graphs_to_check), os.cpu_count() or 1)
     if workers > 1:

@@ -1035,6 +1035,19 @@ def _force_criterion_pass(monkeypatch):
     monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: True)
 
 
+def _force_criterion_fail(monkeypatch):
+    """Make the edge criterion fail on every check, so that the sweep keeps
+    an order only when its kernel is maximal."""
+    init = picard._Criterion.__init__
+
+    def failing(self, G, r):
+        init(self, G, r)
+        self.stabilizers_ok = False
+
+    monkeypatch.setattr(picard._Criterion, "__init__", failing)
+    monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: False)
+
+
 def _decorate(shape, stabs):
     return DualGraph(
         shape.vertices,
@@ -1118,18 +1131,30 @@ class TestRootsnumPlan:
         assert len(family) == 7 and 0 < reached < checked
 
     @pytest.mark.parametrize(
-        "r, targets, image_tests, criteria",
+        "stabs, orders, targets, image_tests, criteria, draws, reductions",
         [
-            # Kernel not maximal, a nonseparating stabilizer 3: no row builds
-            # a target or tests the criterion, padded rows included.
-            (2, 0, 0, 0),
-            # Kernel maximal: all 13 rows build a target and the 5 with a
-            # base solution take the image test once, after any padding.
-            (3, 13, 5, 13),
+            # Kernel not maximal, a nonseparating stabilizer 3: the order is
+            # settled before the rows, so no bundle is drawn, no row builds
+            # a target and none tests the criterion.  The bound free_factor
+            # * |domain| >= 2^6 holds, so one Smith reduction decides it.
+            pytest.param((2, 3, 6), (2,), 0, 0, 0, 0, 1, id="kernel-not-maximal"),
+            # Kernel maximal: the 10 random rows are drawn, all 13 rows build
+            # a target and the 5 with a base solution take the image test
+            # once, after any padding.
+            pytest.param((2, 3, 6), (3,), 13, 5, 13, 10, 1, id="kernel-maximal"),
+            # Every domain is trivial at r = 2: free_factor * 1 < 2^6 settles
+            # the order with no Smith reduction and no row.
+            pytest.param((1, 3, 1), (2,), 0, 0, 0, 0, 0, id="bound-settles"),
+            # The bound settles r = 2 and the maximal r = 3 draws the rows:
+            # only r = 3 runs a reduction and reads the rows, 7 of which
+            # have a base solution.
+            pytest.param((1, 3, 1), (2, 3), 13, 7, 13, 10, 1, id="bound-settles-one-order"),
         ],
     )
-    def test_per_order_facts_settle_the_rows(self, monkeypatch, r, targets, image_tests, criteria):
-        calls = {"targets": 0, "image": 0, "criterion": 0}
+    def test_per_order_facts_settle_the_rows(
+        self, monkeypatch, stabs, orders, targets, image_tests, criteria, draws, reductions
+    ):
+        calls = {"targets": 0, "image": 0, "criterion": 0, "draws": 0, "reductions": 0}
 
         def counted(name, f):
             def wrapper(*args):
@@ -1143,9 +1168,18 @@ class TestRootsnumPlan:
         monkeypatch.setattr(smith, "contains", counted("image", smith.contains))
         holds = picard._Criterion.holds
         monkeypatch.setattr(picard._Criterion, "holds", counted("criterion", holds))
-        G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 3), (1, 2, 6)])
-        assert check_rootsnum_graph(G, (r,), n_random=10, seed=3) == ([], 13)
-        assert calls == {"targets": targets, "image": image_tests, "criterion": criteria}
+        monkeypatch.setattr(picard, "_draw", counted("draws", picard._draw))
+        snf = picard.smith_normal_form
+        monkeypatch.setattr(picard, "smith_normal_form", counted("reductions", snf))
+        G = dual_graph([1, 0, 1], [(0, 1, stabs[0]), (1, 1, stabs[1]), (1, 2, stabs[2])])
+        assert check_rootsnum_graph(G, orders, n_random=10, seed=3) == ([], 13 * len(orders))
+        assert calls == {
+            "targets": targets,
+            "image": image_tests,
+            "criterion": criteria,
+            "draws": draws,
+            "reductions": reductions,
+        }
 
     def test_targets_sum_to_the_total_degree(self):
         # The sweep counts no roots for a row whose total degree is not a
@@ -1212,6 +1246,43 @@ class TestRootsnumPlan:
                 }
         assert padded
 
+    def test_forced_failure_keeps_the_maximal_orders(self, monkeypatch):
+        # In the library a maximal kernel comes with passing stabilizers, so
+        # only a criterion forced to fail shows an order kept for its kernel
+        # alone: every check that reaches the maximal count is a
+        # discrepancy.
+        _force_criterion_fail(monkeypatch)
+        never = lambda G, F, r: False  # noqa: E731
+        reached = 0
+        orders = (2, 3, 4, 6, 12)
+        for G in enumerate_stable_graphs(2, 0, [12]):
+            got = check_rootsnum_graph(G, orders, n_random=20, seed=12)
+            assert got == _rootsnum_oracle(G, orders, 20, 12, never)
+            reached += len(got[0])
+        rng = random.Random(4)
+        shapes = enumerate_stable_graphs(3, 0, [1])
+        for _ in range(40):
+            shape = rng.choice(shapes)
+            G = _decorate(shape, [rng.choice((1, 2, 3, 4, 6)) for _ in shape.edges])
+            got = check_rootsnum_graph(G, self.ORDERS, n_random=10, seed=6)
+            assert got == _rootsnum_oracle(G, self.ORDERS, 10, 6, never)
+            reached += len(got[0])
+        assert reached
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_negative_random_count_refused(self, monkeypatch, jobs):
+        # range(-1) is empty, so a negative count would draw no bundle and
+        # still count 3 checks per order; it is refused before any work.
+        def refuse(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(picard, "RootCounter", refuse)
+        family = enumerate_stable_graphs(2, 0, (1, 2))
+        with pytest.raises(picard.PicardError, match="-1 random bundles"):
+            check_rootsnum_graph(family[0], (2,), n_random=-1)
+        with pytest.raises(picard.PicardError, match="-1 random bundles"):
+            verify_rootsnum(family, (2,), n_random=-1, jobs=jobs)
+
     def test_worker_pool_matches_serial_sweep(self):
         family = enumerate_stable_graphs(2, 0, (1, 2))
         serial = verify_rootsnum(family, (2, 4), n_random=5, seed=3, jobs=1)
@@ -1277,6 +1348,13 @@ class TestRootsnumPlan:
         discrepancies, checked = check_rootsnum_graph(G, self.ORDERS, n_random=50, seed=9)
         assert discrepancies == [] and checked == 4 * 53
         assert built == fixed
+        # With a loop of stabilizer 5 every order is settled before the
+        # rows (no kernel is maximal, no stabilizer passes), so not even the
+        # fixed bundles are built, and every check still counts.
+        built.clear()
+        G = dual_graph([1, 0, 1], [(0, 1, 1), (1, 1, 5), (1, 2, 1)])
+        assert check_rootsnum_graph(G, self.ORDERS, n_random=50, seed=9) == ([], 4 * 53)
+        assert built == []
 
     def test_cache_sizes_stay_bounded(self):
         shape = dual_graph([0, 0, 0, 0], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])

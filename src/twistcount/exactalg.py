@@ -17,6 +17,7 @@ __all__ = [
     "DimensionMismatch",
     "IllDefinedHom",
     "smith_normal_form",
+    "smith_invariants",
     "mat_identity",
     "CyclicHom",
     "kernel_size_by_enumeration",
@@ -60,28 +61,27 @@ def _min_nonzero_position(D, t):
     return best
 
 
-def smith_normal_form(A):
-    """Return (U, D, V) with D = U*A*V, U and V unimodular, D = diag(d_1, ...),
-    d_1 | d_2 | ... and all d_i >= 0.
-    """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
+def _entries(A) -> list[list[int]]:
+    """A copy of A's rows; DimensionMismatch when they differ in length."""
+    cols = len(A[0]) if A else 0
     if any(len(row) != cols for row in A):
         raise DimensionMismatch("ragged matrix")
-    D = [list(row) for row in A]
-    U = mat_identity(rows)
-    V = mat_identity(cols)
+    return [list(row) for row in A]
 
-    def row_op(i, k, q):  # row_i -= q * row_k
-        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
 
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for row in D:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
+def _reduce(D, row_op, col_op, row_swap, col_swap, negate) -> None:
+    """Bring D to Smith form in place: diagonal, d_1 | d_2 | ... and every
+    d_i >= 0.
 
+    This is the one elimination loop of the module.  It changes D only
+    through the operations it is given: row_op(i, k, q) subtracts q times
+    row k from row i, col_op(j, k, q) does so for columns, row_swap and
+    col_swap exchange two rows or columns, and negate(i) changes the sign
+    of row i.  Each caller chooses them once, so they update its
+    transforms along with D or touch D alone.
+    """
+    rows = len(D)
+    cols = len(D[0]) if rows else 0
     t = 0
     while t < min(rows, cols):
         pos = _min_nonzero_position(D, t)
@@ -89,51 +89,109 @@ def smith_normal_form(A):
             break
         i, j = pos
         if i != t:
-            D[t], D[i] = D[i], D[t]
-            U[t], U[i] = U[i], U[t]
+            row_swap(t, i)
         if j != t:
-            for row in D:
-                row[t], row[j] = row[j], row[t]
-            for row in V:
-                row[t], row[j] = row[j], row[t]
+            col_swap(t, j)
         pivot = D[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if D[i][t] % pivot:
-                row_op(i, t, D[i][t] // pivot)
-                dirty = True
-        if dirty:
-            continue
-        for j in range(t + 1, cols):
-            if D[t][j] % pivot:
-                col_op(j, t, D[t][j] // pivot)
-                dirty = True
-        if dirty:
-            continue
+        # A unit pivot divides every entry, so it needs no remainder test.
+        unit = pivot == 1 or pivot == -1
+        if not unit:
+            dirty = False
+            for i in range(t + 1, rows):
+                if D[i][t] % pivot:
+                    row_op(i, t, D[i][t] // pivot)
+                    dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if D[t][j] % pivot:
+                    col_op(j, t, D[t][j] // pivot)
+                    dirty = True
+            if dirty:
+                continue
         for i in range(t + 1, rows):
             if D[i][t]:
                 row_op(i, t, D[i][t] // pivot)
         for j in range(t + 1, cols):
             if D[t][j]:
                 col_op(j, t, D[t][j] // pivot)
-        # Divisibility d_t | d_{t+1} | ...: fold any offending row in and redo.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if D[i][j] % pivot:
-                    offender = i
-                    break
+        if not unit:
+            # Divisibility d_t | d_{t+1} | ...: fold any offending row in
+            # and redo.
+            offender = next(
+                (i for i in range(t + 1, rows) if any([a % pivot for a in D[i][t + 1 :]])),
+                None,
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)
-            continue
+                row_op(t, offender, -1)
+                continue
         t += 1
     for i in range(min(rows, cols)):
         if D[i][i] < 0:
-            D[i] = [-a for a in D[i]]
-            U[i] = [-a for a in U[i]]
+            negate(i)
+
+
+def smith_normal_form(A):
+    """Return (U, D, V) with D = U*A*V, U and V unimodular, D = diag(d_1, ...),
+    d_1 | d_2 | ... and all d_i >= 0.
+    """
+    D = _entries(A)
+    U = mat_identity(len(D))
+    V = mat_identity(len(D[0]) if D else 0)
+
+    def row_op(i, k, q):
+        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+
+    def col_op(j, k, q):
+        for row in D:
+            row[j] -= q * row[k]
+        for row in V:
+            row[j] -= q * row[k]
+
+    def row_swap(i, k):
+        D[i], D[k] = D[k], D[i]
+        U[i], U[k] = U[k], U[i]
+
+    def col_swap(j, k):
+        for row in D:
+            row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
+
+    def negate(i):
+        D[i] = [-a for a in D[i]]
+        U[i] = [-a for a in U[i]]
+
+    _reduce(D, row_op, col_op, row_swap, col_swap, negate)
     return U, D, V
+
+
+def smith_invariants(A) -> tuple[int, ...]:
+    """The diagonal d_1 | d_2 | ... of the Smith form of A, min(rows, cols)
+    entries, zeros included: the loop of smith_normal_form with no
+    unimodular transform kept."""
+    D = _entries(A)
+
+    def row_op(i, k, q):
+        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
+
+    def col_op(j, k, q):
+        for row in D:
+            row[j] -= q * row[k]
+
+    def row_swap(i, k):
+        D[i], D[k] = D[k], D[i]
+
+    def col_swap(j, k):
+        for row in D:
+            row[j], row[k] = row[k], row[j]
+
+    def negate(i):
+        D[i] = [-a for a in D[i]]
+
+    _reduce(D, row_op, col_op, row_swap, col_swap, negate)
+    return tuple([D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import picard
-from .exactalg import smith_normal_form
+from .exactalg import smith_invariants, smith_normal_form
 from .graphs import (
     DualGraph,
     Edge,
@@ -136,10 +136,7 @@ def _quotient_mods(twists, b1: int, r: int) -> list[int]:
     the nonzero twists: gcd(d, r) over the Smith invariants d of the
     b1 x |twists| matrix with the twists as columns, padded with zeros to
     b1 of them, so that with no twist Q is all of (Z/r)^{b1}."""
-    diag = []
-    if twists:
-        _, D, _ = smith_normal_form(list(zip(*twists)))
-        diag = [D[i][i] for i in range(min(b1, len(twists)))]
+    diag = smith_invariants(list(zip(*twists))) if twists else ()
     return [gcd(d, r) for d in diag] + [r] * (b1 - len(diag))
 
 

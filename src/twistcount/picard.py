@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, prod
 
-from .exactalg import CyclicHom, smith_normal_form, solve_congruence
+from .exactalg import CyclicHom, smith_invariants, smith_normal_form, solve_congruence
 from .graphs import DualGraph, Edge, betti, classify_node, flip_edge, genus
 
 __all__ = [
@@ -417,7 +417,11 @@ class RootCounter:
     check_rootsnum_graph builds one per r for its integer rows.  ker M is
     a subgroup of the domain, so domain_size bounds |ker M|: where
     free_factor * domain_size < r^(2g) the sweep knows the kernel is not
-    maximal without building smith.
+    maximal without building smith.  Where the bound leaves it open and
+    the order's rows need no smith, the sweep reads kernel_size, which
+    needs only the Smith invariants of M without its last row: every
+    column of M sums to 0, so dropping that row drops one invariant 0 and
+    nothing else, and no transform is built.
     """
 
     def __init__(self, G: DualGraph, r: int):
@@ -428,15 +432,39 @@ class RootCounter:
         self.hs = [gcd(e.stabilizer, r) for e in G.edges]
         self.domain_size = prod(self.hs)
         self.free_factor = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
-        # Per edge: (head, tail, stabilizer, memo of _edge_entry).
-        self._edges = tuple(
-            (e.head, e.tail, e.stabilizer, _edge_memo(e.stabilizer, r)) for e in G.edges
+
+    @cached_property
+    def _edges(self):
+        """Per edge: (head, tail, stabilizer, memo of _edge_entry), built on
+        first use, so an order that the sweep settles builds none."""
+        r = self.r
+        return tuple(
+            (e.head, e.tail, e.stabilizer, _edge_memo(e.stabilizer, r)) for e in self.graph.edges
         )
 
     @cached_property
     def smith(self) -> _SmithData:
         """The Smith reduction of the boundary map, built on first use."""
         return _SmithData(_boundary_matrix(self.graph, self.hs, self.r), self.hs, self.r)
+
+    @cached_property
+    def kernel_size(self) -> int:
+        """|ker M|: smith.kernel_size once smith is built, otherwise read
+        off the Smith invariants of M alone, with no transform.
+
+        Every column of M sums to 0, so adding all rows to the last one
+        (a unimodular P) gives P M = [M'; 0], where M' is M without its
+        last row.  The invariants of M are those of M' and one more 0,
+        whose gcd with r cancels one factor r, so |ker M| = prod h_e *
+        prod_{i<V-1} gcd(d'_i, r) / r^(V-1), d'_i = 0 past the rank of M'.
+        Loops give zero columns and stay out of the reduction.
+        """
+        if "smith" in self.__dict__:
+            return self.smith.kernel_size
+        matrix = _boundary_matrix(self.graph, self.hs, self.r)
+        cols = [k for k in range(len(self.hs)) if any([row[k] for row in matrix])]
+        diag = smith_invariants([[row[k] for k in cols] for row in matrix[:-1]])
+        return _kernel_size(self.hs, diag, self.r, len(matrix) - 1)
 
     def _targets(self, int_part, mult):
         """Defect list t with acceptance condition M x = t (mod r) for the
@@ -657,7 +685,7 @@ class _SmithData:
         self.checks = tuple(
             (tuple(u % m for u in U[i]), m) for i, m in enumerate(self.mods) if m > 1
         )
-        self.kernel_size = prod(hs) * prod(self.mods) // r**nv
+        self.kernel_size = _kernel_size(hs, self.diag, r, nv)
 
     def contains(self, t) -> bool:
         """Whether t lies in the image of M."""
@@ -684,6 +712,15 @@ class _SmithData:
             if (sum(a * b for a, b in zip(row, x)) - tv) % r:
                 raise PicardError("the Smith witness does not map to the target")
         return tuple(x)
+
+
+def _kernel_size(hs, diag, r: int, rows: int) -> int:
+    """|ker M| on prod Z/h_e for a map M to (Z/r)^rows whose Smith
+    invariants are diag, d_i = 0 past its end: the image has index
+    prod_{i<rows} gcd(d_i, r) in (Z/r)^rows, so the kernel has
+    prod h_e * prod_{i<rows} gcd(d_i, r) / r^rows elements."""
+    mods = [gcd(d, r) for d in diag] + [r] * (rows - len(diag))
+    return prod(hs) * prod(mods) // r**rows
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -953,18 +990,29 @@ def check_rootsnum_graph(
     """Criterion-versus-count checks for one graph; see verify_rootsnum.
 
     Every order is settled before any bundle is touched.  A row's count
-    is 0 or free_factor * smith.kernel_size, so unless that product is
-    r^(2g) (the kernel is maximal) no row reaches the expected count.  The
-    kernel is a subgroup of the domain prod Z/h_e, so free_factor *
-    domain_size < r^(2g) already proves it is not maximal, and the Smith
-    reduction is built only when that bound leaves the question open.
-    Unless the nonseparating stabilizers pass (_Criterion.stabilizers_ok)
-    no row passes the criterion.  So an order that is neither maximal nor
-    screened has no discrepancy and only adds its 3 + n_random checks:
-    when no order is kept, the rows are not built at all.  The generator
-    is local to the graph, so skipping it changes nothing else.
+    is 0 or free_factor * |ker M|, so unless that product is r^(2g) (the
+    kernel is maximal) no row reaches the expected count.  Unless the
+    nonseparating stabilizers pass (_Criterion.stabilizers_ok: the order
+    is screened) no row passes the criterion.  So an order that is neither
+    maximal nor screened has no discrepancy and only adds its 3 + n_random
+    checks: when no order is kept, the rows are not built at all.  The
+    generator is local to the graph, so skipping it changes nothing else.
 
-    Otherwise the random bundles are seeded from (seed, graph), so the
+    The kernel is a subgroup of the domain prod Z/h_e, so free_factor *
+    domain_size < r^(2g) already proves it is not maximal.  Otherwise one
+    Smith reduction decides it.  A screened order keeps its rows, which
+    test their targets against the image of the boundary map when the
+    kernel is maximal, and a screened order's kernel has been maximal on
+    every family swept so far: it builds the full reduction, transforms
+    included, at once.  Any other order reads counter.kernel_size, which
+    needs only the Smith invariants of the boundary matrix without its
+    last row: every column sums to 0, so P M = [M'; 0] for a unimodular
+    P, and dropping the row drops one invariant 0.  Such an order builds
+    the full reduction as well only when its kernel is maximal, and then
+    every row that reaches the count is a discrepancy.
+
+    When an order is kept, the random bundles are seeded from (seed,
+    graph), so the
     result does not depend on how a family sweep is chunked; they are the
     classes that random_bundle draws from the same generator.  Every
     bundle is a row (int_part, mult, d, total) of integers, with d from
@@ -995,11 +1043,11 @@ def check_rootsnum_graph(
         criterion = _Criterion(G, r)
         expected = r ** (2 * g)
         free = counter.free_factor
+        screened = criterion.stabilizers_ok
         maximal = (
             free * counter.domain_size >= expected
-            and free * counter.smith.kernel_size == expected
+            and free * (counter.smith if screened else counter).kernel_size == expected
         )
-        screened = criterion.stabilizers_ok
         if maximal or screened:
             kept.append((r, counter, criterion, expected, maximal, screened))
     if not kept:

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -491,6 +490,42 @@ RSS_CHILD = (
 )
 
 
+TRACE_CHILD = (
+    "import sys, tracemalloc\n"
+    "from twistcount.cli import main\n"
+    "tracemalloc.start()\n"
+    "code = main(sys.argv[1:])\n"
+    "print(tracemalloc.get_traced_memory()[1], file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _loop_refusal_peaks(tmp_path, stabilizer, options, refusal):
+    """tracemalloc peaks of `tc orbits` refusing one vertex with 2,000 and
+    4,000 loops of this stabilizer.  Each call runs in a fresh interpreter
+    and is traced from the call on, so both sizes pay the same one-time
+    costs whatever ran before them; the child writes its peak to stderr
+    after the refusal."""
+    path = tmp_path / "loops.json"
+    loop = {"tail": 0, "head": 0, "stabilizer": stabilizer}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    peaks = []
+    for n in (2000, 4000):
+        path.write_text(json.dumps({"vertices": [{"genus": 0}], "edges": [loop] * n}))
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACE_CHILD, "orbits", str(path), *options],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        err, peak = proc.stderr.rstrip("\n").rsplit("\n", 1)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert (err + "\n").endswith(refusal)
+        peaks.append(int(peak))
+    return peaks
+
+
 class TestStreamedOutput:
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     @pytest.mark.parametrize(
@@ -864,45 +899,26 @@ class TestExitCodes:
         err = f"tc: error: at least 2^14350 {what} {refused}\n"
         assert (code, captured.out, captured.err) == (1, "", err)
 
-    def test_refusal_on_many_loops_runs_in_linear_memory(self, capsys, tmp_path):
+    def test_refusal_on_many_loops_runs_in_linear_memory(self, tmp_path):
         # A loop's column of the boundary map is zero and stays out of the
         # Smith reduction, so no edges-squared transform is built: with the
         # transform, 2,000 loops peaked at 31 MiB.
-        path = tmp_path / "loops.json"
-        loop = {"tail": 0, "head": 0, "stabilizer": 1}
-        peaks = []
-        for n in (2000, 4000):
-            path.write_text(json.dumps({"vertices": [{"genus": 0}], "edges": [loop] * n}))
-            tracemalloc.start()
-            try:
-                code = main(["orbits", str(path), "-r", "2"])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            captured = capsys.readouterr()
-            assert (code, captured.out) == (1, "")
-            assert captured.err.endswith(" root classes make more than 1000000 orbits\n")
+        peaks = _loop_refusal_peaks(
+            tmp_path, 1, ["-r", "2"], " root classes make more than 1000000 orbits\n"
+        )
         assert peaks[0] < 4 * 2**20, peaks
         assert peaks[1] < 2.5 * peaks[0], peaks
 
-    def test_orbit_refusal_on_many_loops_runs_in_linear_memory(self, capsys, tmp_path):
+    def test_orbit_refusal_on_many_loops_runs_in_linear_memory(self, tmp_path):
         # A loop's quotient coordinate is its own gluing, so only the other
         # edges are reduced: with every loop in the reduction, 2,000 loops
         # peaked at 31 MiB and 4,000 at 124 MiB.
-        path = tmp_path / "loops.json"
-        loop = {"tail": 0, "head": 0, "stabilizer": 3}
-        peaks = []
-        for n in (2000, 4000):
-            path.write_text(json.dumps({"vertices": [{"genus": 0}], "edges": [loop] * n}))
-            tracemalloc.start()
-            try:
-                code = main(["orbits", str(path), "-r", "2", "--bundle", "omega:k=0"])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            captured = capsys.readouterr()
-            assert (code, captured.out) == (1, "")
-            assert captured.err.endswith(" orbits exceed the cap 1000000\n")
+        peaks = _loop_refusal_peaks(
+            tmp_path,
+            3,
+            ["-r", "2", "--bundle", "omega:k=0"],
+            " orbits exceed the cap 1000000\n",
+        )
         assert peaks[0] < 4 * 2**20, peaks
         assert peaks[1] < 2.5 * peaks[0], peaks
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import gcd, prod
@@ -14,6 +15,7 @@ from twistcount.exactalg import (
     kernel_size_by_enumeration,
     kernel_size_by_smith,
     mat_identity,
+    smith_invariants,
     smith_normal_form,
     solve_congruence,
 )
@@ -63,6 +65,68 @@ class TestSmithNormalForm:
         U, D, V = smith_normal_form([[0, 0], [0, 0]])
         assert D == [[0, 0], [0, 0]]
         assert abs(det(U)) == 1 and abs(det(V)) == 1
+
+
+# sha256 over repr((U, D, V)) of every matrix of _smith_corpus, as the
+# reduction gave them before smith_invariants shared its loop.
+SMITH_CORPUS_DIGEST = "d8978f2c51d901239dbcc7a7548ed74c12f3fa9917f5741399bcebc28e0bc243"
+
+
+def _smith_corpus():
+    """A pinned corpus: seeded random matrices up to 5 x 6 with zero rows,
+    zero columns and negative entries, 0 x n and n x 0 ones, and boundary
+    matrices of random multigraphs (+w at the head, -w at the tail)."""
+    rng = random.Random(2028)
+    corpus = [[], [[]], [[], [], []], [[0, 0, 0]]]
+    for _ in range(600):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 6)
+        corpus.append(
+            [[rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(cols)] for _ in range(rows)]
+        )
+    for _ in range(300):
+        n, edges = rng.randint(1, 5), rng.randint(0, 7)
+        matrix = [[0] * edges for _ in range(n)]
+        for k in range(edges):
+            w = rng.choice((1, 2, 3, 6))
+            matrix[rng.randrange(n)][k] += w
+            matrix[rng.randrange(n)][k] -= w
+        corpus.append(matrix)
+    return corpus
+
+
+class TestSmithInvariants:
+    def test_equal_the_diagonal_of_the_full_reduction(self):
+        shapes = set()
+        for A in _smith_corpus():
+            _, D, _ = smith_normal_form(A)
+            n = min(len(D), len(D[0]) if D else 0)
+            assert smith_invariants(A) == tuple(abs(D[i][i]) for i in range(n))
+            shapes.add((len(A), len(A[0]) if A else 0))
+        assert {(0, 0), (1, 0), (3, 0), (1, 3), (5, 6)} <= shapes
+
+    @given(matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_divisibility_chain(self, A):
+        diag = smith_invariants(A)
+        assert len(diag) == min(len(A), len(A[0]))
+        assert all(d >= 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0 if a else b == 0
+        _, D, _ = smith_normal_form(A)
+        assert diag == tuple(D[i][i] for i in range(len(diag)))
+
+    @pytest.mark.parametrize("reduce", [smith_invariants, smith_normal_form])
+    def test_ragged_matrix_refused(self, reduce):
+        with pytest.raises(DimensionMismatch):
+            reduce([[1, 2], [3]])
+
+    def test_transforms_pinned(self):
+        # Root lists and witnesses read V, so the one elimination loop that
+        # both reductions share must keep every transform as it was.
+        digest = hashlib.sha256()
+        for A in _smith_corpus():
+            digest.update(repr(smith_normal_form(A)).encode())
+        assert digest.hexdigest() == SMITH_CORPUS_DIGEST
 
 
 class TestCyclicHom:

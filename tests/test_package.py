@@ -129,6 +129,23 @@ def test_branch_and_bound_is_the_only_vertex_permutation_search():
     assert found == []
 
 
+def test_one_smith_elimination_loop():
+    # smith_normal_form and smith_invariants share one elimination loop;
+    # only that loop may search for pivots, so no second copy is forked.
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, _FUNCTIONS):
+                continue
+            if any(
+                isinstance(node, ast.Call) and _name(node.func) == "_min_nonzero_position"
+                for node in ast.walk(func)
+            ):
+                callers.append(f"{path.name}:{func.name}")
+    assert callers == ["exactalg.py:_reduce"]
+
+
 def _name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 

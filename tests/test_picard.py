@@ -481,6 +481,53 @@ class TestLoopsOutsideSmith:
         assert checked > 100
 
 
+def _kernel_size_pairs():
+    """(G, r) over the genus-2 {1, 2, 3, 4, 6} and genus-3 {1, 2} families,
+    one-vertex graphs of loops and seeded graphs with loops, every order
+    from r = 1 up."""
+    for G in enumerate_stable_graphs(2, 0, [1, 2, 3, 4, 6]):
+        for r in (1, 2, 3, 4, 6, 12):
+            yield G, r
+    for G in enumerate_stable_graphs(3, 0, [1, 2]):
+        for r in (1, 2, 3, 4, 6):
+            yield G, r
+    for stabs in ((2,), (2, 3, 4), (6, 6, 1, 12)):
+        G = dual_graph([1], [(0, 0, l) for l in stabs])
+        for r in (1, 2, 3, 6, 12):
+            yield G, r
+    rng = random.Random(28)
+    for _ in range(150):
+        yield _graph_with_loops(rng), rng.choice((1, 2, 3, 4, 6, 12))
+
+
+class TestKernelSizeFromInvariants:
+    def test_matches_the_reduction_and_the_oracle(self):
+        # Without a built reduction, kernel_size reads only the Smith
+        # invariants of the boundary matrix less its last row.
+        pairs = 0
+        for G, r in _kernel_size_pairs():
+            counter = RootCounter(G, r)
+            size = counter.kernel_size
+            assert "smith" not in counter.__dict__
+            assert size == RootCounter(G, r).smith.kernel_size
+            assert size == kernel_size_by_smith(delta_embed(G, r))
+            pairs += 1
+        assert pairs == 161 * 6 + 463 * 5 + 3 * 5 + 150
+
+    def test_reads_a_built_reduction(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("the Smith invariants were recomputed")
+
+        G = dual_graph([0, 1, 0], [(0, 1, 2), (1, 1, 3), (1, 2, 6), (0, 2, 4)])
+        for r in (2, 3, 4, 6):
+            counter = RootCounter(G, r)
+            size = counter.smith.kernel_size
+            monkeypatch.setattr(picard, "smith_invariants", refuse)
+            assert counter.kernel_size == size
+            monkeypatch.undo()
+            assert RootCounter(G, r).kernel_size == size
+
+
 def _check_walk(G, F, r):
     """solutions and enumerate_discrete_roots on (G, F, r) against the
     kernel closure translated by x0 and against _normalized per root;
@@ -1048,6 +1095,23 @@ def _force_criterion_fail(monkeypatch):
     monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: False)
 
 
+def _count_reductions(monkeypatch):
+    """Count picard's calls of smith_invariants and smith_normal_form in the
+    returned dict, under "invariants" and "reductions"."""
+    calls = {"invariants": 0, "reductions": 0}
+    for name, f in (
+        ("invariants", picard.smith_invariants),
+        ("reductions", picard.smith_normal_form),
+    ):
+
+        def counted(A, name=name, f=f):
+            calls[name] += 1
+            return f(A)
+
+        monkeypatch.setattr(picard, f.__name__, counted)
+    return calls
+
+
 def _decorate(shape, stabs):
     return DualGraph(
         shape.vertices,
@@ -1131,30 +1195,44 @@ class TestRootsnumPlan:
         assert len(family) == 7 and 0 < reached < checked
 
     @pytest.mark.parametrize(
-        "stabs, orders, targets, image_tests, criteria, draws, reductions",
+        "stabs, orders, targets, image_tests, criteria, draws, invariants, reductions",
         [
             # Kernel not maximal, a nonseparating stabilizer 3: the order is
             # settled before the rows, so no bundle is drawn, no row builds
             # a target and none tests the criterion.  The bound free_factor
-            # * |domain| >= 2^6 holds, so one Smith reduction decides it.
-            pytest.param((2, 3, 6), (2,), 0, 0, 0, 0, 1, id="kernel-not-maximal"),
-            # Kernel maximal: the 10 random rows are drawn, all 13 rows build
+            # * |domain| >= 2^6 holds, so the Smith invariants decide it,
+            # with no full reduction.
+            pytest.param((2, 3, 6), (2,), 0, 0, 0, 0, 1, 0, id="kernel-not-maximal"),
+            # Kernel maximal and stabilizers passing: the full reduction
+            # decides the kernel and serves the rows' image tests, with no
+            # invariants.  The 10 random rows are drawn, all 13 rows build
             # a target and the 5 with a base solution take the image test
             # once, after any padding.
-            pytest.param((2, 3, 6), (3,), 13, 5, 13, 10, 1, id="kernel-maximal"),
+            pytest.param((2, 3, 6), (3,), 13, 5, 13, 10, 0, 1, id="kernel-maximal"),
             # Every domain is trivial at r = 2: free_factor * 1 < 2^6 settles
-            # the order with no Smith reduction and no row.
-            pytest.param((1, 3, 1), (2,), 0, 0, 0, 0, 0, id="bound-settles"),
+            # the order with no Smith invariants, no reduction and no row.
+            pytest.param((1, 3, 1), (2,), 0, 0, 0, 0, 0, 0, id="bound-settles"),
             # The bound settles r = 2 and the maximal r = 3 draws the rows:
-            # only r = 3 runs a reduction and reads the rows, 7 of which
-            # have a base solution.
-            pytest.param((1, 3, 1), (2, 3), 13, 7, 13, 10, 1, id="bound-settles-one-order"),
+            # only r = 3 reduces and reads the rows, 7 of which have a base
+            # solution.
+            pytest.param(
+                (1, 3, 1), (2, 3), 13, 7, 13, 10, 0, 1, id="bound-settles-one-order"
+            ),
         ],
     )
     def test_per_order_facts_settle_the_rows(
-        self, monkeypatch, stabs, orders, targets, image_tests, criteria, draws, reductions
+        self,
+        monkeypatch,
+        stabs,
+        orders,
+        targets,
+        image_tests,
+        criteria,
+        draws,
+        invariants,
+        reductions,
     ):
-        calls = {"targets": 0, "image": 0, "criterion": 0, "draws": 0, "reductions": 0}
+        calls = dict.fromkeys(("targets", "image", "criterion", "draws"), 0)
 
         def counted(name, f):
             def wrapper(*args):
@@ -1169,17 +1247,31 @@ class TestRootsnumPlan:
         holds = picard._Criterion.holds
         monkeypatch.setattr(picard._Criterion, "holds", counted("criterion", holds))
         monkeypatch.setattr(picard, "_draw", counted("draws", picard._draw))
-        snf = picard.smith_normal_form
-        monkeypatch.setattr(picard, "smith_normal_form", counted("reductions", snf))
+        reductions_seen = _count_reductions(monkeypatch)
         G = dual_graph([1, 0, 1], [(0, 1, stabs[0]), (1, 1, stabs[1]), (1, 2, stabs[2])])
         assert check_rootsnum_graph(G, orders, n_random=10, seed=3) == ([], 13 * len(orders))
-        assert calls == {
+        assert {**calls, **reductions_seen} == {
             "targets": targets,
             "image": image_tests,
             "criterion": criteria,
             "draws": draws,
+            "invariants": invariants,
             "reductions": reductions,
         }
+
+    def test_unscreened_maximal_order_reads_invariants_then_reduces(self, monkeypatch):
+        # With the stabilizer test forced to fail, the maximal r = 3 of the
+        # kernel-maximal pin is decided by its invariants, and its rows'
+        # image tests then build the full reduction: every row that reaches
+        # the count is a discrepancy.
+        _force_criterion_fail(monkeypatch)
+        calls = _count_reductions(monkeypatch)
+        G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 3), (1, 2, 6)])
+        records, checked = check_rootsnum_graph(G, (3,), n_random=10, seed=3)
+        assert calls == {"invariants": 1, "reductions": 1}
+        assert (len(records), checked) == (4, 13)
+        oracle = _rootsnum_oracle(G, (3,), 10, 3, lambda G, F, r: False)
+        assert (records, checked) == oracle
 
     def test_targets_sum_to_the_total_degree(self):
         # The sweep counts no roots for a row whose total degree is not a

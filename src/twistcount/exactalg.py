@@ -69,19 +69,30 @@ def _entries(A) -> list[list[int]]:
     return [list(row) for row in A]
 
 
-def _reduce(D, row_op, col_op, row_swap, col_swap, negate) -> None:
+def _reduce(D, UT, V) -> None:
     """Bring D to Smith form in place: diagonal, d_1 | d_2 | ... and every
     d_i >= 0.
 
-    This is the one elimination loop of the module.  It changes D only
-    through the operations it is given: row_op(i, k, q) subtracts q times
-    row k from row i, col_op(j, k, q) does so for columns, row_swap and
-    col_swap exchange two rows or columns, and negate(i) changes the sign
-    of row i.  Each caller chooses them once, so they update its
-    transforms along with D or touch D alone.
+    This is the one elimination loop of the module.  Every row operation
+    on D is applied to the columns of UT, the transpose of the row
+    transform, and every column operation to the columns of V.  Each
+    update loops over the rows of UT or V, so a caller that passes both
+    empty keeps no transform, with no test per operation.
     """
     rows = len(D)
     cols = len(D[0]) if rows else 0
+
+    def row_op(i, k, q):  # row_i -= q * row_k
+        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
+        for row in UT:
+            row[i] -= q * row[k]
+
+    def col_op(j, k, q):  # col_j -= q * col_k
+        for row in D:
+            row[j] -= q * row[k]
+        for row in V:
+            row[j] -= q * row[k]
+
     t = 0
     while t < min(rows, cols):
         pos = _min_nonzero_position(D, t)
@@ -89,9 +100,14 @@ def _reduce(D, row_op, col_op, row_swap, col_swap, negate) -> None:
             break
         i, j = pos
         if i != t:
-            row_swap(t, i)
+            D[t], D[i] = D[i], D[t]
+            for row in UT:
+                row[t], row[i] = row[i], row[t]
         if j != t:
-            col_swap(t, j)
+            for row in D:
+                row[t], row[j] = row[j], row[t]
+            for row in V:
+                row[t], row[j] = row[j], row[t]
         pivot = D[t][t]
         # A unit pivot divides every entry, so it needs no remainder test.
         unit = pivot == 1 or pivot == -1
@@ -116,19 +132,22 @@ def _reduce(D, row_op, col_op, row_swap, col_swap, negate) -> None:
             if D[t][j]:
                 col_op(j, t, D[t][j] // pivot)
         if not unit:
-            # Divisibility d_t | d_{t+1} | ...: fold any offending row in
-            # and redo.
-            offender = next(
-                (i for i in range(t + 1, rows) if any([a % pivot for a in D[i][t + 1 :]])),
-                None,
-            )
+            # Divisibility d_t | d_{t+1} | ...: fold the first offending row
+            # in and redo.
+            offender = None
+            for i in range(t + 1, rows):
+                if any([a % pivot for a in D[i][t + 1 :]]):
+                    offender = i
+                    break
             if offender is not None:
                 row_op(t, offender, -1)
                 continue
         t += 1
     for i in range(min(rows, cols)):
         if D[i][i] < 0:
-            negate(i)
+            D[i] = [-a for a in D[i]]
+            for row in UT:
+                row[i] = -row[i]
 
 
 def smith_normal_form(A):
@@ -136,35 +155,10 @@ def smith_normal_form(A):
     d_1 | d_2 | ... and all d_i >= 0.
     """
     D = _entries(A)
-    U = mat_identity(len(D))
+    UT = mat_identity(len(D))
     V = mat_identity(len(D[0]) if D else 0)
-
-    def row_op(i, k, q):
-        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_op(j, k, q):
-        for row in D:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-
-    def row_swap(i, k):
-        D[i], D[k] = D[k], D[i]
-        U[i], U[k] = U[k], U[i]
-
-    def col_swap(j, k):
-        for row in D:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    def negate(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
-    _reduce(D, row_op, col_op, row_swap, col_swap, negate)
-    return U, D, V
+    _reduce(D, UT, V)
+    return [list(col) for col in zip(*UT)], D, V
 
 
 def smith_invariants(A) -> tuple[int, ...]:
@@ -172,25 +166,7 @@ def smith_invariants(A) -> tuple[int, ...]:
     entries, zeros included: the loop of smith_normal_form with no
     unimodular transform kept."""
     D = _entries(A)
-
-    def row_op(i, k, q):
-        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-
-    def col_op(j, k, q):
-        for row in D:
-            row[j] -= q * row[k]
-
-    def row_swap(i, k):
-        D[i], D[k] = D[k], D[i]
-
-    def col_swap(j, k):
-        for row in D:
-            row[j], row[k] = row[k], row[j]
-
-    def negate(i):
-        D[i] = [-a for a in D[i]]
-
-    _reduce(D, row_op, col_op, row_swap, col_swap, negate)
+    _reduce(D, [], [])
     return tuple([D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))])
 
 

@@ -432,14 +432,9 @@ class RootCounter:
         self.hs = [gcd(e.stabilizer, r) for e in G.edges]
         self.domain_size = prod(self.hs)
         self.free_factor = r ** (2 * sum(v.genus for v in G.vertices) + betti(G))
-
-    @cached_property
-    def _edges(self):
-        """Per edge: (head, tail, stabilizer, memo of _edge_entry), built on
-        first use, so an order that the sweep settles builds none."""
-        r = self.r
-        return tuple(
-            (e.head, e.tail, e.stabilizer, _edge_memo(e.stabilizer, r)) for e in self.graph.edges
+        # Per edge: (head, tail, stabilizer, memo of _edge_entry).
+        self._edges = tuple(
+            (e.head, e.tail, e.stabilizer, _edge_memo(e.stabilizer, r)) for e in G.edges
         )
 
     @cached_property
@@ -464,7 +459,8 @@ class RootCounter:
         matrix = _boundary_matrix(self.graph, self.hs, self.r)
         cols = [k for k in range(len(self.hs)) if any([row[k] for row in matrix])]
         diag = smith_invariants([[row[k] for k in cols] for row in matrix[:-1]])
-        return _kernel_size(self.hs, diag, self.r, len(matrix) - 1)
+        mods = [gcd(d, self.r) for d in diag] + [self.r] * (len(matrix) - 1 - len(diag))
+        return _kernel_size(self.hs, mods, self.r)
 
     def _targets(self, int_part, mult):
         """Defect list t with acceptance condition M x = t (mod r) for the
@@ -685,7 +681,7 @@ class _SmithData:
         self.checks = tuple(
             (tuple(u % m for u in U[i]), m) for i, m in enumerate(self.mods) if m > 1
         )
-        self.kernel_size = _kernel_size(hs, self.diag, r, nv)
+        self.kernel_size = _kernel_size(hs, self.mods, r)
 
     def contains(self, t) -> bool:
         """Whether t lies in the image of M."""
@@ -714,13 +710,12 @@ class _SmithData:
         return tuple(x)
 
 
-def _kernel_size(hs, diag, r: int, rows: int) -> int:
-    """|ker M| on prod Z/h_e for a map M to (Z/r)^rows whose Smith
-    invariants are diag, d_i = 0 past its end: the image has index
-    prod_{i<rows} gcd(d_i, r) in (Z/r)^rows, so the kernel has
-    prod h_e * prod_{i<rows} gcd(d_i, r) / r^rows elements."""
-    mods = [gcd(d, r) for d in diag] + [r] * (rows - len(diag))
-    return prod(hs) * prod(mods) // r**rows
+def _kernel_size(hs, mods, r: int) -> int:
+    """|ker M| on prod Z/h_e for a map M to (Z/r)^n, n = len(mods), with
+    mods[i] = gcd(d_i, r) over its Smith invariants d_i (d_i = 0 past the
+    rank, so mods[i] = r there): the image has index prod(mods) in
+    (Z/r)^n, so the kernel has prod h_e * prod(mods) / r^n elements."""
+    return prod(hs) * prod(mods) // r ** len(mods)
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -1012,15 +1007,15 @@ def check_rootsnum_graph(
     every row that reaches the count is a discrepancy.
 
     When an order is kept, the random bundles are seeded from (seed,
-    graph), so the
-    result does not depend on how a family sweep is chunked; they are the
-    classes that random_bundle draws from the same generator.  Every
-    bundle is a row (int_part, mult, d, total) of integers, with d from
-    _integer_degrees and total = sum(d): the dualizing class, its square
-    and the trivial class come from their LineBundleData, the random
-    classes straight from the generator.  Per kept order the RootCounter
-    reads each row's target off its integer parts, only when the kernel
-    is maximal, and the edge criterion tests its d, only when screened.
+    graph), so the result does not depend on how a family sweep is
+    chunked; they are the classes that random_bundle draws from the same
+    generator.  Every bundle is a row (int_part, mult, d, total) of
+    integers, with d from _integer_degrees and total = sum(d): the
+    dualizing class, its square and the trivial class come from their
+    LineBundleData, the random classes straight from the generator.  Per
+    kept order the RootCounter reads each row's target off its integer
+    parts, only when the kernel is maximal, and the edge criterion tests
+    its d, only when screened.
     A row whose total is not a multiple of r is padded by lowering its
     degree on vertex 0: the target's first entry in place, and d_0.
 

@@ -46,6 +46,7 @@ class TestSmithNormalForm:
                 if i != j:
                     assert D[i][j] == 0
         diag = [D[i][i] for i in range(n)]
+        assert smith_invariants(A) == tuple(diag)
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
             if a:
@@ -67,8 +68,7 @@ class TestSmithNormalForm:
         assert abs(det(U)) == 1 and abs(det(V)) == 1
 
 
-# sha256 over repr((U, D, V)) of every matrix of _smith_corpus, as the
-# reduction gave them before smith_invariants shared its loop.
+# sha256 over repr((U, D, V)) of every matrix of _smith_corpus.
 SMITH_CORPUS_DIGEST = "d8978f2c51d901239dbcc7a7548ed74c12f3fa9917f5741399bcebc28e0bc243"
 
 
@@ -104,25 +104,14 @@ class TestSmithInvariants:
             shapes.add((len(A), len(A[0]) if A else 0))
         assert {(0, 0), (1, 0), (3, 0), (1, 3), (5, 6)} <= shapes
 
-    @given(matrices)
-    @settings(max_examples=200, deadline=None)
-    def test_divisibility_chain(self, A):
-        diag = smith_invariants(A)
-        assert len(diag) == min(len(A), len(A[0]))
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0 if a else b == 0
-        _, D, _ = smith_normal_form(A)
-        assert diag == tuple(D[i][i] for i in range(len(diag)))
-
     @pytest.mark.parametrize("reduce", [smith_invariants, smith_normal_form])
     def test_ragged_matrix_refused(self, reduce):
         with pytest.raises(DimensionMismatch):
             reduce([[1, 2], [3]])
 
     def test_transforms_pinned(self):
-        # Root lists and witnesses read V, so the one elimination loop that
-        # both reductions share must keep every transform as it was.
+        # Root lists and witnesses read V, so a change to the elimination
+        # loop must leave every transform where it is.
         digest = hashlib.sha256()
         for A in _smith_corpus():
             digest.update(repr(smith_normal_form(A)).encode())

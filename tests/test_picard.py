@@ -1232,7 +1232,7 @@ class TestRootsnumPlan:
         invariants,
         reductions,
     ):
-        calls = dict.fromkeys(("targets", "image", "criterion", "draws"), 0)
+        calls = {"targets": 0, "image": 0, "criterion": 0, "draws": 0}
 
         def counted(name, f):
             def wrapper(*args):

@@ -202,9 +202,9 @@ class CyclicHom:
     @classmethod
     def of(cls, matrix, domain_moduli, codomain_moduli) -> "CyclicHom":
         return cls(
-            tuple(tuple(int(a) for a in row) for row in matrix),
-            tuple(int(n) for n in domain_moduli),
-            tuple(int(m) for m in codomain_moduli),
+            tuple([tuple(map(int, row)) for row in matrix]),
+            tuple(map(int, domain_moduli)),
+            tuple(map(int, codomain_moduli)),
         )
 
     @property
@@ -284,46 +284,77 @@ def _relations(h: CyclicHom) -> list[list[int]]:
 
 
 def kernel_size_by_smith(h: CyclicHom) -> int:
-    """Kernel size via the relation lattice.
+    """Kernel size via the relation lattice, built modulo the codomain.
 
     |ker h| = prod(n_j) * |coker| / prod(m_i), where the cokernel is that of
-    the lattice L in Z^rows spanned by the nonzero columns of A and the
-    vectors m_i e_i: the image of h is L / span(m_i e_i).  |coker| is the
-    determinant of L, read off a triangular basis.  At coordinate i, Euclid
-    runs among the generators nonzero there, each step subtracting multiples
-    of the one with least |entry| from the others, until one is left; its
-    pivot is a diagonal entry of the basis, and it is dropped.  This route
-    builds no unimodular transform and deliberately does not call
-    smith_normal_form, so it stays an independent check of the Smith
-    reduction that the library counts go through.
+    the lattice L in Z^rows spanned by the columns of A and the vectors
+    m_i e_i: the image of h is L / span(m_i e_i).  |coker| is the
+    determinant of L, the product of the diagonal of a triangular basis.
+
+    Every m_k e_k lies in L, so each generator keeps its entry k reduced mod
+    m_k, and every vector made later is reduced the same way: entries stay
+    below their moduli.  Coordinates are settled from the last to the
+    first, each vector giving up (popping) the entry being settled.  At
+    coordinate i the generators nonzero there are folded into one pivot p,
+    each by one unimodular step: a shear when one entry divides the other
+    (with a swap when the new entry is the smaller), otherwise the
+    extended-gcd 2 x 2 step of determinant -1.  Each remainder, zero at i,
+    moves on to the next coordinate.  Folding m_i e_i in last gives the
+    diagonal entry g = gcd(p_i, m_i) and the remainder (m_i / g) * p, zero
+    at i mod m_i.  That remainder moves on too, also when g = p_i: it is
+    the only record of the multiples of p that vanish at i.
+
+    This route builds no unimodular transform and calls none of
+    smith_normal_form, smith_invariants or their elimination loop, so it
+    stays an independent check of the Smith reduction that the library
+    counts go through.
     """
     mods = h.codomain_moduli
-    rows = len(mods)
-    if rows == 0:
-        return h.domain_size
-    gens = [col for col in zip(*h.matrix) if any(col)]
-    gens += [[m if k == i else 0 for k in range(rows)] for i, m in enumerate(mods)]
+    pool = []
+    for col in zip(*h.matrix):
+        v = [a % m for a, m in zip(col, mods)]
+        if any(v):
+            pool.append(v)
     coker = 1
-    for i in range(rows):
-        active = [v for v in gens if v[i]]
-        gens = [v for v in gens if not v[i]]
-        while len(active) > 1:
-            pivot = min(active, key=lambda v: abs(v[i]))
-            p = pivot[i]
-            left = [pivot]
-            for v in active:
-                if v is pivot:
-                    continue
-                q = v[i] // p
-                w = [a - q * b for a, b in zip(v, pivot)]
-                if w[i]:
-                    left.append(w)
-                elif any(w):
-                    gens.append(w)
-            active = left
-        if not active:
-            raise AlgebraError("infinite cokernel: the moduli block must have full rank")
-        coker *= abs(active[0][i])
+    for i in range(len(mods) - 1, -1, -1):
+        m = mods[i]
+        p = None
+        rest = []
+        for v in pool:
+            b = v.pop()
+            if not b:
+                rest.append(v)
+                continue
+            if p is None:
+                p, a = v, b
+                continue
+            if not b % a:  # shear
+                q = b // a
+                w = [(x - q * y) % n for x, y, n in zip(v, p, mods)]
+            elif not a % b:  # swap and shear
+                q = a // b
+                w = [(y - q * x) % n for x, y, n in zip(v, p, mods)]
+                p, a = v, b
+            else:  # s*a + t*b = g
+                g = gcd(a, b)
+                s = pow(a // g, -1, b // g)
+                t = (g - s * a) // b
+                u, z = b // g, a // g
+                w = [(u * y - z * x) % n for x, y, n in zip(v, p, mods)]
+                p = [(s * y + t * x) % n for x, y, n in zip(v, p, mods)]
+                a = g
+            if any(w):
+                rest.append(w)
+        if p is None:
+            coker *= m
+        else:
+            g = a if not m % a else gcd(a, m)
+            coker *= g
+            q = m // g
+            w = [q * y % n for y, n in zip(p, mods)]
+            if any(w):
+                rest.append(w)
+        pool = rest
     return h.domain_size * coker // prod(mods)
 
 

@@ -95,8 +95,10 @@ class DualGraph:
 
     def __hash__(self):
         # Graphs key several caches; hashing the full tuples every lookup
-        # dominates otherwise.
-        cached = self.__dict__.get("_hash")
+        # dominates otherwise.  The cached hash is read as an attribute,
+        # never through __dict__, which would give every hashed graph a
+        # dict of its own.
+        cached = getattr(self, "_hash", None)
         if cached is None:
             cached = hash((self.vertices, self.edges))
             object.__setattr__(self, "_hash", cached)

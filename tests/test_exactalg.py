@@ -11,6 +11,7 @@ from twistcount.exactalg import (
     CyclicHom,
     DimensionMismatch,
     IllDefinedHom,
+    _relations,
     hom_image_contains,
     kernel_size_by_enumeration,
     kernel_size_by_smith,
@@ -158,6 +159,35 @@ def random_hom(rng, max_side=3, max_mod=6, max_cols=None, min_rows=1, zero_cols=
     return CyclicHom.of(matrix, ns, ms)
 
 
+# Moduli from trivial to past 64 bits, with a Mersenne prime among them.
+WIDE_MODULI = (1, 2, 97, 360, 10**9, 2**61 - 1, 10**18)
+
+
+def wide_hom(rng, max_rows=4, max_cols=6):
+    """A random well-defined hom with 0..max_rows rows and 0..max_cols
+    columns, moduli from WIDE_MODULI and a zero column with probability
+    1/4.  Entries are multiples of m / gcd(m, n), every class mod m among
+    them, with negative and unreduced values."""
+    ns = [rng.choice(WIDE_MODULI) for _ in range(rng.randint(0, max_cols))]
+    ms = [rng.choice(WIDE_MODULI) for _ in range(rng.randint(0, max_rows))]
+    zero = [rng.randrange(4) == 0 for _ in ns]
+    matrix = [
+        [
+            0 if z else m // gcd(m, n) * rng.randrange(-2 * gcd(m, n), 2 * gcd(m, n))
+            for n, z in zip(ns, zero)
+        ]
+        for m in ms
+    ]
+    return CyclicHom.of(matrix, ns, ms)
+
+
+def kernel_size_by_invariants(h):
+    """|ker h| from the Smith invariants of [A | diag(m)], whose product is
+    |coker|: a second oracle, for domains too large to enumerate."""
+    coker = prod(smith_invariants(_relations(h)))
+    return h.domain_size * coker // prod(h.codomain_moduli)
+
+
 class TestKernelSize:
     def test_zero_map(self):
         h = CyclicHom.of([[0, 0], [0, 0]], [6, 6], [6, 6])
@@ -196,6 +226,44 @@ class TestKernelSize:
             assert kernel_size_by_enumeration(h) == kernel_size_by_smith(h)
         assert {(0, 1), (4, 6)} <= shapes
         assert zero_columns > 50
+
+    def test_agrees_with_smith_invariants_on_wide_moduli(self):
+        rng = random.Random(30)
+        shapes = set()
+        zero_columns = 0
+        for _ in range(2500):
+            h = wide_hom(rng)
+            rows, cols = len(h.codomain_moduli), len(h.domain_moduli)
+            shapes.add((rows, cols))
+            zero_columns += any(not any(col) for col in zip(*h.matrix)) and rows > 0
+            assert kernel_size_by_smith(h) == kernel_size_by_invariants(h)
+        assert {(0, 0), (0, 6), (4, 0), (4, 6)} <= shapes
+        assert zero_columns > 500
+
+    def test_wide_moduli_agree_with_enumeration(self):
+        # The second oracle against the first wherever the domain is small
+        # enough to sweep, so neither is taken on trust.
+        rng = random.Random(31)
+        checked = 0
+        while checked < 300:
+            h = wide_hom(rng, max_cols=4)
+            if h.domain_size > 10**4:
+                continue
+            checked += 1
+            size = kernel_size_by_enumeration(h)
+            assert kernel_size_by_smith(h) == kernel_size_by_invariants(h) == size
+
+    def test_remainders_that_only_the_modulus_fold_leaves(self):
+        # Coordinates are settled last first.  Folding 4 e_1 into the pivot
+        # (1, 2) leaves 2 * (1, 2) = (2, 0) mod 4: the image has order 4.
+        h = CyclicHom.of([[1], [2]], [4], [4, 4])
+        assert kernel_size_by_smith(h) == kernel_size_by_enumeration(h) == 1
+        # A pivot entry 2 of 6 whose other entry has order 6: 3 * (1, 2).
+        h = CyclicHom.of([[1], [2]], [6], [6, 6])
+        assert kernel_size_by_smith(h) == kernel_size_by_enumeration(h) == 1
+        # The extended-gcd step: entries 2 and 3 of 6 fold to a pivot 1.
+        h = CyclicHom.of([[1, 1], [2, 3]], [6, 6], [6, 6])
+        assert kernel_size_by_smith(h) == kernel_size_by_enumeration(h) == 1
 
     def test_orbit_stabilizer(self):
         rng = random.Random(23)

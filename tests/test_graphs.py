@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import signal
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,24 @@ class TestConstruction:
     def test_negative_genus(self):
         with pytest.raises(GraphError):
             dual_graph([-1], [])
+
+    def test_hash_is_cached_without_an_instance_dict(self):
+        # The cached hash is one int attribute per graph (about 35 bytes);
+        # reading it through __dict__ would build a dict for every hashed
+        # graph as well (about 100 bytes in all).
+        family = enumerate_stable_graphs(3, 0, (1, 2, 3, 4, 6))
+        assert len(family) == 31156
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for G in family:
+                hash(G)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / len(family) < 64
+        G = family[-1]
+        assert hash(G) == hash(DualGraph(G.vertices, G.edges)) == hash((G.vertices, G.edges))
 
 
 class TestGenus:

@@ -146,6 +146,29 @@ def test_one_smith_elimination_loop():
     assert callers == ["exactalg.py:_reduce"]
 
 
+SMITH_ROUTINES = {"smith_normal_form", "smith_invariants", "_reduce", "_min_nonzero_position"}
+
+
+def test_kernel_size_by_smith_stays_independent():
+    # kernel_size_by_smith is the tests' check on the Smith reduction that
+    # the library counts go through, so neither it nor any exactalg
+    # function it calls may reach that reduction.
+    tree = ast.parse((PACKAGE / "exactalg.py").read_text(encoding="utf-8"))
+    calls = {
+        func.name: {_name(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)}
+        for func in tree.body
+        if isinstance(func, _FUNCTIONS)
+    }
+    assert SMITH_ROUTINES | {"kernel_size_by_smith"} <= calls.keys()
+    reached, todo = set(), ["kernel_size_by_smith"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += calls[name] & calls.keys()
+    assert reached & SMITH_ROUTINES == set()
+
+
 def _name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .exactalg import CyclicHom, smith_invariants, smith_normal_form, solve_congruence
+from .exactalg import CyclicHom, smith_normal_form, solve_congruence
 from .graphs import DualGraph, Edge, betti, classify_node, flip_edge, genus
 
 __all__ = [
@@ -432,14 +432,10 @@ class RootCounter:
     (int_part, mult) as plain integers, with no degree and no bundle.  One
     counter serves every bundle on (G, r): _counter keeps the recent ones
     for torsion, counts, root lists, constructed roots and lifts, and
-    check_rootsnum_graph builds one per r for its integer rows.  ker M is
-    a subgroup of the domain, so domain_size bounds |ker M|: where
-    free_factor * domain_size < r^(2g) the sweep knows the kernel is not
-    maximal without building smith.  Where the bound leaves it open and
-    the order's rows need no smith, the sweep reads kernel_size, which
-    needs only the Smith invariants of M without its last row: every
-    column of M sums to 0, so dropping that row drops one invariant 0 and
-    nothing else, and no transform is built.
+    check_rootsnum_graph builds one for each order whose nonseparating
+    stabilizers all pass, for its integer rows; by the flow lemma (see
+    check_rootsnum_graph) those are exactly the orders with a maximal
+    kernel, so no other order needs a counter.
     """
 
     def __init__(self, G: DualGraph, r: int):
@@ -459,26 +455,6 @@ class RootCounter:
     def smith(self) -> _SmithData:
         """The Smith reduction of the boundary map, built on first use."""
         return _SmithData(_boundary_matrix(self.graph, self.hs, self.r), self.hs, self.r)
-
-    @_cached
-    def kernel_size(self) -> int:
-        """|ker M|: smith.kernel_size once smith is built, otherwise read
-        off the Smith invariants of M alone, with no transform.
-
-        Every column of M sums to 0, so adding all rows to the last one
-        (a unimodular P) gives P M = [M'; 0], where M' is M without its
-        last row.  The invariants of M are those of M' and one more 0,
-        whose gcd with r cancels one factor r, so |ker M| = prod h_e *
-        prod_{i<V-1} gcd(d'_i, r) / r^(V-1), d'_i = 0 past the rank of M'.
-        Loops give zero columns and stay out of the reduction.
-        """
-        if "smith" in self.__dict__:
-            return self.smith.kernel_size
-        matrix = _boundary_matrix(self.graph, self.hs, self.r)
-        cols = [k for k in range(len(self.hs)) if any([row[k] for row in matrix])]
-        diag = smith_invariants([[row[k] for k in cols] for row in matrix[:-1]])
-        mods = [gcd(d, self.r) for d in diag] + [self.r] * (len(matrix) - 1 - len(diag))
-        return _kernel_size(self.hs, mods, self.r)
 
     def _targets(self, int_part, mult):
         """Defect list t with acceptance condition M x = t (mod r) for the
@@ -811,8 +787,11 @@ def construct_root(G: DualGraph, F: LineBundleData, r: int) -> LineBundleData | 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _edge_sides(G: DualGraph):
-    """The graph part of the edge criterion: the nonseparating edges, and
-    (k, l, sorted "+" side) for each separating edge k."""
+    """The graph part of the edge criterion: the nonseparating edges,
+    (k, l, sorted "+" side) for each separating edge k, and the screen,
+    the gcd of the nonseparating stabilizers (0 when there are none).
+    An order r passes the stabilizer test exactly when it divides the
+    screen."""
     nodes = _node_types(G)
     nonseparating = tuple(k for k, n in enumerate(nodes) if not n.separating)
     sides = tuple(
@@ -820,7 +799,8 @@ def _edge_sides(G: DualGraph):
         for k, (e, n) in enumerate(zip(G.edges, nodes))
         if n.separating
     )
-    return nonseparating, sides
+    screen = gcd(*[G.edges[k].stabilizer for k in nonseparating])
+    return nonseparating, sides, screen
 
 
 class _Criterion:
@@ -832,17 +812,17 @@ class _Criterion:
     (the tail multiplicity l - mu then is too).  For a separating edge k
     the "+" side suffices, l * deg(+) = l * sum_+ d_v + mu_k: with the
     total degree a multiple of r the two side conditions agree.  The edges
-    and sides come from the per-graph _edge_sides; only the parts that
-    depend on r are built here.
+    and sides come from the per-graph _edge_sides, and the stabilizers pass
+    exactly when r divides its screen; only the parts that depend on r are
+    built here.
     """
 
     __slots__ = ("r", "stabilizers_ok", "nonseparating", "sides")
 
     def __init__(self, G: DualGraph, r: int):
         self.r = r
-        self.nonseparating, self.sides = _edge_sides(G)
-        edges = G.edges
-        self.stabilizers_ok = all(edges[k].stabilizer % r == 0 for k in self.nonseparating)
+        self.nonseparating, self.sides, screen = _edge_sides(G)
+        self.stabilizers_ok = screen % r == 0
 
     def holds(self, d, mult) -> bool:
         if not self.stabilizers_ok:
@@ -1002,38 +982,43 @@ def check_rootsnum_graph(
 ):
     """Criterion-versus-count checks for one graph; see verify_rootsnum.
 
-    Every order is settled before any bundle is touched.  A row's count
-    is 0 or free_factor * |ker M|, so unless that product is r^(2g) (the
-    kernel is maximal) no row reaches the expected count.  Unless the
-    nonseparating stabilizers pass (_Criterion.stabilizers_ok: the order
-    is screened) no row passes the criterion.  So an order that is neither
-    maximal nor screened has no discrepancy and only adds its 3 + n_random
-    checks: when no order is kept, the rows are not built at all.  The
-    generator is local to the graph, so skipping it changes nothing else.
+    Every order is settled before any bundle is touched.  A row passes
+    the criterion only when every nonseparating stabilizer is a multiple
+    of r, that is when r divides the screen of _edge_sides (the order is
+    screened).  A row's count is 0 or free_factor * |ker M|, and by the
+    flow lemma that product is r^(2g) exactly on screened orders.
 
-    The kernel is a subgroup of the domain prod Z/h_e, so free_factor *
-    domain_size < r^(2g) already proves it is not maximal.  Otherwise one
-    Smith reduction decides it.  A screened order keeps its rows, which
-    test their targets against the image of the boundary map when the
-    kernel is maximal, and a screened order's kernel has been maximal on
-    every family swept so far: it builds the full reduction, transforms
-    included, at once.  Any other order reads counter.kernel_size, which
-    needs only the Smith invariants of the boundary matrix without its
-    last row: every column sums to 0, so P M = [M'; 0] for a unimodular
-    P, and dropping the row drops one invariant 0.  Such an order builds
-    the full reduction as well only when its kernel is maximal, and then
-    every row that reaches the count is a discrepancy.
+    Put y_e = (r/h_e) * x_e.  This maps Z/h_e into Z/r one to one and
+    turns M x into the boundary of y, so ker M is the group of Z/r-flows
+    y on G with y_e in (r/h_e) * Z/r on every edge.  All Z/r-flows form a
+    group of r^(b1) elements.  A bridge carries 0 in every flow, and a
+    nonseparating edge lies on a cycle, whose flow has y_e = 1.  So
+    |ker M| = r^(b1) exactly when h_e = r on every nonseparating edge,
+    and |ker M| < r^(b1) otherwise.  The free factor is
+    r^(2 sum g_v + b1) and g = sum g_v + b1, so the count reaches r^(2g)
+    exactly on screened orders.  For flows see Biggs, Algebraic Graph
+    Theory, 1974, and Bacher, de la Harpe and Nagnibeda, Bull. SMF 125,
+    1997.
 
-    When an order is kept, the random bundles are seeded from (seed,
+    So an order that is not screened has no discrepancy: no row passes
+    the criterion and none reaches the count.  It only adds its
+    3 + n_random checks and builds no counter and no Smith reduction.  A
+    screened order builds its RootCounter and the full Smith reduction,
+    whose image test its rows need, and raises PicardError unless
+    free_factor * |ker M| = r^(2g), so the lemma is checked on every
+    order whose rows are read.  When no order is screened, the rows are
+    not built at all.  The generator is local to the graph, so skipping
+    it changes nothing else.
+
+    When an order is screened, the random bundles are seeded from (seed,
     graph), so the result does not depend on how a family sweep is
     chunked; they are the classes that random_bundle draws from the same
     generator.  Every bundle is a row (int_part, mult, d, total) of
     integers, with d from _integer_degrees and total = sum(d): the
     dualizing class, its square and the trivial class come from their
     LineBundleData, the random classes straight from the generator.  Per
-    kept order the RootCounter reads each row's target off its integer
-    parts, only when the kernel is maximal, and the edge criterion tests
-    its d, only when screened.
+    screened order the RootCounter reads each row's target off its
+    integer parts, and the edge criterion tests its d.
     A row whose total is not a multiple of r is padded by lowering its
     degree on vertex 0: the target's first entry in place, and d_0.
 
@@ -1048,21 +1033,23 @@ def check_rootsnum_graph(
     """
     _check_random_count(n_random)
     g = genus(G)
+    screen = _edge_sides(G)[2]
     kept = []
     checked = 0
     for r in r_values:
         checked += 3 + n_random
+        if screen % r:
+            continue
         counter = RootCounter(G, r)
-        criterion = _Criterion(G, r)
+        smith = counter.smith
         expected = r ** (2 * g)
-        free = counter.free_factor
-        screened = criterion.stabilizers_ok
-        maximal = (
-            free * counter.domain_size >= expected
-            and free * (counter.smith if screened else counter).kernel_size == expected
-        )
-        if maximal or screened:
-            kept.append((r, counter, criterion, expected, maximal, screened))
+        largest = counter.free_factor * smith.kernel_size
+        if largest != expected:
+            raise PicardError(
+                f"order {r} passes the stabilizer test on {G!r}, but free factor "
+                f"x |ker M| = {_decimal(largest)} is not r^(2g) = {_decimal(expected)}"
+            )
+        kept.append((r, counter, smith, _Criterion(G, r), expected))
     if not kept:
         return [], checked
     rng = random.Random(f"{seed}:{G!r}")
@@ -1075,18 +1062,17 @@ def check_rootsnum_graph(
         d = _integer_degrees(G, int_part, mult)
         rows.append((int_part, mult, d, sum(d)))
     discrepancies: list[RootsnumRecord] = []
-    for r, counter, criterion, expected, maximal, screened in kept:
+    for r, counter, smith, criterion, expected in kept:
         for int_part, mult, d, total in rows:
-            t = counter._targets(int_part, mult) if maximal else None
+            t = counter._targets(int_part, mult)
             excess = total % r
             if excess:
                 # Padding lowers int_part[0], so d_0 and t_0 drop with it.
                 if t is not None:
                     t[0] -= excess
-                if screened:
-                    d = [d[0] - excess, *d[1:]]
-            reached = t is not None and counter.smith.contains(t)
-            passed = screened and criterion.holds(d, mult)
+                d = [d[0] - excess, *d[1:]]
+            reached = t is not None and smith.contains(t)
+            passed = criterion.holds(d, mult)
             if passed != reached:
                 F = _pad_degree(LineBundleData(G, int_part, mult), r)
                 count = counter.count(F)

@@ -407,16 +407,14 @@ class TestCommands:
         assert out == '{"graphs":2638,"checked":139814,"discrepancies":[]}'
 
     def test_verify_rootsnum_discrepancies_replay(self, capsys, monkeypatch, tmp_path):
-        # Force the criterion to pass everywhere, so every non-maximal count
-        # is reported; each report must replay through tc roots.
-        init = picard._Criterion.__init__
-
-        def passing(self, G, r):
-            init(self, G, r)
-            self.stabilizers_ok = True
-
-        monkeypatch.setattr(picard._Criterion, "__init__", passing)
-        monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: True)
+        # Negate the criterion on every check it is asked about, so every
+        # check of an order that passes the stabilizer test is reported:
+        # count 0 where the true criterion fails, r^(2g) where it passes.
+        # Each report must replay through tc roots.
+        holds = picard._Criterion.holds
+        monkeypatch.setattr(
+            picard._Criterion, "holds", lambda self, d, mult: not holds(self, d, mult)
+        )
         code, out = run_cli(
             capsys,
             "verify-rootsnum",
@@ -425,7 +423,7 @@ class TestCommands:
         assert code == 0
         discrepancies = json.loads(out)["discrepancies"]
         assert len(discrepancies) > 10
-        assert any(rec["count"] for rec in discrepancies)
+        assert {rec["count"] == 0 for rec in discrepancies} == {False, True}
         for k, rec in enumerate(discrepancies):
             assert set(rec["bundle"]) == {"int_part", "mult"}
             graph_path = tmp_path / f"graph{k}.json"
@@ -936,6 +934,16 @@ class TestExitCodes:
         code = main(["verify-rootsnum", "-g", "4", "--stabilizers", "1,2", "-r", orders])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", err)
+
+    def test_verify_rootsnum_refuses_a_screened_order_off_the_lemma(self, capsys, monkeypatch):
+        # A screened order whose kernel is not maximal contradicts the flow
+        # lemma: the sweep stops with one error line, not a traceback.
+        monkeypatch.setattr(picard, "_kernel_size", lambda hs, mods, r: 1)
+        code = main(["verify-rootsnum", "-g", "2", "--stabilizers", "1,2", "-r", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("tc: error: order 2 passes the stabilizer test")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_max_domain_caps_list_only(self, capsys, tmp_path):
         path = tmp_path / "big.json"

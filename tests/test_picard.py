@@ -18,6 +18,7 @@ from twistcount.exactalg import (
 from twistcount.graphs import (
     DualGraph,
     Edge,
+    betti,
     classify_node,
     dual_graph,
     enumerate_stable_graphs,
@@ -502,30 +503,14 @@ def _kernel_size_pairs():
 
 class TestKernelSizeFromInvariants:
     def test_matches_the_reduction_and_the_oracle(self):
-        # Without a built reduction, kernel_size reads only the Smith
-        # invariants of the boundary matrix less its last row.
+        # The reduction reads |ker M| off its Smith invariants; the oracle
+        # counts the kernel modulo the codomain with no Smith code.
         pairs = 0
         for G, r in _kernel_size_pairs():
-            counter = RootCounter(G, r)
-            size = counter.kernel_size
-            assert "smith" not in counter.__dict__
-            assert size == RootCounter(G, r).smith.kernel_size
+            size = RootCounter(G, r).smith.kernel_size
             assert size == kernel_size_by_smith(delta_embed(G, r))
             pairs += 1
         assert pairs == 161 * 6 + 463 * 5 + 3 * 5 + 150
-
-    def test_reads_a_built_reduction(self, monkeypatch):
-        def refuse(A):
-            raise AssertionError("the Smith invariants were recomputed")
-
-        G = dual_graph([0, 1, 0], [(0, 1, 2), (1, 1, 3), (1, 2, 6), (0, 2, 4)])
-        for r in (2, 3, 4, 6):
-            counter = RootCounter(G, r)
-            size = counter.smith.kernel_size
-            monkeypatch.setattr(picard, "smith_invariants", refuse)
-            assert counter.kernel_size == size
-            monkeypatch.undo()
-            assert RootCounter(G, r).kernel_size == size
 
 
 def _check_walk(G, F, r):
@@ -544,6 +529,36 @@ def _check_walk(G, F, r):
         assert mults == _solutions_by_closure(counter, *lift)
         assert len(mults) == counter.smith.kernel_size
     return mults
+
+
+# The flow lemma's families: (genus, stabilizers, orders).
+_LEMMA_FAMILIES = (
+    (2, (1, 2, 3, 4, 6, 12), tuple(range(1, 13))),
+    (3, (1, 2, 3, 4, 6), (2, 3, 4, 6)),
+    (3, (1, 2, 4, 8), (2, 4, 8, 16)),
+)
+
+
+class TestFlowLemma:
+    def test_maximal_kernels_are_the_screened_orders(self):
+        # free_factor * |ker M| = r^(2g) exactly when r divides the screen
+        # of _edge_sides, the gcd of the nonseparating stabilizers, with
+        # |ker M| from the oracle, which shares no code with the Smith
+        # reduction.  The sweep settles each order by the screen alone.
+        pairs = screened = 0
+        for g, stabs, orders in _LEMMA_FAMILIES:
+            for G in enumerate_stable_graphs(g, 0, stabs):
+                screen = picard._edge_sides(G)[2]
+                free_rank = 2 * sum(v.genus for v in G.vertices) + betti(G)
+                for r in orders:
+                    kernel = kernel_size_by_smith(delta_embed(G, r))
+                    maximal = r**free_rank * kernel == r ** (2 * g)
+                    assert maximal == (screen % r == 0), (G, r)
+                    assert picard._Criterion(G, r).stabilizers_ok == maximal
+                    pairs += 1
+                    screened += maximal
+        assert pairs == 168_672
+        assert 0 < screened < pairs
 
 
 class TestRootWalk:
@@ -1069,46 +1084,50 @@ def _rootsnum_oracle(G, r_values, n_random, seed, criterion=None):
     return discrepancies, checked
 
 
-def _force_criterion_pass(monkeypatch):
-    """Make the edge criterion pass on every check: the sweep tests the
-    nonseparating stabilizers once per (graph, r) before it calls holds."""
-    init = picard._Criterion.__init__
+def _screened(G, r):
+    """Whether r divides every nonseparating stabilizer, from classify_node
+    rather than the library's screen."""
+    return all(
+        e.stabilizer % r == 0
+        for k, e in enumerate(G.edges)
+        if not classify_node(G, k).separating
+    )
 
-    def passing(self, G, r):
+
+def _negate_criterion(monkeypatch):
+    """Make _Criterion.holds return the negation of its true answer, and
+    return the oracle criterion that does the same on screened orders,
+    the only ones on which the sweep calls holds.  Each check of such an
+    order is then a discrepancy: count 0 where the criterion fails, the
+    maximal count where it passes."""
+    holds = picard._Criterion.holds
+    monkeypatch.setattr(
+        picard._Criterion, "holds", lambda self, d, mult: not holds(self, d, mult)
+    )
+
+    def negated(G, F, r):
+        passed = root_count_criterion(G, F, r)[0]
+        return not passed if _screened(G, r) else passed
+
+    return negated
+
+
+def _count_builds(monkeypatch):
+    """Count the RootCounter and the Smith reductions that picard builds, in
+    the returned dict under "counters" and "reductions"."""
+    calls = {"counters": 0, "reductions": 0}
+    init, reduce = RootCounter.__init__, picard.smith_normal_form
+
+    def counter(self, G, r):
+        calls["counters"] += 1
         init(self, G, r)
-        self.stabilizers_ok = True
 
-    monkeypatch.setattr(picard._Criterion, "__init__", passing)
-    monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: True)
+    def reduction(A):
+        calls["reductions"] += 1
+        return reduce(A)
 
-
-def _force_criterion_fail(monkeypatch):
-    """Make the edge criterion fail on every check, so that the sweep keeps
-    an order only when its kernel is maximal."""
-    init = picard._Criterion.__init__
-
-    def failing(self, G, r):
-        init(self, G, r)
-        self.stabilizers_ok = False
-
-    monkeypatch.setattr(picard._Criterion, "__init__", failing)
-    monkeypatch.setattr(picard._Criterion, "holds", lambda self, d, mult: False)
-
-
-def _count_reductions(monkeypatch):
-    """Count picard's calls of smith_invariants and smith_normal_form in the
-    returned dict, under "invariants" and "reductions"."""
-    calls = {"invariants": 0, "reductions": 0}
-    for name, f in (
-        ("invariants", picard.smith_invariants),
-        ("reductions", picard.smith_normal_form),
-    ):
-
-        def counted(A, name=name, f=f):
-            calls[name] += 1
-            return f(A)
-
-        monkeypatch.setattr(picard, f.__name__, counted)
+    monkeypatch.setattr(RootCounter, "__init__", counter)
+    monkeypatch.setattr(picard, "smith_normal_form", reduction)
     return calls
 
 
@@ -1195,28 +1214,28 @@ class TestRootsnumPlan:
         assert len(family) == 7 and 0 < reached < checked
 
     @pytest.mark.parametrize(
-        "stabs, orders, targets, image_tests, criteria, draws, invariants, reductions",
+        "stabs, orders, targets, image_tests, criteria, draws, counters, reductions",
         [
-            # Kernel not maximal, a nonseparating stabilizer 3: the order is
-            # settled before the rows, so no bundle is drawn, no row builds
-            # a target and none tests the criterion.  The bound free_factor
-            # * |domain| >= 2^6 holds, so the Smith invariants decide it,
-            # with no full reduction.
-            pytest.param((2, 3, 6), (2,), 0, 0, 0, 0, 1, 0, id="kernel-not-maximal"),
-            # Kernel maximal and stabilizers passing: the full reduction
-            # decides the kernel and serves the rows' image tests, with no
-            # invariants.  The 10 random rows are drawn, all 13 rows build
-            # a target and the 5 with a base solution take the image test
+            # Kernel not maximal, a nonseparating stabilizer 3: the order
+            # fails the screen before the rows, so it builds no counter and
+            # no reduction, no bundle is drawn, no row builds a target and
+            # none tests the criterion.
+            pytest.param((2, 3, 6), (2,), 0, 0, 0, 0, 0, 0, id="kernel-not-maximal"),
+            # Kernel maximal and stabilizers passing: one counter and its
+            # full reduction check the lemma and serve the rows' image
+            # tests.  The 10 random rows are drawn, all 13 rows build a
+            # target and the 5 with a base solution take the image test
             # once, after any padding.
-            pytest.param((2, 3, 6), (3,), 13, 5, 13, 10, 0, 1, id="kernel-maximal"),
-            # Every domain is trivial at r = 2: free_factor * 1 < 2^6 settles
-            # the order with no Smith invariants, no reduction and no row.
+            pytest.param((2, 3, 6), (3,), 13, 5, 13, 10, 1, 1, id="kernel-maximal"),
+            # Every domain is trivial at r = 2, so free_factor * 1 < 2^6
+            # bounds the kernel below maximal; the loop of stabilizer 3
+            # fails the screen, which settles the order with nothing built.
             pytest.param((1, 3, 1), (2,), 0, 0, 0, 0, 0, 0, id="bound-settles"),
-            # The bound settles r = 2 and the maximal r = 3 draws the rows:
-            # only r = 3 reduces and reads the rows, 7 of which have a base
-            # solution.
+            # The screen settles r = 2 and the maximal r = 3 draws the rows:
+            # only r = 3 builds a counter and reduces, and 7 of its rows
+            # have a base solution.
             pytest.param(
-                (1, 3, 1), (2, 3), 13, 7, 13, 10, 0, 1, id="bound-settles-one-order"
+                (1, 3, 1), (2, 3), 13, 7, 13, 10, 1, 1, id="bound-settles-one-order"
             ),
         ],
     )
@@ -1229,7 +1248,7 @@ class TestRootsnumPlan:
         image_tests,
         criteria,
         draws,
-        invariants,
+        counters,
         reductions,
     ):
         calls = {"targets": 0, "image": 0, "criterion": 0, "draws": 0}
@@ -1247,31 +1266,43 @@ class TestRootsnumPlan:
         holds = picard._Criterion.holds
         monkeypatch.setattr(picard._Criterion, "holds", counted("criterion", holds))
         monkeypatch.setattr(picard, "_draw", counted("draws", picard._draw))
-        reductions_seen = _count_reductions(monkeypatch)
+        builds = _count_builds(monkeypatch)
         G = dual_graph([1, 0, 1], [(0, 1, stabs[0]), (1, 1, stabs[1]), (1, 2, stabs[2])])
         assert check_rootsnum_graph(G, orders, n_random=10, seed=3) == ([], 13 * len(orders))
-        assert {**calls, **reductions_seen} == {
+        assert {**calls, **builds} == {
             "targets": targets,
             "image": image_tests,
             "criterion": criteria,
             "draws": draws,
-            "invariants": invariants,
+            "counters": counters,
             "reductions": reductions,
         }
 
-    def test_unscreened_maximal_order_reads_invariants_then_reduces(self, monkeypatch):
-        # With the stabilizer test forced to fail, the maximal r = 3 of the
-        # kernel-maximal pin is decided by its invariants, and its rows'
-        # image tests then build the full reduction: every row that reaches
-        # the count is a discrepancy.
-        _force_criterion_fail(monkeypatch)
-        calls = _count_reductions(monkeypatch)
+    def test_negated_criterion_reports_every_row(self, monkeypatch):
+        # With holds negated, each of the 13 rows of the screened r = 3 is
+        # a discrepancy, while the unscreened r = 2 builds no counter and
+        # no reduction.  The records reuse the one reduction of r = 3.
+        negated = _negate_criterion(monkeypatch)
+        builds = _count_builds(monkeypatch)
         G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 3), (1, 2, 6)])
-        records, checked = check_rootsnum_graph(G, (3,), n_random=10, seed=3)
-        assert calls == {"invariants": 1, "reductions": 1}
-        assert (len(records), checked) == (4, 13)
-        oracle = _rootsnum_oracle(G, (3,), 10, 3, lambda G, F, r: False)
-        assert (records, checked) == oracle
+        records, checked = check_rootsnum_graph(G, (2, 3), n_random=10, seed=3)
+        assert builds == {"counters": 1, "reductions": 1}
+        assert (len(records), checked) == (13, 26)
+        assert {rec.r for rec in records} == {3}
+        assert {rec.count for rec in records} == {0, 3**6}
+        assert (records, checked) == _rootsnum_oracle(G, (2, 3), 10, 3, negated)
+
+    def test_screened_order_off_the_lemma_raises(self, monkeypatch):
+        # A screened order whose kernel is not maximal would contradict the
+        # flow lemma; the sweep refuses it rather than report its rows.
+        G = dual_graph([1, 0, 1], [(0, 1, 2), (1, 1, 3), (1, 2, 6)])
+        assert check_rootsnum_graph(G, (2, 3), n_random=2) == ([], 10)
+        monkeypatch.setattr(picard, "_kernel_size", lambda hs, mods, r: 1)
+        # r = 2 fails the screen and builds nothing, so only r = 3 reaches
+        # the guard.
+        assert check_rootsnum_graph(G, (2,), n_random=2) == ([], 5)
+        with pytest.raises(picard.PicardError, match="order 3 passes the stabilizer test"):
+            check_rootsnum_graph(G, (2, 3), n_random=2)
 
     def test_targets_sum_to_the_total_degree(self):
         # The sweep counts no roots for a row whose total degree is not a
@@ -1316,49 +1347,53 @@ class TestRootsnumPlan:
         assert swept
 
     def test_forced_disagreement_records_padded_bundles(self, monkeypatch):
-        # With the criterion forced to pass, every check whose count is not
-        # maximal is a discrepancy; the records must carry the padded
+        # With the criterion negated on screened orders, every check of such
+        # an order is a discrepancy; the records must carry the padded
         # bundle and come in sweep order (r, then bundle).
-        _force_criterion_pass(monkeypatch)
+        negated = _negate_criterion(monkeypatch)
         family = enumerate_stable_graphs(2, 0, [1, 2, 4])
         padded = 0
+        counts = set()
         for G in family[::5]:
             got, checked = check_rootsnum_graph(G, self.ORDERS, n_random=8, seed=2)
-            expected = _rootsnum_oracle(G, self.ORDERS, 8, 2, lambda G, F, r: True)
-            assert (got, checked) == expected
-            assert got
+            assert (got, checked) == _rootsnum_oracle(G, self.ORDERS, 8, 2, negated)
+            screened = [r for r in self.ORDERS if _screened(G, r)]
+            assert len(got) == 11 * len(screened)
             rng = random.Random(f"2:{G!r}")
             raw = {random_bundle(G, rng) for _ in range(8)}
             for rec in got:
-                assert rec.criterion and rec.count != rec.expected
+                assert rec.criterion != (rec.count == rec.expected)
                 assert total_degree(rec.bundle) % rec.r == 0
                 assert count_roots(G, rec.bundle, rec.r) == rec.count
+                counts.add(rec.count == rec.expected)
                 padded += rec.bundle not in raw and rec.bundle.mult in {
                     F.mult for F in raw
                 }
-        assert padded
+        assert padded and counts == {False, True}
 
     def test_forced_failure_keeps_the_maximal_orders(self, monkeypatch):
-        # In the library a maximal kernel comes with passing stabilizers, so
-        # only a criterion forced to fail shows an order kept for its kernel
-        # alone: every check that reaches the maximal count is a
-        # discrepancy.
-        _force_criterion_fail(monkeypatch)
-        never = lambda G, F, r: False  # noqa: E731
+        # The negated criterion fails every check that reaches the maximal
+        # count, and only the screened orders have such checks: the records
+        # with the maximal count are the checks of screened orders whose
+        # true criterion passes.
+        negated = _negate_criterion(monkeypatch)
         reached = 0
         orders = (2, 3, 4, 6, 12)
         for G in enumerate_stable_graphs(2, 0, [12]):
             got = check_rootsnum_graph(G, orders, n_random=20, seed=12)
-            assert got == _rootsnum_oracle(G, orders, 20, 12, never)
-            reached += len(got[0])
+            assert got == _rootsnum_oracle(G, orders, 20, 12, negated)
+            reached += sum(rec.count == rec.expected for rec in got[0])
         rng = random.Random(4)
         shapes = enumerate_stable_graphs(3, 0, [1])
         for _ in range(40):
             shape = rng.choice(shapes)
             G = _decorate(shape, [rng.choice((1, 2, 3, 4, 6)) for _ in shape.edges])
             got = check_rootsnum_graph(G, self.ORDERS, n_random=10, seed=6)
-            assert got == _rootsnum_oracle(G, self.ORDERS, 10, 6, never)
-            reached += len(got[0])
+            assert got == _rootsnum_oracle(G, self.ORDERS, 10, 6, negated)
+            for rec in got[0]:
+                assert _screened(G, rec.r)
+                assert (rec.count == rec.expected) == (not rec.criterion)
+                reached += rec.count == rec.expected
         assert reached
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -1440,9 +1475,9 @@ class TestRootsnumPlan:
         discrepancies, checked = check_rootsnum_graph(G, self.ORDERS, n_random=50, seed=9)
         assert discrepancies == [] and checked == 4 * 53
         assert built == fixed
-        # With a loop of stabilizer 5 every order is settled before the
-        # rows (no kernel is maximal, no stabilizer passes), so not even the
-        # fixed bundles are built, and every check still counts.
+        # A loop of stabilizer 5 fails the screen at every order, so every
+        # order is settled before the rows and not even the fixed bundles
+        # are built, while every check still counts.
         built.clear()
         G = dual_graph([1, 0, 1], [(0, 1, 1), (1, 1, 5), (1, 2, 1)])
         assert check_rootsnum_graph(G, self.ORDERS, n_random=50, seed=9) == ([], 4 * 53)
